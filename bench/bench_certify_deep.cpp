@@ -1,13 +1,11 @@
-// Deep-budget certification: the pruning layer (exact instant dedup +
-// digest memoization + slack cuts) versus the naive brute-force
-// enumerator on the budget mixes the ROADMAP calls the combinatorial
-// frontier. Two claims gated here (and by the CI perf job via
-// BENCH_certify_deep.json):
+// Deep-budget certification: the certification engine (exact per-victim
+// instant dedup + fork sharing) versus the naive brute-force enumerator
+// on the budget mixes the ROADMAP calls the combinatorial frontier. Two
+// claims gated here (and by the CI perf job via BENCH_certify_deep.json):
 //
 //   1. The K=2 + S=1 mixed sweep on the paper's Fig. 22 schedule
-//      simulates >= 10x fewer branches pruned than brute-forced
-//      (branch_reduction = naive branches / pruned simulated branches,
-//      where simulated = branches - memo replays - slack cuts).
+//      simulates >= 10x fewer branches with dedup than brute-forced
+//      (branch_reduction = naive branches / dedup branches).
 //   2. Exhaustive K=3 certification completes, delivering the exact
 //      verdict with full coverage: on example2 (3 processors, where the
 //      model clamps the crash budget to N-1 = 2, so K=3 saturates the
@@ -16,11 +14,9 @@
 //      (4 bus-connected processors, certify_k2.ft's generator) where
 //      K=3 binds for real.
 //
-// Pruning is verdict-exact (certificates are byte-diffed ON-vs-OFF in
-// CI); this bench additionally cross-checks the verdict and the total
-// counterexample count between every pruned sweep and its naive/unpruned
-// twin where the twin is feasible. Exit status 1 on any mismatch or if
-// the reduction falls short of the 10x gate.
+// Dedup is verdict-exact; this bench additionally cross-checks the
+// verdict between the gate sweep and its naive twin. Exit status 1 on any
+// mismatch or if the reduction falls short of the 10x gate.
 #include <cstdio>
 #include <deque>
 #include <string>
@@ -43,29 +39,14 @@ struct Budgets {
 };
 
 campaign::CertifyReport sweep(const Schedule& schedule, Budgets budgets,
-                              bool dedup, bool prune) {
+                              bool dedup) {
   campaign::CertifySpec spec;
   spec.max_failures = budgets.k;
   spec.max_link_failures = budgets.l;
   spec.max_silences = budgets.s;
   spec.dedup = dedup;
-  spec.prune = prune;
   spec.threads = 1;
   return campaign::certify(schedule, spec);
-}
-
-std::size_t simulated(const campaign::CertifyReport& report) {
-  return report.branches - report.memo_branches_replayed - report.slack_cuts;
-}
-
-/// Same exhaustive question, same answer. Sweeps differing only in prune
-/// must agree branch for branch (counterexample counts included — that is
-/// the byte-identity contract); the dedup=off twin enumerates merged-away
-/// representatives too, so against it only the verdict is comparable.
-bool agree(const campaign::CertifyReport& a, const campaign::CertifyReport& b) {
-  const bool same_enumeration = a.branches == b.branches;
-  return a.certified == b.certified &&
-         (!same_enumeration || a.total_counterexamples == b.total_counterexamples);
 }
 
 bench::BenchRecord record(const std::string& config, const std::string& mode,
@@ -75,11 +56,6 @@ bench::BenchRecord record(const std::string& config, const std::string& mode,
   r.params = "config=" + config + ";mode=" + mode;
   r.wall_ms = report.elapsed_seconds * 1e3;
   r.iters = report.branches;
-  r.derived.emplace_back("simulated_branches",
-                         static_cast<double>(simulated(report)));
-  r.derived.emplace_back("memo_replayed",
-                         static_cast<double>(report.memo_branches_replayed));
-  r.derived.emplace_back("slack_cuts", static_cast<double>(report.slack_cuts));
   r.derived.emplace_back("certified", report.certified ? 1.0 : 0.0);
   return r;
 }
@@ -87,7 +63,7 @@ bench::BenchRecord record(const std::string& config, const std::string& mode,
 }  // namespace
 
 int main() {
-  bench::header("C3", "deep-budget certification: pruned vs brute force");
+  bench::header("C3", "deep-budget certification: dedup vs brute force");
 
   const workload::OwnedProblem example2 = workload::paper_example2();
   const Schedule schedule = schedule_solution2(example2.problem).value();
@@ -95,46 +71,46 @@ int main() {
   bool ok = true;
 
   // --- Gate 1: K=2 + S=1 branch reduction -------------------------------
-  bench::section("K=2 + S=1 mixed sweep, brute force vs pruned");
+  bench::section("K=2 + S=1 mixed sweep, brute force vs dedup");
   const Budgets mixed{2, 0, 1};
   // The naive enumerator simulates every representative branch from
   // scratch; one rep is plenty — the gate is a branch count, not a timing.
   const campaign::CertifyReport naive =
-      sweep(schedule, mixed, /*dedup=*/false, /*prune=*/false);
-  campaign::CertifyReport pruned =
-      sweep(schedule, mixed, /*dedup=*/true, /*prune=*/true);
+      sweep(schedule, mixed, /*dedup=*/false);
+  campaign::CertifyReport dedup = sweep(schedule, mixed, /*dedup=*/true);
   for (int rep = 1; rep < 2; ++rep) {
-    campaign::CertifyReport again =
-        sweep(schedule, mixed, /*dedup=*/true, /*prune=*/true);
-    if (again.elapsed_seconds < pruned.elapsed_seconds)
-      pruned = std::move(again);
+    campaign::CertifyReport again = sweep(schedule, mixed, /*dedup=*/true);
+    if (again.elapsed_seconds < dedup.elapsed_seconds)
+      dedup = std::move(again);
   }
-  ok = ok && agree(naive, pruned);
+  // Dedup only merges provably equivalent instants, so the verdict must
+  // match the naive enumeration's.
+  ok = ok && naive.certified == dedup.certified;
   const double reduction =
-      simulated(pruned) > 0
-          ? static_cast<double>(naive.branches) / simulated(pruned)
-          : 0.0;
-  const double wall_speedup = pruned.elapsed_seconds > 0
-                                  ? naive.elapsed_seconds / pruned.elapsed_seconds
+      dedup.branches > 0 ? static_cast<double>(naive.branches) /
+                               static_cast<double>(dedup.branches)
+                         : 0.0;
+  const double wall_speedup = dedup.elapsed_seconds > 0
+                                  ? naive.elapsed_seconds / dedup.elapsed_seconds
                                   : 0.0;
   std::printf(
-      "naive   %8zu branches simulated                       %6.2fs\n"
-      "pruned  %8zu branches = %zu enum - %zu memo - %zu slack  %6.2fs\n",
-      naive.branches, naive.elapsed_seconds, simulated(pruned), pruned.branches,
-      pruned.memo_branches_replayed, pruned.slack_cuts, pruned.elapsed_seconds);
+      "naive   %8zu branches simulated  %6.2fs\n"
+      "dedup   %8zu branches simulated  %6.2fs\n",
+      naive.branches, naive.elapsed_seconds, dedup.branches,
+      dedup.elapsed_seconds);
   char line[80];
   std::snprintf(line, sizeof line, "%.1fx (gate: >= 10x), wall %.1fx", reduction,
                 wall_speedup);
   bench::value("simulated-branch reduction", line);
 
   records.push_back(record("fig22_k2s1", "naive", naive));
-  bench::BenchRecord gate = record("fig22_k2s1", "pruned", pruned);
+  bench::BenchRecord gate = record("fig22_k2s1", "dedup", dedup);
   gate.derived.emplace_back("branch_reduction", reduction);
   gate.derived.emplace_back("wall_speedup_vs_naive", wall_speedup);
   records.push_back(std::move(gate));
 
   // --- Gate 2: exhaustive K=3 certification completes -------------------
-  bench::section("exhaustive K=3 sweeps (pruned)");
+  bench::section("exhaustive K=3 sweeps (dedup)");
   const std::deque<std::pair<std::string, Budgets>> deep = {
       {"fig22_k3", Budgets{3, 0, 0}},
       {"fig22_k3l1", Budgets{3, 1, 0}},
@@ -142,21 +118,19 @@ int main() {
   };
   for (const auto& [config, budgets] : deep) {
     const campaign::CertifyReport report =
-        sweep(schedule, budgets, /*dedup=*/true, /*prune=*/true);
-    // The crash-only K=3 tree is small enough to re-certify unpruned as a
-    // verdict cross-check; the mixed trees are covered by the CI byte-diff
-    // at K=2 and by gate 1's naive twin.
+        sweep(schedule, budgets, /*dedup=*/true);
+    // The crash-only K=3 tree is small enough to re-certify naively as a
+    // verdict cross-check; the mixed trees are covered by gate 1's naive
+    // twin at K=2.
     if (budgets.l == 0 && budgets.s == 0) {
-      ok = ok &&
-           agree(report, sweep(schedule, budgets, /*dedup=*/true,
-                               /*prune=*/false));
+      ok = ok && report.certified ==
+                     sweep(schedule, budgets, /*dedup=*/false).certified;
     }
-    std::printf(
-        "%-12s K=%d L=%d S=%d verdict=%-8s %8zu enum %8zu simulated %6.2fs\n",
-        config.c_str(), budgets.k, budgets.l, budgets.s,
-        report.certified ? "certified" : "refuted", report.branches,
-        simulated(report), report.elapsed_seconds);
-    records.push_back(record(config, "pruned", report));
+    std::printf("%-12s K=%d L=%d S=%d verdict=%-8s %8zu branches %6.2fs\n",
+                config.c_str(), budgets.k, budgets.l, budgets.s,
+                report.certified ? "certified" : "refuted", report.branches,
+                report.elapsed_seconds);
+    records.push_back(record(config, "dedup", report));
   }
 
   // Example2 has 3 processors, so its crash budget clamps at 2; rerun the
@@ -173,44 +147,15 @@ int main() {
         schedule_solution2(random4.problem).value();
     const Budgets k3{3, 0, 0};
     const campaign::CertifyReport report =
-        sweep(random_schedule, k3, /*dedup=*/true, /*prune=*/true);
-    std::printf(
-        "%-12s K=%d L=%d S=%d verdict=%-8s %8zu enum %8zu simulated %6.2fs\n",
-        "random_p4_k3", k3.k, k3.l, k3.s,
-        report.certified ? "certified" : "refuted", report.branches,
-        simulated(report), report.elapsed_seconds);
-    records.push_back(record("random_p4_k3", "pruned", report));
+        sweep(random_schedule, k3, /*dedup=*/true);
+    std::printf("%-12s K=%d L=%d S=%d verdict=%-8s %8zu branches %6.2fs\n",
+                "random_p4_k3", k3.k, k3.l, k3.s,
+                report.certified ? "certified" : "refuted", report.branches,
+                report.elapsed_seconds);
+    records.push_back(record("random_p4_k3", "dedup", report));
   }
 
-  // --- Slack cuts in action ---------------------------------------------
-  // The memo carries the deep sweeps above (solution2's replicated sends
-  // admit no airtight static tail, so its slack table is empty by
-  // construction); the slack cut's home turf is a tight response bound on
-  // an unreplicated schedule. Example1's base schedule, two silence
-  // windows, bound at half the makespan, cap 2: provably-late closing
-  // edges are counted without simulation, certificate unchanged (pinned
-  // byte-identical by prune_test).
-  bench::section("slack cuts: tight bound, silence-only sweep (fig17 base)");
-  {
-    const workload::OwnedProblem example1 = workload::paper_example1();
-    const Schedule base = schedule_base(example1.problem).value();
-    campaign::CertifySpec spec;
-    spec.max_silences = 2;
-    spec.response_bound = base.makespan() * 0.5;
-    spec.max_counterexamples = 2;
-    spec.prune = true;
-    spec.threads = 1;
-    const campaign::CertifyReport report = campaign::certify(base, spec);
-    ok = ok && report.slack_cuts > 0;
-    std::printf(
-        "fig17_base_s2 S=2 bound=mk/2 %8zu enum %8zu simulated (%zu slack "
-        "cuts) %5.2fs\n",
-        report.branches, simulated(report), report.slack_cuts,
-        report.elapsed_seconds);
-    records.push_back(record("fig17_base_s2", "pruned", report));
-  }
-
-  bench::value("verdicts exact (pruned == naive)", ok ? "yes" : "NO");
+  bench::value("verdicts exact (dedup == naive)", ok ? "yes" : "NO");
   if (!bench::write_bench_json("BENCH_certify_deep.json", records)) return 1;
   return ok && reduction >= 10.0 ? 0 : 1;
 }

@@ -1,12 +1,10 @@
 // Frontier sweep throughput: wall time of the full (K, L, S) lattice walk
-// over the paper's Fig. 17 / Fig. 22 schedules, with the cross-point memo
-// sharing on versus off — the leverage PR 9's subtree memo buys when one
-// CertifyMemo serves every lattice point. Also prints the measured
+// over the paper's Fig. 17 / Fig. 22 schedules. Also prints the measured
 // certifiable surface beside the static GLS ceiling (the EXPERIMENTS.md
 // frontier table) and re-checks determinism: the report JSON must be
-// byte-identical across thread counts and prune settings. Writes
-// BENCH_frontier.json; exit 1 when a verdict or the byte-identity is
-// wrong — speed is reported, not gated.
+// byte-identical across thread counts. Writes BENCH_frontier.json; exit 1
+// when a verdict or the byte-identity is wrong — speed is reported, not
+// gated.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -47,7 +45,7 @@ std::string surface_string(const campaign::FrontierReport& report) {
 
 int main() {
   bench::header("bench_frontier",
-                "(K, L, S) certification frontier sweep, shared-memo walk");
+                "(K, L, S) certification frontier sweep");
 
   // Heap-held problems: Schedule keeps a pointer to owned->problem, so
   // the problem must not relocate when the config vector grows.
@@ -86,35 +84,27 @@ int main() {
 
     campaign::FrontierReport reference;
     const int reps = 3;
-    double pruned_best = -1;
+    double best = -1;
     for (int rep = 0; rep < reps; ++rep) {
       const auto start = std::chrono::steady_clock::now();
       campaign::FrontierSpec spec;
       spec.threads = 1;
       reference = campaign::frontier_sweep(config.schedule, spec);
       const double elapsed = seconds_since(start);
-      if (pruned_best < 0 || elapsed < pruned_best) pruned_best = elapsed;
+      if (best < 0 || elapsed < best) best = elapsed;
     }
 
-    double naive_best = -1;
-    campaign::FrontierReport unpruned;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto start = std::chrono::steady_clock::now();
-      campaign::FrontierSpec spec;
-      spec.threads = 1;
-      spec.prune = false;
-      unpruned = campaign::frontier_sweep(config.schedule, spec);
-      const double elapsed = seconds_since(start);
-      if (naive_best < 0 || elapsed < naive_best) naive_best = elapsed;
-    }
-
-    // Determinism gate: threads and prune must not change a byte.
-    campaign::FrontierSpec threaded;
-    threaded.threads = 0;
+    // Determinism gate: the thread count must not change a byte.
     const std::string reference_json = reference.to_json(arch);
-    if (campaign::frontier_sweep(config.schedule, threaded).to_json(arch) !=
-            reference_json ||
-        unpruned.to_json(arch) != reference_json) {
+    bool identical = true;
+    for (const unsigned threads : {0u, 8u}) {
+      campaign::FrontierSpec threaded;
+      threaded.threads = threads;
+      identical = identical &&
+                  campaign::frontier_sweep(config.schedule, threaded)
+                          .to_json(arch) == reference_json;
+    }
+    if (!identical) {
       std::fprintf(stderr, "FAIL: %s frontier not byte-identical\n",
                    config.name.c_str());
       ok = false;
@@ -135,17 +125,12 @@ int main() {
                  std::to_string(reference.points_explored) + " / " +
                      std::to_string(reference.points_implied));
     bench::value("certifiable surface", surface_string(reference));
-    bench::value("sweep (memo shared)",
-                 std::to_string(pruned_best * 1e3) + " ms");
-    bench::value("sweep (prune off)",
-                 std::to_string(naive_best * 1e3) + " ms");
-    const double speedup = pruned_best > 0 ? naive_best / pruned_best : 0;
-    bench::value("memo leverage", std::to_string(speedup) + "x");
+    bench::value("sweep (1 thread)", std::to_string(best * 1e3) + " ms");
 
     bench::BenchRecord record;
     record.name = "frontier/" + config.name;
     record.params = "threads=1;reps=" + std::to_string(reps);
-    record.wall_ms = pruned_best * 1e3;
+    record.wall_ms = best * 1e3;
     record.iters = static_cast<std::uint64_t>(reps);
     record.derived = {
         {"points", static_cast<double>(reference.points.size())},
@@ -153,8 +138,6 @@ int main() {
         {"points_implied", static_cast<double>(reference.points_implied)},
         {"surface_points", static_cast<double>(reference.surface.size())},
         {"gls_k_bound", static_cast<double>(gls.k_bound)},
-        {"unpruned_wall_ms", naive_best * 1e3},
-        {"memo_speedup", speedup},
     };
     records.push_back(std::move(record));
   }

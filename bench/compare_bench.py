@@ -21,10 +21,10 @@ Two additional, optional gates introduced with the event-core rebuild:
 --min-reduction Z [--reduction-name certify_deep]
     Every record of the named benchmark that carries a derived
     branch_reduction field (the deep-certification bench emits one on its
-    pruned gate config: brute-force branches over pruned simulated
-    branches) must report at least Z. Pins the pruning layer's win — a
-    memo or slack regression shows up as a reduction collapse long before
-    it shows up as a wall-clock regression on fast runners.
+    dedup gate config: brute-force branches over dedup branches) must
+    report at least Z. Pins dedup's win — a dedup regression shows up as
+    a reduction collapse long before it shows up as a wall-clock
+    regression on fast runners.
 
 --min-scaling Y [--scaling-name campaign_throughput]
     The named benchmark's threads=8 record must deliver at least Y times

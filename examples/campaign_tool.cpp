@@ -116,7 +116,6 @@ int usage() {
       "                     [--stream-out FILE] [--merge-stream FILE]...\n"
       "                     [--serve | --serve-socket PATH]\n"
       "                     [--cache-size N] [--serve-threads N]\n"
-      "                     [--prune=on|off]\n"
       "\n"
       "--certify exhaustively certifies the schedule against every\n"
       "failure pattern of size <= K (--claim-k, default the schedule's\n"
@@ -125,10 +124,7 @@ int usage() {
       "deaths per branch (budgeted separately from K), --certify-silences\n"
       "S adds up to S fail-silent windows; --response-bound T makes both\n"
       "the certifier and the oracle enforce response <= T (+ the longest\n"
-      "injected silent window). --prune=off disables the certifier's\n"
-      "subtree memoization and slack cuts (--prune=on, the default,\n"
-      "produces a byte-identical certificate — the switch exists for\n"
-      "A/B timing and for auditing exactly that identity).\n"
+      "injected silent window).\n"
       "--latency NAME:SRC:SINK:BOUND (repeatable) adds a named chain\n"
       "constraint — every surviving replica path from SRC's operation to\n"
       "SINK's must complete within BOUND — checked by the oracle, the\n"
@@ -137,18 +133,16 @@ int usage() {
       "--frontier sweeps the (K, L, S) budget lattice outward from\n"
       "(0,0,0) up to --frontier-k/--frontier-links/--frontier-silences\n"
       "(defaults: the schedule's own tolerance + 1, 1, 1), certifying\n"
-      "each point (reusing one memo across the walk) and reporting the\n"
-      "maximal certifiable surface, the first refuting counterexample at\n"
-      "each boundary point and the Goemans-Lynch-Saias upper bounds;\n"
-      "--frontier-out writes the JSON report (byte-identical for any\n"
-      "--threads and either --prune setting).\n"
+      "each point and reporting the maximal certifiable surface, the\n"
+      "first refuting counterexample at each boundary point and the\n"
+      "Goemans-Lynch-Saias upper bounds; --frontier-out writes the JSON\n"
+      "report (byte-identical for any --threads).\n"
       "--repair turns a refuted schedule into a certified one by\n"
       "counterexample-guided repair under the same budgets: each round\n"
       "shrinks a counterexample, applies one targeted move (re-place a\n"
       "replica, re-route a send, widen a timeout chain) and re-certifies\n"
-      "incrementally through a replay cache. --repair-rounds caps the\n"
-      "accepted moves; --repair-out writes the JSON repair log\n"
-      "(byte-identical for any --threads).\n"
+      "the result. --repair-rounds caps the accepted moves; --repair-out\n"
+      "writes the JSON repair log (byte-identical for any --threads).\n"
       "--plan-key prints the canonical plan fingerprint for the certify\n"
       "budgets in effect (--claim-k/--certify-links/--certify-silences/\n"
       "--response-bound) — the key certifyd's result cache uses, so two\n"
@@ -325,7 +319,6 @@ int run(int argc, char** argv) {
   std::string serve_socket_path;
   long cache_size = 64;
   long serve_threads = 1;
-  bool prune = true;
   campaign::CampaignOptions options;
   // An interesting default mix: short missions, some over-budget attacks,
   // occasional benign silences and wrong suspicions. Link faults stay
@@ -442,10 +435,6 @@ int run(int argc, char** argv) {
                parse_number("--serve-threads", argv[++i], number) &&
                number >= 1) {
       serve_threads = number;
-    } else if (arg == "--prune=on") {
-      prune = true;
-    } else if (arg == "--prune=off") {
-      prune = false;
     } else if (arg == "--replay" && i + 1 < argc) {
       replay_file = argv[++i];
     } else if (arg == "--metrics-out" && i + 1 < argc) {
@@ -517,7 +506,6 @@ int run(int argc, char** argv) {
   service_spec.response_bound = options.oracle.response_bound;
   service_spec.latency_constraints = latency_constraints;
   service_spec.threads = options.threads;
-  service_spec.prune = prune;
 
   if (do_plan_key) {
     // Bare key on stdout: scripts compare two problems' cache identity.
@@ -586,7 +574,6 @@ int run(int argc, char** argv) {
     fspec.response_bound = options.oracle.response_bound;
     fspec.latency_constraints = latency_constraints;
     fspec.threads = options.threads;
-    fspec.prune = prune;
     const campaign::FrontierReport report =
         campaign::frontier_sweep(sched, fspec);
     std::fputs(report.to_text(arch).c_str(), stdout);
@@ -634,7 +621,6 @@ int run(int argc, char** argv) {
     rspec.certify.response_bound = options.oracle.response_bound;
     rspec.certify.latency_constraints = latency_constraints;
     rspec.certify.threads = options.threads;
-    rspec.certify.prune = prune;
     rspec.max_rounds = static_cast<int>(repair_rounds);
     if (!trace_out.empty()) obs::Profiler::global().enable(true);
     const campaign::RepairReport report =
@@ -673,7 +659,6 @@ int run(int argc, char** argv) {
     spec.response_bound = options.oracle.response_bound;
     spec.latency_constraints = latency_constraints;
     spec.threads = options.threads;
-    spec.prune = prune;
     // The shrink oracle must judge link faults within the certified budget
     // as within-contract, or a link counterexample would satisfy it and
     // the shrinker's precondition (oracle rejects the plan) would fail.

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <mutex>
+#include <unordered_map>
 
 #include "arch/architecture_graph.hpp"
-#include "campaign/canonical.hpp"
-#include "campaign/slack.hpp"
 #include "campaign/work_pool.hpp"
 #include "core/error.hpp"
 #include "core/time.hpp"
@@ -71,42 +71,20 @@ struct Budgets {
   }
 };
 
-/// Shared pruning context of one sweep: the subtree memo table, the static
-/// slack table, and the digest options every task's Explorer uses. Null
-/// memo = pruning disabled (spec.prune off, or gated off by
-/// collect_branches / a replay cache).
-struct PruneContext {
-  CertifyMemo* memo = nullptr;
-  const SlackTable* slack = nullptr;
-  DigestOptions digest_options;
-};
-
 /// Depth-first exploration of one task's subtree; every instant the parent
 /// prefix is forked, never replayed.
 class Explorer {
  public:
   Explorer(const Simulator& simulator, const CertifySpec& spec,
            const std::vector<Time>& deadlines, std::size_t procs,
-           std::size_t links, std::uint64_t schedule_key,
-           const PruneContext& prune,
-           const std::vector<LatencyProbe>& probes, CertifyTaskPartial& out)
+           std::size_t links, const std::vector<LatencyProbe>& probes,
+           CertifyTaskPartial& out)
       : sim_(simulator),
         spec_(spec),
         deadlines_(deadlines),
         procs_(procs),
         links_(links),
         beyond_tail_(simulator.schedule().makespan() + 1),
-        // The replay cache stores the scalar leaf verdict only, so it is
-        // gated off under chain constraints (like the memo; see
-        // CertifySpec::latency_constraints).
-        cache_(probes.empty() ? spec.cache : nullptr),
-        schedule_key_(schedule_key),
-        memo_(prune.memo),
-        slack_(prune.slack),
-        digest_options_(prune.digest_options),
-        slack_active_(prune.memo != nullptr && prune.slack != nullptr &&
-                      !prune.slack->empty() &&
-                      !is_infinite(spec.response_bound) && spec.dedup),
         probes_(probes),
         out_(out) {
     out_.worst_chain_latency.assign(probes_.size(), 0);
@@ -127,37 +105,14 @@ class Explorer {
     FailureScenario scenario;
     scenario.failed_at_start = dead;
     scenario.failed_links_at_start = dead_links;
-    if (!first.valid()) {
-      // The dead-at-start-only leaf: cacheable like any exhausted leaf —
-      // each (dead, dead_links) pair owns exactly one leaf-only task, so
-      // its key is unique within a sweep.
-      std::uint64_t key = 0;
-      if (cache_ != nullptr) {
-        key = pattern_key();
-        if (const auto hit = cache_->lookup(schedule_key_, key)) {
-          ++out_.leaves_reused;
-          record_leaf(hit->outputs_lost, hit->response_time,
-                      hit->silence_deferral, {});
-          return;
-        }
-      }
-      Simulator::Branch root = sim_.begin(scenario);
-      ++out_.forks;
-      const IterationResult root_leaf = sim_.finish(root.fork());
-      if (cache_ != nullptr) {
-        cache_->insert(schedule_key_, key,
-                       CertifyCache::Entry{!root_leaf.all_outputs_produced,
-                                           root_leaf.response_time,
-                                           root_leaf.silence_deferral});
-      }
-      certify_leaf(root_leaf);
-      return;
-    }
     Simulator::Branch root = sim_.begin(scenario);
     ++out_.forks;
     const IterationResult root_leaf = sim_.finish(root.fork());
-    explore_children(root, root_leaf, budgets, 0, FaultKey{}, first,
-                     kNoFrame);
+    if (!first.valid()) {
+      certify_leaf(root_leaf);
+      return;
+    }
+    explore_children(root, root_leaf, budgets, 0, FaultKey{}, first);
   }
 
  private:
@@ -182,19 +137,19 @@ class Explorer {
                         });
   }
 
-  /// Records one leaf verdict (simulated or cache-served) against the
-  /// current fault pattern. `deferral` is the leaf run's measured
-  /// silence_deferral — the tight response allowance its windows earned
-  /// (0 when no window deferred a send); the same per-window bound the
-  /// campaign oracle applies, always <= the historical longest-window
-  /// allowance, so every verdict is at least as strict. `op_completions`
-  /// is the leaf run's per-op completion table the chain constraints are
-  /// judged from (unused — pass empty — when the spec carries none; the
-  /// cache-served paths may do so because the cache is gated off under
-  /// constraints).
-  void record_leaf(bool lost, Time response, Time deferral,
-                   const std::vector<Time>& op_completions) {
+  /// Records one leaf run's verdict against the current fault pattern. The
+  /// response envelope widens by the run's measured silence_deferral — the
+  /// tight allowance its windows earned (0 when no window deferred a send);
+  /// the same per-window bound the campaign oracle applies, always <= the
+  /// historical longest-window allowance, so every verdict is at least as
+  /// strict. Chain constraints are judged from the run's per-op completion
+  /// table.
+  void certify_leaf(const IterationResult& leaf) {
+    out_.events_simulated += leaf.events_executed;
     ++out_.branches;
+    const bool lost = !leaf.all_outputs_produced;
+    const Time response = leaf.response_time;
+    const Time deferral = leaf.silence_deferral;
     const bool late =
         !is_infinite(spec_.response_bound) && !lost &&
         time_gt(response, spec_.response_bound + deferral);
@@ -206,7 +161,7 @@ class Explorer {
     chain_violated_.clear();
     if (!lost) {
       for (std::size_t i = 0; i < probes_.size(); ++i) {
-        const Time latency = chain_latency(op_completions, probes_[i]);
+        const Time latency = chain_latency(leaf.op_completions, probes_[i]);
         if (time_gt(latency,
                     spec_.latency_constraints[i].bound + deferral)) {
           chain_violated_.push_back(spec_.latency_constraints[i].name);
@@ -217,14 +172,10 @@ class Explorer {
       }
     }
     const bool chain_late = !chain_violated_.empty();
+    // Late branches are counterexamples, not the certified envelope, so
+    // they stay out of worst_response.
     if (!lost && !late) {
-      // Late branches are counterexamples, not the certified envelope;
-      // keeping them out of worst_response lets the slack cut skip
-      // provably-late leaves without perturbing the reported worst.
       out_.worst_response = std::max(out_.worst_response, response);
-      for (MemoFrame& frame : frames_) {
-        frame.worst = std::max(frame.worst, response);
-      }
     }
     CertifyBranch branch;
     branch.dead_at_start = dead_;
@@ -242,58 +193,6 @@ class Explorer {
       }
     }
     if (spec_.collect_branches) out_.collected.push_back(std::move(branch));
-  }
-
-  void certify_leaf(const IterationResult& leaf) {
-    out_.events_simulated += leaf.events_executed;
-    record_leaf(!leaf.all_outputs_produced, leaf.response_time,
-                leaf.silence_deferral, leaf.op_completions);
-  }
-
-  /// plan_key of the CURRENT fault pattern (dead_/crashes_/... stacks) —
-  /// the replay-cache key half identifying what was injected; the other
-  /// half is schedule_hash identifying what it was injected into.
-  [[nodiscard]] std::uint64_t pattern_key() const {
-    CertifyBranch branch;
-    branch.dead_at_start = dead_;
-    branch.dead_links_at_start = dead_links_;
-    branch.crashes = crashes_;
-    branch.link_crashes = link_crashes_;
-    branch.silences = silences_;
-    return plan_key(counterexample_plan(branch));
-  }
-
-  /// Serves a budget-exhausted child from the replay cache when possible.
-  /// A hit records the cached verdict (no fork, no simulation) and returns
-  /// true; a miss remembers the key for store_leaf and returns false, as
-  /// does any non-cacheable child (cache off, or budgets remaining — an
-  /// interior child's trace is needed to seed its own children, so it is
-  /// always simulated). The current fault pattern must already include the
-  /// child's fault.
-  bool serve_cached_leaf(const Budgets& rest) {
-    have_pending_key_ = false;
-    if (cache_ == nullptr || !rest.exhausted()) return false;
-    const std::uint64_t key = pattern_key();
-    if (const auto hit = cache_->lookup(schedule_key_, key)) {
-      ++out_.leaves_reused;
-      record_leaf(hit->outputs_lost, hit->response_time,
-                  hit->silence_deferral, {});
-      return true;
-    }
-    pending_key_ = key;
-    have_pending_key_ = true;
-    return false;
-  }
-
-  /// Publishes a freshly simulated leaf under the key the preceding
-  /// serve_cached_leaf miss computed.
-  void store_leaf(const IterationResult& leaf) {
-    if (!have_pending_key_) return;
-    cache_->insert(schedule_key_, pending_key_,
-                   CertifyCache::Entry{!leaf.all_outputs_produced,
-                                       leaf.response_time,
-                                       leaf.silence_deferral});
-    have_pending_key_ = false;
   }
 
   /// Externally visible action dates of one victim, plus the in-flight
@@ -323,8 +222,7 @@ class Explorer {
         // A drop ends the hop as surely as a completion: the frame is gone
         // and the link idle. Leaving the window open would let stale
         // history (a send killed by an earlier fault) keep candidate
-        // instants forever — and make the merge decision depend on trace
-        // prefix the state digest soundly abstracts.
+        // instants forever.
         case TraceEvent::Kind::kTransferEnd:
         case TraceEvent::Kind::kDrop: {
           out.acts.push_back(event.time);
@@ -376,34 +274,20 @@ class Explorer {
     return out;
   }
 
-  /// One hop start the victim feeds: the date a silent window's edges can
-  /// distinguish, plus the payload (dependency, link) the slack cut needs
-  /// to look up the hop's static critical tail.
-  struct SendStart {
-    Time time;
-    DependencyId dep;
-    LinkId link;
-  };
-
   /// Sorted dates the victim starts feeding a hop — the only instants a
   /// silent window's edges can distinguish (is_silent is consulted at
   /// send start; a window opening inside an in-flight hop blocks nothing
   /// of it).
-  [[nodiscard]] std::vector<SendStart> send_starts(const Trace& leaf,
-                                                   ProcessorId victim) const {
-    std::vector<SendStart> sends;
+  [[nodiscard]] std::vector<Time> send_starts(const Trace& leaf,
+                                              ProcessorId victim) const {
+    std::vector<Time> sends;
     for (const TraceEvent& event : leaf.events()) {
       if (event.proc == victim &&
           event.kind == TraceEvent::Kind::kTransferStart) {
-        sends.push_back(SendStart{event.time, event.dep, event.link});
+        sends.push_back(event.time);
       }
     }
-    std::sort(sends.begin(), sends.end(),
-              [](const SendStart& a, const SendStart& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.dep != b.dep) return a.dep < b.dep;
-                return a.link < b.link;
-              });
+    std::sort(sends.begin(), sends.end());
     return sends;
   }
 
@@ -448,7 +332,7 @@ class Explorer {
   /// check differs from the crash merge's (k0, c]. Kept/merged pairs are
   /// accounted per (from, to) combination in silence_tos().
   [[nodiscard]] std::vector<Time> kept_silence_froms(
-      const std::vector<SendStart>& sends, const std::vector<Time>& candidates,
+      const std::vector<Time>& sends, const std::vector<Time>& candidates,
       Time t0, FaultKey last, FaultKey self) {
     std::vector<Time> kept;
     for (const Time c : candidates) {
@@ -458,10 +342,9 @@ class Explorer {
         continue;
       }
       const Time k0 = kept.back();
-      const auto lo = std::lower_bound(
-          sends.begin(), sends.end(), k0 - kTimeEpsilon,
-          [](const SendStart& s, Time t) { return s.time < t; });
-      if (lo != sends.end() && time_lt(lo->time, c)) {
+      const auto lo =
+          std::lower_bound(sends.begin(), sends.end(), k0 - kTimeEpsilon);
+      if (lo != sends.end() && time_lt(*lo, c)) {
         kept.push_back(c);
       } else {
         ++out_.instants_merged;
@@ -478,15 +361,14 @@ class Explorer {
   /// blocked sends resume, so it shifts downstream behaviour continuously
   /// (the continuum caveat in the header).
   [[nodiscard]] std::vector<Time> silence_tos(
-      const std::vector<SendStart>& sends, const std::vector<Time>& candidates,
+      const std::vector<Time>& sends, const std::vector<Time>& candidates,
       Time from, Time beyond) {
-    const auto first_blocked = std::lower_bound(
-        sends.begin(), sends.end(), from - kTimeEpsilon,
-        [](const SendStart& s, Time t) { return s.time < t; });
+    const auto first_blocked =
+        std::lower_bound(sends.begin(), sends.end(), from - kTimeEpsilon);
     std::vector<Time> kept;
     auto consider = [&](Time to) {
       const bool blocks =
-          first_blocked != sends.end() && time_lt(first_blocked->time, to);
+          first_blocked != sends.end() && time_lt(*first_blocked, to);
       if (spec_.dedup && !blocks) {
         ++out_.instants_merged;
         return;
@@ -501,392 +383,34 @@ class Explorer {
     return kept;
   }
 
-  // ---------------------------------------------------------------------
-  // Subtree memoization. A frame is opened per fresh child subtree; while
-  // it is on the stack every counter the subtree accumulates lands between
-  // its open-snapshots and the close, so the entry's deltas fall out of
-  // plain subtraction. Counterexample suffixes are recovered the same way:
-  // the branches recorded past the frame's detail snapshot, stripped of
-  // the stack prefix at the frame's depths. A frame is poisoned (never
-  // stored) when a slack cut fires anywhere inside — the cut's skipped
-  // leaf detail would make the entry depend on the recorder's cap state
-  // instead of being a pure function of (digest, budgets).
-
-  static constexpr std::size_t kNoFrame = static_cast<std::size_t>(-1);
-
-  struct MemoFrame {
-    std::uint64_t key1 = 0;
-    std::uint64_t key2 = 0;
-    bool relabeled = false;
-    bool same_instant = false;
-    bool poisoned = false;
-    int last_cls = 0;
-    int last_id = -1;
-    // Fault-stack depths INCLUDING the child's own fault (suffix base).
-    std::size_t crashes_depth = 0;
-    std::size_t links_depth = 0;
-    std::size_t silences_depth = 0;
-    // out_ snapshots at open.
-    std::size_t branches0 = 0;
-    std::size_t forks0 = 0;
-    std::size_t events0 = 0;
-    std::size_t kept0 = 0;
-    std::size_t merged0 = 0;
-    std::size_t total0 = 0;
-    std::size_t detail0 = 0;
-    // Max response over the subtree's on-time, output-complete leaves.
-    Time worst = 0;
-  };
-
-  /// Memo key half mixing the subtree's remaining budgets and root instant
-  /// into the digest's low word. Budgets are non-negative and small; t0 by
-  /// IEEE-754 bit pattern (digest-equal states share their clock, but the
-  /// salt costs nothing and guards the key against digest-collision luck
-  /// pairing different enumeration anchors).
-  [[nodiscard]] static std::uint64_t budget_salt(const Budgets& budgets,
-                                                 Time t0) {
-    std::uint64_t x =
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-            budgets.crashes)) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-             budgets.links))
-         << 21) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-             budgets.silences))
-         << 42);
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof t0);
-    std::memcpy(&bits, &t0, sizeof bits);
-    x ^= bits * 0x9E3779B97F4A7C15ULL;
-    x *= 0xC2B2AE3D27D4EB4FULL;
-    x ^= x >> 29;
-    return x;
-  }
-
-  /// Whether a published memo entry may be replayed here. Three guards on
-  /// top of the key match (see DESIGN.md for the full argument):
-  ///  * same-instant subtrees filter siblings through `last` and RAW victim
-  ///    ids, so they are only portable to an identical (unrelabeled) state
-  ///    under the identical last key;
-  ///  * a relabeled match proves isomorphism, not identity — counts and
-  ///    worst are transferable, counterexample suffixes (which name
-  ///    victims) are not;
-  ///  * when slack cuts are live, a fresh exploration at a full
-  ///    counterexample cap diverges from the recorded cut-free subtree, so
-  ///    only hits that provably keep the cap un-full may replay.
-  [[nodiscard]] bool accept_hit(const CertifyMemoEntry& entry,
-                                const StateDigest& digest,
-                                FaultKey self) const {
-    const bool relabel = entry.relabeled || digest.relabeled;
-    if (entry.same_instant) {
-      if (relabel) return false;
-      if (entry.last_cls != self.cls || entry.last_id != self.id) {
-        return false;
-      }
-    } else if (relabel && entry.total_counterexamples != 0) {
-      return false;
-    }
-    if (slack_active_ && entry.total_counterexamples != 0 &&
-        out_.counterexamples.size() + entry.total_counterexamples >=
-            spec_.max_counterexamples) {
-      return false;
-    }
-    return true;
-  }
-
-  /// Adds a memo entry's recorded contribution to this task exactly as the
-  /// fresh subtree would have: counts summed, worst maxed (here and into
-  /// every open frame), counterexample suffixes grafted onto the current
-  /// fault stacks up to the detail cap.
-  void replay_hit(const CertifyMemoEntry& entry) {
-    out_.branches += entry.branches;
-    out_.forks += entry.forks;
-    out_.events_simulated += entry.events_simulated;
-    out_.instants_kept += entry.instants_kept;
-    out_.instants_merged += entry.instants_merged;
-    out_.total_counterexamples += entry.total_counterexamples;
-    out_.memo_branches_replayed += entry.branches;
-    out_.worst_response =
-        std::max(out_.worst_response, entry.worst_response);
-    for (MemoFrame& frame : frames_) {
-      frame.worst = std::max(frame.worst, entry.worst_response);
-    }
-    for (const CertifyMemoCex& suffix : entry.counterexamples) {
-      if (out_.counterexamples.size() >= spec_.max_counterexamples) break;
-      CertifyBranch branch;
-      branch.dead_at_start = dead_;
-      branch.dead_links_at_start = dead_links_;
-      branch.crashes = crashes_;
-      branch.crashes.insert(branch.crashes.end(), suffix.crashes.begin(),
-                            suffix.crashes.end());
-      branch.link_crashes = link_crashes_;
-      branch.link_crashes.insert(branch.link_crashes.end(),
-                                 suffix.link_crashes.begin(),
-                                 suffix.link_crashes.end());
-      branch.silences = silences_;
-      branch.silences.insert(branch.silences.end(), suffix.silences.begin(),
-                             suffix.silences.end());
-      branch.outputs_lost = suffix.outputs_lost;
-      branch.response_time = suffix.response_time;
-      out_.counterexamples.push_back(std::move(branch));
-    }
-  }
-
-  /// Pops the top frame and publishes its entry unless it was poisoned or
-  /// its counterexample detail is incomplete (the task's cap filled inside
-  /// the subtree, so the suffix list would under-represent the total).
-  void close_frame(FaultKey key) {
-    MemoFrame frame = std::move(frames_.back());
-    frames_.pop_back();
-    const std::size_t total_delta =
-        out_.total_counterexamples - frame.total0;
-    const std::size_t detail_delta =
-        out_.counterexamples.size() - frame.detail0;
-    if (frame.poisoned || detail_delta != total_delta) return;
-    CertifyMemoEntry entry;
-    entry.branches = out_.branches - frame.branches0;
-    entry.forks = out_.forks - frame.forks0;
-    entry.events_simulated = out_.events_simulated - frame.events0;
-    entry.instants_kept = out_.instants_kept - frame.kept0;
-    entry.instants_merged = out_.instants_merged - frame.merged0;
-    entry.total_counterexamples = total_delta;
-    entry.worst_response = frame.worst;
-    entry.last_cls = static_cast<std::uint8_t>(key.cls);
-    entry.last_id = key.id;
-    entry.relabeled = frame.relabeled;
-    entry.same_instant = frame.same_instant;
-    entry.counterexamples.reserve(detail_delta);
-    for (std::size_t i = frame.detail0; i < out_.counterexamples.size();
-         ++i) {
-      const CertifyBranch& branch = out_.counterexamples[i];
-      CertifyMemoCex suffix;
-      suffix.crashes.assign(branch.crashes.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    frame.crashes_depth),
-                            branch.crashes.end());
-      suffix.link_crashes.assign(branch.link_crashes.begin() +
-                                     static_cast<std::ptrdiff_t>(
-                                         frame.links_depth),
-                                 branch.link_crashes.end());
-      suffix.silences.assign(branch.silences.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     frame.silences_depth),
-                             branch.silences.end());
-      suffix.outputs_lost = branch.outputs_lost;
-      suffix.response_time = branch.response_time;
-      entry.counterexamples.push_back(std::move(suffix));
-    }
-#ifdef FTSCHED_MEMO_AUDIT
-    entry.audit_origin = audit_stacks(kInfinite);
-#endif
-    memo_->insert(frame.key1, frame.key2, entry);
-  }
-
-#ifdef FTSCHED_MEMO_AUDIT
-  [[nodiscard]] std::string audit_stacks(Time c) const {
-    std::string s;
-    char buf[64];
-    for (const ProcessorId p : dead_) {
-      std::snprintf(buf, sizeof buf, "dead P%d; ", p.value());
-      s += buf;
-    }
-    for (const LinkId l : dead_links_) {
-      std::snprintf(buf, sizeof buf, "dead L%d; ", l.value());
-      s += buf;
-    }
-    for (const FailureEvent& e : crashes_) {
-      std::snprintf(buf, sizeof buf, "crash P%d@%.4f; ",
-                    e.processor.value(), e.time);
-      s += buf;
-    }
-    for (const LinkFailureEvent& e : link_crashes_) {
-      std::snprintf(buf, sizeof buf, "link L%d@%.4f; ", e.link.value(),
-                    e.time);
-      s += buf;
-    }
-    for (const SilentWindow& w : silences_) {
-      std::snprintf(buf, sizeof buf, "sil P%d@[%.4f,%.4f); ",
-                    w.processor.value(), w.from, w.to);
-      s += buf;
-    }
-    if (!is_infinite(c)) {
-      std::snprintf(buf, sizeof buf, "<probe at %.4f>", c);
-      s += buf;
-    }
-    return s;
-  }
-#endif
-
-  /// Executes one child subtree — fork, inject, leaf, recursion — with the
-  /// memo consulted first when pruning is on. The caller has already
-  /// pushed the child's fault onto its stack; `inject` applies it to a
-  /// forked branch.
+  /// Executes one child subtree: fork, inject, leaf, recursion. The caller
+  /// has already pushed the child's fault onto its stack; `inject` applies
+  /// it to a forked branch.
   template <typename Inject>
   void explore_child(const Simulator::Branch& cursor, const Inject& inject,
                      Budgets rest, Time c, FaultKey key) {
-    if (memo_ == nullptr) {
-      if (!serve_cached_leaf(rest)) {
-        Simulator::Branch child = cursor.fork();
-        ++out_.forks;
-        inject(child);
-        ++out_.forks;
-        const IterationResult child_leaf = sim_.finish(child.fork());
-        certify_leaf(child_leaf);
-        store_leaf(child_leaf);
-        explore_children(child, child_leaf, rest, c, key, FaultKey{},
-                         kNoFrame);
-      }
-      return;
-    }
-    // Prune path (the replay cache is gated off): fork once for the digest
-    // probe; on a miss the probe fork becomes the child, so the fork
-    // accounting matches the unpruned path exactly (a hit replays the
-    // recording subtree's forks instead, probe fork uncounted).
     Simulator::Branch child = cursor.fork();
+    ++out_.forks;
     inject(child);
-    const StateDigest digest = sim_.branch_digest(child, digest_options_);
-    const std::uint64_t key2 = digest.lo ^ budget_salt(rest, c);
-    ++out_.memo_probes;
-    if (const auto hit = memo_->lookup(digest.hi, key2)) {
-      if (accept_hit(*hit, digest, key)) {
-#ifdef FTSCHED_MEMO_AUDIT
-        // Audit builds: explore the subtree fresh instead of replaying and
-        // scream if the recorded entry disagrees — a digest collision.
-        const std::size_t br0 = out_.branches, fk0 = out_.forks,
-                          kp0 = out_.instants_kept,
-                          mg0 = out_.instants_merged,
-                          tc0 = out_.total_counterexamples;
-        const std::size_t fi = frames_.size();
-        {
-          MemoFrame frame;
-          frame.poisoned = true;  // never store over the audited entry
-          frame.branches0 = br0;
-          frame.crashes_depth = crashes_.size();
-          frame.links_depth = link_crashes_.size();
-          frame.silences_depth = silences_.size();
-          frame.detail0 = out_.counterexamples.size();
-          frame.total0 = tc0;
-          frames_.push_back(frame);
-        }
-        out_.forks += 2;
-        const IterationResult audit_leaf = sim_.finish(child.fork());
-        certify_leaf(audit_leaf);
-        explore_children(child, audit_leaf, rest, c, key, FaultKey{}, fi);
-        frames_.pop_back();
-        if (out_.branches - br0 != hit->branches ||
-            out_.forks - fk0 != hit->forks ||
-            out_.instants_kept - kp0 != hit->instants_kept ||
-            out_.instants_merged - mg0 != hit->instants_merged ||
-            out_.total_counterexamples - tc0 !=
-                hit->total_counterexamples) {
-          std::fprintf(
-              stderr,
-              "MEMO AUDIT MISMATCH digest=%016llx/%016llx t0=%.6f "
-              "budgets=%d/%d/%d relab=%d/%d same=%d\n"
-              "  entry: br=%zu fk=%zu kept=%zu mrg=%zu cex=%zu\n"
-              "  fresh: br=%zu fk=%zu kept=%zu mrg=%zu cex=%zu\n"
-              "  recorder: %s\n  replayer: %s\n",
-              static_cast<unsigned long long>(digest.hi),
-              static_cast<unsigned long long>(digest.lo), c, rest.crashes,
-              rest.links, rest.silences, int(hit->relabeled),
-              int(digest.relabeled), int(hit->same_instant), hit->branches,
-              hit->forks, hit->instants_kept, hit->instants_merged,
-              hit->total_counterexamples, out_.branches - br0,
-              out_.forks - fk0, out_.instants_kept - kp0,
-              out_.instants_merged - mg0, out_.total_counterexamples - tc0,
-              hit->audit_origin.c_str(), audit_stacks(c).c_str());
-        }
-        return;
-#else
-        ++out_.memo_hits;
-        replay_hit(*hit);
-        return;
-#endif
-      }
-    }
-    const std::size_t frame_index = frames_.size();
-    {
-      MemoFrame frame;
-      frame.key1 = digest.hi;
-      frame.key2 = key2;
-      frame.relabeled = digest.relabeled;
-      frame.last_cls = key.cls;
-      frame.last_id = key.id;
-      frame.crashes_depth = crashes_.size();
-      frame.links_depth = link_crashes_.size();
-      frame.silences_depth = silences_.size();
-      frame.branches0 = out_.branches;
-      frame.forks0 = out_.forks;
-      frame.events0 = out_.events_simulated;
-      frame.kept0 = out_.instants_kept;
-      frame.merged0 = out_.instants_merged;
-      frame.total0 = out_.total_counterexamples;
-      frame.detail0 = out_.counterexamples.size();
-      frames_.push_back(frame);
-    }
-    out_.forks += 2;
+    ++out_.forks;
     const IterationResult child_leaf = sim_.finish(child.fork());
     certify_leaf(child_leaf);
-    explore_children(child, child_leaf, rest, c, key, FaultKey{},
-                     frame_index);
-    close_frame(key);
-  }
-
-  /// The slack cut's to-independent test: does deferring the victim's
-  /// first send at/after `c` to ANY closing edge provably overshoot the
-  /// response envelope? True when some first-instant send's static
-  /// critical tail satisfies c + tail > bound + prev_len with margin —
-  /// the deferred send resumes at `to`, so response >= to + tail, while
-  /// the branch's allowance is at most max(prev window lengths, to - b)
-  /// for a first block at b >= c - eps; either way the envelope is
-  /// exceeded. Only sends at the first blocked instant are consulted:
-  /// every kept closing edge provably blocks exactly those.
-  [[nodiscard]] bool provably_late_silence(
-      ProcessorId victim, const std::vector<SendStart>& sends,
-      Time c) const {
-    const auto first = std::lower_bound(
-        sends.begin(), sends.end(), c - kTimeEpsilon,
-        [](const SendStart& s, Time t) { return s.time < t; });
-    if (first == sends.end()) return false;
-    Time prev_len = 0;
-    for (const SilentWindow& window : silences_) {
-      prev_len = std::max(prev_len, window.to - window.from);
-    }
-    for (auto it = first; it != sends.end() && it->time == first->time;
-         ++it) {
-      const Time tail = slack_->critical_tail(victim, it->dep, it->link);
-      if (is_infinite(tail)) continue;
-      // 4 epsilons of margin: one for b >= c - eps, one for time_gt's own
-      // tolerance, two against duration-sum rounding drift between this
-      // static bound and the simulator's event arithmetic.
-      if (time_gt(c + tail,
-                  spec_.response_bound + prev_len + 4 * kTimeEpsilon)) {
-        return true;
-      }
-    }
-    return false;
+    explore_children(child, child_leaf, rest, c, key, FaultKey{});
   }
 
   void explore_children(const Simulator::Branch& node,
                         const IterationResult& leaf, Budgets budgets,
-                        Time t0, FaultKey last, FaultKey only,
-                        std::size_t frame_index) {
+                        Time t0, FaultKey last, FaultKey only) {
     if (budgets.exhausted()) return;
     const std::vector<Time> candidates =
         representative_instants(leaf.trace, t0, deadlines_);
     if (candidates.empty()) return;
-    if (frame_index != kNoFrame && time_eq(candidates.front(), t0)) {
-      // The subtree's top level has same-instant candidates: its shape
-      // depends on the `last` sibling filter, which the memo entry must
-      // advertise (see accept_hit).
-      frames_[frame_index].same_instant = true;
-    }
     const Time beyond = candidates.back() + beyond_tail_;
 
     struct VictimPlan {
       FaultKey key;
       std::vector<Time> instants;
-      std::vector<SendStart> sends;  // silence victims only
+      std::vector<Time> sends;  // silence victims only
     };
     std::vector<VictimPlan> victims;
     auto consider = [&](FaultKey key) {
@@ -988,31 +512,8 @@ class Explorer {
               static_cast<ProcessorId::underlying_type>(key.id)};
           Budgets rest = budgets;
           --rest.silences;
-          // Slack cut: every closing edge of a window opening at `c`
-          // defers the same first-instant sends, so one static test covers
-          // the whole edge fan. Only leaf windows (budgets exhausted, no
-          // deeper faults to seed) at an already-full counterexample cap
-          // are cut — the verdict, counts, and detail list then match the
-          // unpruned sweep exactly; only events_simulated (not part of the
-          // certificate) differs.
-          const bool cut =
-              slack_active_ && rest.exhausted() &&
-              out_.counterexamples.size() >= spec_.max_counterexamples &&
-              provably_late_silence(victim, victims[v].sends, c);
           for (const Time to :
                silence_tos(victims[v].sends, candidates, c, beyond)) {
-            if (cut) {
-              // The unpruned leaf's exact accounting, minus the simulation:
-              // one branch, its two forks, one late counterexample (detail
-              // cap is full, so no entry is appended there either), no
-              // worst_response update (record_leaf skips late leaves).
-              ++out_.branches;
-              out_.forks += 2;
-              ++out_.total_counterexamples;
-              ++out_.slack_cuts;
-              for (MemoFrame& frame : frames_) frame.poisoned = true;
-              continue;
-            }
             silences_.push_back(SilentWindow{victim, c, to});
             explore_child(
                 cursor,
@@ -1033,17 +534,9 @@ class Explorer {
   const std::size_t procs_;
   const std::size_t links_;
   const Time beyond_tail_;
-  CertifyCache* const cache_;
-  const std::uint64_t schedule_key_;
-  std::uint64_t pending_key_ = 0;
-  bool have_pending_key_ = false;
-  CertifyMemo* const memo_;       // null = subtree memoization off
-  const SlackTable* const slack_;  // null or empty = slack cut off
-  const DigestOptions digest_options_;
-  const bool slack_active_;
   /// Resolved chain probes, spec order (empty = scalar-only sweep).
   const std::vector<LatencyProbe>& probes_;
-  /// Scratch: names the current leaf violates (record_leaf only).
+  /// Scratch: names the current leaf violates (certify_leaf only).
   std::vector<std::string> chain_violated_;
   CertifyTaskPartial& out_;
   std::vector<ProcessorId> dead_;
@@ -1051,9 +544,6 @@ class Explorer {
   std::vector<FailureEvent> crashes_;
   std::vector<LinkFailureEvent> link_crashes_;
   std::vector<SilentWindow> silences_;
-  // Open memo frames, root-first; indexed (not pointered) because the
-  // vector reallocates during recursion.
-  std::vector<MemoFrame> frames_;
 };
 
 /// Subsets of {0..count-1} with size 0..max, sizes ascending,
@@ -1231,8 +721,6 @@ CertifyMerger::CertifyMerger(const CertifySweep& sweep,
                              const CertifySpec& spec)
     : max_counterexamples_(spec.max_counterexamples),
       collect_branches_(spec.collect_branches) {
-  report_.prune = spec.prune && !spec.collect_branches &&
-                  spec.cache == nullptr && spec.latency_constraints.empty();
   report_.latency_constraints = spec.latency_constraints;
   report_.worst_chain_latency.assign(spec.latency_constraints.size(), 0);
   report_.max_failures = sweep.max_failures;
@@ -1250,15 +738,10 @@ void CertifyMerger::add(CertifyTaskPartial&& partial) {
   last_index_ = partial.task_index;
   report_.branches += partial.branches;
   report_.forks += partial.forks;
-  report_.leaves_reused += partial.leaves_reused;
   report_.events_simulated += partial.events_simulated;
   report_.instants_kept += partial.instants_kept;
   report_.instants_merged += partial.instants_merged;
   report_.total_counterexamples += partial.total_counterexamples;
-  report_.memo_probes += partial.memo_probes;
-  report_.memo_hits += partial.memo_hits;
-  report_.memo_branches_replayed += partial.memo_branches_replayed;
-  report_.slack_cuts += partial.slack_cuts;
   report_.worst_response =
       std::max(report_.worst_response, partial.worst_response);
   for (std::size_t i = 0; i < report_.worst_chain_latency.size() &&
@@ -1281,14 +764,10 @@ void CertifyMerger::add(CertifyTaskPartial&& partial) {
 
 CertifyReport CertifyMerger::finish() {
   report_.certified = report_.total_counterexamples == 0;
-  report_.leaves_fresh = report_.branches - report_.leaves_reused;
   report_.metrics.add_counter("certify.subsets", report_.subsets);
   report_.metrics.add_counter("certify.link_subsets", report_.link_subsets);
   report_.metrics.add_counter("certify.branches", report_.branches);
   report_.metrics.add_counter("certify.forks", report_.forks);
-  report_.metrics.add_counter("certify.leaves_reused",
-                              report_.leaves_reused);
-  report_.metrics.add_counter("certify.leaves_fresh", report_.leaves_fresh);
   report_.metrics.add_counter("certify.events_simulated",
                               report_.events_simulated);
   report_.metrics.add_counter("certify.instants_kept",
@@ -1320,36 +799,11 @@ bool certify_shard(const Schedule& schedule, const CertifySpec& spec,
   const std::size_t links = schedule.problem().architecture->link_count();
   const Simulator simulator(schedule);
   const std::vector<Time> deadlines = static_deadlines(schedule);
-  const std::uint64_t schedule_key =
-      spec.cache != nullptr ? schedule_hash(schedule) : 0;
   // Validates the spec's chain constraints (throws std::invalid_argument
   // on a malformed one) and resolves them to op-index probes once for the
   // whole shard.
   const std::vector<LatencyProbe> probes =
       resolve_latency_constraints(schedule, spec.latency_constraints);
-
-  // Pruning is gated off under collect_branches (every branch must be
-  // materialized, replaying a memo subtree would skip its enumeration),
-  // under a replay cache (the cache is keyed by exact fault pattern; memo
-  // replay would starve it nondeterministically), and under chain
-  // constraints (memo entries carry only the scalar leaf verdict).
-  const bool prune_enabled = spec.prune && !spec.collect_branches &&
-                             spec.cache == nullptr && probes.empty();
-  PruneContext prune;
-  CertifyMemo memo;
-  const std::vector<std::vector<std::uint32_t>> classes =
-      prune_enabled ? automorphism_classes(schedule)
-                    : std::vector<std::vector<std::uint32_t>>{};
-  const SlackTable slack =
-      prune_enabled ? SlackTable::build(schedule) : SlackTable{};
-  if (prune_enabled) {
-    // spec.memo lets a caller share one memo across sweeps (the frontier
-    // walk); otherwise this shard owns a private one.
-    prune.memo = spec.memo != nullptr ? spec.memo : &memo;
-    prune.slack = &slack;
-    prune.digest_options.with_allowance = !is_infinite(spec.response_bound);
-    prune.digest_options.proc_classes = classes.empty() ? nullptr : &classes;
-  }
 
   std::vector<std::size_t> owned;
   for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
@@ -1359,8 +813,8 @@ bool certify_shard(const Schedule& schedule, const CertifySpec& spec,
   auto run_task = [&](std::size_t t) {
     CertifyTaskPartial partial;
     partial.task_index = t;
-    Explorer explorer(simulator, spec, deadlines, procs, links, schedule_key,
-                      prune, probes, partial);
+    Explorer explorer(simulator, spec, deadlines, procs, links, probes,
+                      partial);
     explorer.run(*plan.tasks[t].dead, *plan.tasks[t].dead_links,
                  plan.tasks[t].first, plan.tasks[t].budgets);
     return partial;
@@ -1583,14 +1037,6 @@ std::string CertifyReport::to_text(const ArchitectureGraph& arch) const {
                 threads_used == 1 ? "" : "s");
   out += "rate:     ";
   out += rate;
-  if (prune && threads_used == 1) {
-    // Memo/cut telemetry is a publication race across workers, so it is
-    // only printed where it is reproducible: the single-threaded path.
-    out += "prune:    " + std::to_string(memo_hits) + "/" +
-           std::to_string(memo_probes) + " memo hits, " +
-           std::to_string(memo_branches_replayed) + " branches replayed, " +
-           std::to_string(slack_cuts) + " slack cuts\n";
-  }
   for (const CertifyBranch& cex : counterexamples) {
     out += "  counterexample: " + branch_text(cex, arch) + "\n";
   }

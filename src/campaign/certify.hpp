@@ -66,22 +66,6 @@
 // (at most the window's own length, and 0 for a window that blocked
 // nothing).
 //
-// Pruning (CertifySpec::prune). Two verdict-exact cuts on top of dedup:
-//  * subtree memoization — before exploring a child subtree, the child's
-//    simulator state digest (Simulator::branch_digest, canonical under
-//    victim relabeling within architecture automorphism classes) plus its
-//    remaining budgets are looked up in a sweep-wide CertifyMemo; a hit
-//    replays the recorded subtree's exact contribution (branch/fork/event
-//    counts, worst response, counterexample suffixes) instead of
-//    re-simulating it;
-//  * slack cuts — a silence closing-edge candidate whose blocked send
-//    provably cannot make the response on time (the send's static critical
-//    tail already overshoots the bound plus any earnable allowance) is
-//    counted as a late branch without simulating it, once the
-//    counterexample detail cap is full.
-// Both preserve certificates byte for byte: --prune=on output is
-// CI-diffed against --prune=off.
-//
 // Sharing. Branches are never replayed from t=0: the engine forks the
 // paused parent prefix (Simulator::Branch) at each candidate instant, so
 // the cost of a node is its suffix, not its depth. Tasks — one per
@@ -90,15 +74,9 @@
 // (schedule, spec), bit-identical for any thread count.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "campaign/oracle.hpp"
@@ -107,224 +85,6 @@
 #include "sim/mission.hpp"
 
 namespace ftsched::campaign {
-
-/// Sharded concurrent map with atomically published, never-overwritten
-/// slots — the tag-publish design the campaign's ReplayCache introduced,
-/// generalized over the stored value. Keys are two caller-mixed 64-bit
-/// words. The key hash picks one of kShards independent shards, each a
-/// fixed open-addressing table of atomically published slots (tag CAS to
-/// claim, release-store to publish) plus a mutex-guarded overflow map. The
-/// fast path — the common case when the table is sized for the workload —
-/// takes no lock in either direction. An insert is NEVER dropped: a full
-/// probe window falls back to the overflow map, because a silently dropped
-/// entry would make reuse counters depend on probe-window luck instead of
-/// being a pure function of the lookup/insert sequence. First insert of a
-/// key wins (like unordered_map::emplace); thread-safe for concurrent
-/// lookups and inserts.
-template <typename Value, std::size_t SlotsPerShard = 1024>
-class TagPublishCache {
- public:
-  TagPublishCache() = default;
-  TagPublishCache(const TagPublishCache&) = delete;
-  TagPublishCache& operator=(const TagPublishCache&) = delete;
-
-  [[nodiscard]] std::optional<Value> lookup(std::uint64_t key1,
-                                            std::uint64_t key2) const {
-    const std::uint64_t hash = mix(key1, key2);
-    const Shard& shard = shards_[shard_index(hash)];
-    const std::uint64_t want = mark(hash);
-    for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-      const Slot& slot = shard.slots[(hash + probe) & kSlotMask];
-      const std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
-      if (tag == kEmpty) {
-        // Published slots never empty out, so an insert of this key would
-        // have claimed this or an earlier slot — and it only overflows
-        // when the whole window is full, which this empty slot refutes.
-        return std::nullopt;
-      }
-      if (tag == want && slot.key1 == key1 && slot.key2 == key2) {
-        return slot.value;
-      }
-    }
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.overflow.find(Key{key1, key2});
-    if (it == shard.overflow.end()) return std::nullopt;
-    return it->second;
-  }
-
-  void insert(std::uint64_t key1, std::uint64_t key2, const Value& value) {
-    const std::uint64_t hash = mix(key1, key2);
-    Shard& shard = shards_[shard_index(hash)];
-    const std::uint64_t want = mark(hash);
-    for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-      Slot& slot = shard.slots[(hash + probe) & kSlotMask];
-      std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
-      if (tag == want && slot.key1 == key1 && slot.key2 == key2) {
-        return;  // first insert wins, like unordered_map::emplace
-      }
-      if (tag != kEmpty) continue;
-      if (!slot.tag.compare_exchange_strong(tag, kBusy,
-                                            std::memory_order_acq_rel)) {
-        if (tag == want && slot.key1 == key1 && slot.key2 == key2) {
-          return;
-        }
-        continue;  // lost the claim to a different key; keep probing
-      }
-      slot.key1 = key1;
-      slot.key2 = key2;
-      slot.value = value;
-      slot.tag.store(want, std::memory_order_release);
-      count_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    // Window full: never drop — spill to the shard's overflow map.
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.overflow.emplace(Key{key1, key2}, value).second) {
-      count_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Number of distinct keys ever inserted.
-  [[nodiscard]] std::size_t size() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-
- private:
-  static constexpr std::size_t kShards = 16;
-  static_assert((SlotsPerShard & (SlotsPerShard - 1)) == 0,
-                "SlotsPerShard must be a power of two");
-  static constexpr std::size_t kSlotMask = SlotsPerShard - 1;
-  static constexpr std::size_t kProbeWindow = 8;
-  static constexpr std::uint64_t kEmpty = 0;
-  static constexpr std::uint64_t kBusy = 1;
-
-  struct Key {
-    std::uint64_t key1 = 0;
-    std::uint64_t key2 = 0;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept {
-      return static_cast<std::size_t>(mix(key.key1, key.key2));
-    }
-  };
-
-  [[nodiscard]] static std::uint64_t mix(std::uint64_t key1,
-                                         std::uint64_t key2) noexcept {
-    std::uint64_t x = key2 + 0x9e3779b97f4a7c15ULL + (key1 << 6) +
-                      (key1 >> 2);
-    x ^= key1;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return x;
-  }
-  /// The slot's published tag for a key hash: never kEmpty/kBusy.
-  [[nodiscard]] static std::uint64_t mark(std::uint64_t hash) noexcept {
-    return hash | 2;
-  }
-  [[nodiscard]] static std::size_t shard_index(std::uint64_t hash) noexcept {
-    return (hash >> 56) & (kShards - 1);
-  }
-
-  struct Slot {
-    std::atomic<std::uint64_t> tag{kEmpty};
-    std::uint64_t key1 = 0;
-    std::uint64_t key2 = 0;
-    Value value;
-  };
-
-  struct Shard {
-    std::vector<Slot> slots{SlotsPerShard};
-    mutable std::mutex mutex;
-    std::unordered_map<Key, Value, KeyHash> overflow;
-  };
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::size_t> count_{0};
-};
-
-/// The cached outcome of one budget-exhausted leaf simulation: everything
-/// record_leaf needs to reproduce the leaf's verdict without re-running it.
-struct CertifyLeafOutcome {
-  bool outputs_lost = false;
-  Time response_time = kInfinite;
-  /// IterationResult::silence_deferral of the leaf run — the tight
-  /// response allowance its silent windows earned. Cached alongside the
-  /// response so a cache-served leaf judges lateness exactly like the
-  /// simulated one.
-  Time silence_deferral = 0;
-};
-
-/// Replay cache for incremental re-certification: the outcome of every
-/// budget-exhausted leaf, keyed by (schedule_hash, plan_key of the leaf's
-/// canonical fault pattern). The repair loop re-certifies a schedule after
-/// each move; leaves whose fault pattern was already simulated against the
-/// SAME schedule bytes are served from here without forking or finishing a
-/// simulator branch (interior nodes are always re-simulated — their traces
-/// seed the child instants). Thread-safe; reuse counts are thread-count
-/// deterministic because the canonical enumeration visits each unordered
-/// fault set exactly once per sweep, so a lookup can never race a
-/// same-sweep insertion of its own key.
-class CertifyCache : public TagPublishCache<CertifyLeafOutcome> {
- public:
-  using Entry = CertifyLeafOutcome;
-};
-
-/// One counterexample suffix stored in a memo entry: the faults the
-/// memoized subtree added BELOW its root, plus the leaf verdict. A replayer
-/// grafts the suffix onto its own fault stacks (which spell the same
-/// simulator state, by digest) to materialize a full CertifyBranch.
-struct CertifyMemoCex {
-  std::vector<FailureEvent> crashes;
-  std::vector<LinkFailureEvent> link_crashes;
-  std::vector<SilentWindow> silences;
-  bool outputs_lost = false;
-  Time response_time = kInfinite;
-};
-
-/// Everything a memoized subtree contributes to its enclosing report: pure
-/// deltas (counts, worst response, counterexample suffixes) relative to the
-/// subtree root, valid for ANY branch reaching a state with the same digest
-/// and the same remaining budgets. See DESIGN.md ("Pruned certification")
-/// for the soundness argument, including why `last_*`/`same_instant` guard
-/// the same-instant canonical-order filter and why relabeled hits are
-/// restricted.
-struct CertifyMemoEntry {
-  std::size_t branches = 0;
-  std::size_t forks = 0;
-  std::size_t events_simulated = 0;
-  std::size_t instants_kept = 0;
-  std::size_t instants_merged = 0;
-  std::size_t total_counterexamples = 0;
-  /// Max response over the subtree's on-time, output-complete leaves.
-  Time worst_response = 0;
-  /// The recorder's root fault key (class, id) — the `last` same-instant
-  /// tie-break context the subtree was explored under.
-  std::uint8_t last_cls = 0;
-  std::int64_t last_id = -1;
-  /// True when canonical victim relabeling moved a processor in the
-  /// recorder's root digest.
-  bool relabeled = false;
-  /// True when the subtree root's candidate list contained an instant
-  /// time-equal to its own injection instant — the one case where the
-  /// same-instant sibling filter makes the subtree depend on `last`.
-  bool same_instant = false;
-  /// Counterexample suffixes, exploration order, capped at the recording
-  /// spec's max_counterexamples (total_counterexamples counts all).
-  std::vector<CertifyMemoCex> counterexamples;
-#ifdef FTSCHED_MEMO_AUDIT
-  /// Audit builds only: the recorder's fault stacks, for diagnosing a
-  /// digest collision when a replayed entry disagrees with fresh
-  /// exploration.
-  std::string audit_origin;
-#endif
-};
-
-/// Subtree memo table for one certification sweep: keyed by
-/// (state digest, remaining budgets ⊕ subtree-root instant), shared across
-/// the sweep's tasks and threads. 4096 slots per shard — deep-budget
-/// sweeps touch far more distinct states than leaf patterns.
-using CertifyMemo = TagPublishCache<CertifyMemoEntry, 4096>;
 
 struct CertifySpec {
   /// Processor-failure budget to certify; -1 derives the schedule's own
@@ -354,41 +114,15 @@ struct CertifySpec {
   /// CertifyReport::branches_list — the bench replays that list from
   /// scratch as its baseline. Off by default (memory).
   bool collect_branches = false;
-  /// Subtree memoization + slack cuts (see the header comment). Verdict-
-  /// exact and certificate-byte-exact, so on by default; the naive-bench
-  /// and A/B paths turn it off. Silently disabled when it cannot apply:
-  /// with collect_branches (the memo stores counterexample suffixes only,
-  /// not certified-branch lists), with a replay cache (the cache's
-  /// leaves_reused accounting assumes every leaf is individually visited),
-  /// or with latency constraints (memo entries carry no per-chain data).
-  bool prune = true;
-  /// Replay cache for incremental re-certification (null = off). Owned by
-  /// the caller and shared across sweeps: budget-exhausted leaves (and the
-  /// dead-at-start-only root leaves) whose (schedule, fault pattern) pair
-  /// was already simulated are served from it without forking. The verdict
-  /// is unchanged — only CertifyReport::forks / leaves_* / events_simulated
-  /// reflect the saved work. A COLD cache changes nothing at all: every
-  /// lookup misses and the report is byte-identical to cache-off.
-  CertifyCache* cache = nullptr;
   /// Named end-to-end chain constraints (see campaign/oracle.hpp), checked
   /// on every branch alongside the scalar response envelope: a branch whose
   /// leaf run violates any chain is a counterexample naming the violated
   /// constraints. Validated and resolved once per sweep through
   /// resolve_latency_constraints — malformed specs throw
   /// std::invalid_argument, like every other certifier entry point.
-  /// Non-empty constraints gate the subtree memo AND the replay cache off:
-  /// their entries carry only the scalar leaf verdict, not the per-op
-  /// completion table the chains are judged from. Empty (the default)
-  /// keeps the certificate byte-identical to the scalar certifier.
+  /// Empty (the default) keeps the certificate byte-identical to the
+  /// scalar certifier.
   std::vector<LatencyConstraint> latency_constraints = {};
-  /// Caller-owned subtree memo shared ACROSS sweeps (null = the sweep owns
-  /// a private one). Sound whenever schedule, response_bound, dedup, and
-  /// max_counterexamples stay fixed between the sweeps sharing it: entries
-  /// are keyed by (state digest, remaining budgets ⊕ subtree-root instant),
-  /// which is independent of the top-level budget caps — the frontier walk
-  /// reuses one memo across every (K, L, S) lattice point this way.
-  /// Ignored whenever pruning is (or is gated) off.
-  CertifyMemo* memo = nullptr;
 };
 
 /// One branch of the fault tree: the complete fault pattern of one
@@ -440,39 +174,25 @@ struct CertifyReport {
   std::size_t branches = 0;
   /// Branch forks performed (the work the prefix sharing buys).
   std::size_t forks = 0;
-  /// Leaves served from spec.cache without simulation / leaves actually
-  /// simulated (leaves_fresh + leaves_reused == branches). Thread-count
-  /// deterministic (see CertifyCache); zero reused when cache is null or
-  /// cold.
-  std::size_t leaves_reused = 0;
-  std::size_t leaves_fresh = 0;
   /// Events dispatched by the certified leaves' own suffix runs — the
-  /// marginal simulation work after prefix sharing and cache reuse
-  /// (IterationResult::events_executed summed over simulated leaves).
+  /// marginal simulation work after prefix sharing
+  /// (IterationResult::events_executed summed over leaves).
   std::size_t events_simulated = 0;
   /// Candidate (victim, instant) pairs simulated / pruned as provably
   /// equivalent to a kept neighbour (silent windows count one pair per
   /// kept [from, to) combination).
   std::size_t instants_kept = 0;
   std::size_t instants_merged = 0;
-  /// True when spec.prune was in effect for this sweep.
-  bool prune = false;
-  /// Pruning telemetry: memo probes / hits, branches served by memo replay
-  /// instead of simulation, and silence closing edges condemned by the
-  /// slack cut. Unlike every other counter these are NOT thread-count
-  /// deterministic — which task publishes a shared memo entry first is a
-  /// race — so they stay out of report.metrics and to_json (both pinned
-  /// byte-identical across thread counts); to_text prints them only on the
-  /// single-threaded diagnostics path.
+  /// Always 0: the engine keeps no subtree memo. Kept only because the
+  /// benchmark's probes (ftbench/src/probes.cpp) still read them.
   std::size_t memo_probes = 0;
   std::size_t memo_hits = 0;
-  std::size_t memo_branches_replayed = 0;
-  std::size_t slack_cuts = 0;
   /// Violating branches, exploration order; detail capped at
   /// spec.max_counterexamples, every one counted.
   std::vector<CertifyBranch> counterexamples;
   std::size_t total_counterexamples = 0;
-  /// Worst response over branches that produced all outputs.
+  /// Worst response over branches that produced all outputs within the
+  /// response envelope (late branches are counterexamples instead).
   Time worst_response = 0;
   /// The spec's chain constraints (empty = scalar-only certificate; the
   /// to_json/to_text constraint blocks are emitted only when non-empty, so
@@ -556,7 +276,6 @@ struct CertifyTaskPartial {
   std::size_t task_index = 0;
   std::size_t branches = 0;
   std::size_t forks = 0;
-  std::size_t leaves_reused = 0;
   std::size_t events_simulated = 0;
   std::size_t instants_kept = 0;
   std::size_t instants_merged = 0;
@@ -565,11 +284,6 @@ struct CertifyTaskPartial {
   /// Per spec constraint: worst satisfied chain latency (sized like the
   /// spec's latency_constraints; empty for scalar sweeps).
   std::vector<Time> worst_chain_latency;
-  /// Pruning telemetry (not thread-count deterministic; see CertifyReport).
-  std::size_t memo_probes = 0;
-  std::size_t memo_hits = 0;
-  std::size_t memo_branches_replayed = 0;
-  std::size_t slack_cuts = 0;
   std::vector<CertifyBranch> counterexamples;
   /// Certified branches (spec.collect_branches only; never streamed).
   std::vector<CertifyBranch> collected;

@@ -135,10 +135,6 @@ FrontierReport frontier_sweep(const Schedule& schedule,
   report.latency_constraints = spec.latency_constraints;
   report.gls = gls_bounds(schedule);
 
-  // One memo for the whole walk: entries are keyed by remaining budgets,
-  // independent of the top-level caps, so points share each other's
-  // subtrees (certify.hpp, CertifySpec::memo).
-  CertifyMemo memo;
   struct Budgets {
     int k = 0;
     int l = 0;
@@ -179,9 +175,7 @@ FrontierReport frontier_sweep(const Schedule& schedule,
           cspec.max_counterexamples =
               std::max<std::size_t>(spec.max_counterexamples, 1);
           cspec.dedup = spec.dedup;
-          cspec.prune = spec.prune;
           cspec.latency_constraints = spec.latency_constraints;
-          cspec.memo = &memo;
           CertifyReport certificate = certify(schedule, cspec);
           point.certified = certificate.certified;
           point.branches = certificate.branches;

@@ -1,28 +1,23 @@
 // The (K, L, S) certification frontier: a capability map of one schedule.
 //
-// PR 9 made exhaustive certification cheap enough that a single budget
-// point is no longer the interesting question — the frontier sweep walks
-// the whole (processor-fault, link-death, silent-window) budget lattice
-// outward from (0, 0, 0) and reports the maximal certifiable surface: the
-// set of budget points the schedule provably masks, the first refuting
-// counterexample at each boundary point just beyond it, and the static
+// Exhaustive certification is cheap enough that a single budget point is
+// not the interesting question — the frontier sweep walks the whole
+// (processor-fault, link-death, silent-window) budget lattice outward from
+// (0, 0, 0) and reports the maximal certifiable surface: the set of budget
+// points the schedule provably masks, the first refuting counterexample at
+// each boundary point just beyond it, and the static
 // Goemans–Lynch–Saias-style upper bound the surface can be compared
 // against (PAPERS.md: *Number of faults a system can withstand without
 // repairs*).
 //
-// Two structural facts keep the walk affordable and deterministic:
-//  * Refutation is monotone on the lattice. A counterexample found within
-//    budgets (k, l, s) is a valid fault pattern for every (k', l', s') >=
-//    (k, l, s) componentwise, so a refuted point refutes its whole upper
-//    cone — dominated points are marked `implied` and never explored. The
-//    walk visits points in ascending total budget (ties in lexicographic
-//    (k, l, s) order), so every potential dominator is decided first.
-//  * Subtree memo entries are keyed by REMAINING budgets (certify.hpp), not
-//    the top-level caps, so one caller-owned CertifyMemo is sound across
-//    every lattice point of one sweep: the (2, 0, 0) point replays subtrees
-//    the (1, 0, 0) point recorded. Memo replay reproduces a subtree's exact
-//    contribution, so the report is byte-identical with the memo shared,
-//    private, or (prune off) absent — and across any thread count.
+// One structural fact keeps the walk affordable: refutation is monotone on
+// the lattice. A counterexample found within budgets (k, l, s) is a valid
+// fault pattern for every (k', l', s') >= (k, l, s) componentwise, so a
+// refuted point refutes its whole upper cone — dominated points are marked
+// `implied` and never explored. The walk visits points in ascending total
+// budget (ties in lexicographic (k, l, s) order), so every potential
+// dominator is decided first. Each explored point is an independent
+// certify() sweep, so the report is byte-identical across thread counts.
 #pragma once
 
 #include <cstddef>
@@ -52,13 +47,10 @@ struct FrontierSpec {
   std::vector<LatencyConstraint> latency_constraints = {};
   /// Worker threads per certification; 0 = hardware concurrency.
   unsigned threads = 0;
-  /// Subtree memoization + slack cuts, and the cross-point memo sharing
-  /// described above. The report is byte-identical either way.
-  bool prune = true;
   bool dedup = true;
   /// Counterexample detail cap per certification; the frontier keeps only
   /// the first refuting branch per point, but the cap is forwarded so the
-  /// underlying certificates (and the shared memo) stay well-formed.
+  /// underlying certificates stay well-formed.
   std::size_t max_counterexamples = 1;
 };
 
@@ -131,7 +123,7 @@ struct FrontierReport {
   std::size_t points_implied = 0;
 
   /// Deterministic machine-readable report: byte-identical across thread
-  /// counts and prune on/off (the CI frontier-smoke diff).
+  /// counts (the CI frontier-smoke diff).
   [[nodiscard]] std::string to_json(const ArchitectureGraph& arch) const;
   /// Human-readable lattice summary.
   [[nodiscard]] std::string to_text(const ArchitectureGraph& arch) const;

@@ -553,9 +553,7 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
   RepairReport rep;
   rep.kind = kind;
 
-  CertifyCache cache;
-  CertifySpec cspec = spec.certify;
-  cspec.cache = &cache;
+  const CertifySpec& cspec = spec.certify;
 
   SchedulerOptions opts = spec.scheduler;
   HeuristicKind cur_kind = kind;
@@ -589,8 +587,6 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
     r.certified = cert.certified;
     r.branches = cert.branches;
     r.total_counterexamples = cert.total_counterexamples;
-    r.leaves_reused = cert.leaves_reused;
-    r.leaves_fresh = cert.leaves_fresh;
     r.events_simulated = cert.events_simulated;
     pending_has_move = false;
     pending_tried = 0;
@@ -600,11 +596,6 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
       rep.rounds.push_back(std::move(r));
       rep.certified = true;
       rep.certificate = cert;
-      // Confirmation sweep: the whole certificate replayed through the now
-      // warm cache. Same verdict; every exhausted leaf is served from
-      // cache, which is the incremental re-certification evidence the
-      // report (and the tests) assert on.
-      rep.confirmation = certify(cur.value(), cspec);
       break;
     }
 
@@ -721,18 +712,10 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
   rep.constraints = opts.constraints;
   rep.active_comm_deps = opts.active_comm_deps;
   rep.schedule = std::move(cur).value();
-  rep.cache_entries = cache.size();
   rep.metrics.add_counter("repair.rounds", rep.rounds.size());
   rep.metrics.add_counter("repair.moves_tried", moves_tried);
   rep.metrics.add_counter("repair.moves_accepted", moves_accepted);
-  rep.metrics.add_counter("repair.cache_entries", rep.cache_entries);
   rep.metrics.add_counter("repair.certified", rep.certified ? 1 : 0);
-  if (rep.confirmation) {
-    rep.metrics.add_counter("repair.confirmation_leaves_reused",
-                            rep.confirmation->leaves_reused);
-    rep.metrics.add_counter("repair.confirmation_leaves_fresh",
-                            rep.confirmation->leaves_fresh);
-  }
   return rep;
 }
 
@@ -852,11 +835,7 @@ std::string RepairReport::to_text(const AlgorithmGraph& graph,
     out += "round " + std::to_string(r.round) + ": ";
     if (r.has_move) out += move_text(r.move, graph, arch) + " -> ";
     if (r.certified) {
-      out += "CERTIFIED (" + std::to_string(r.branches) + " branches";
-      if (r.leaves_reused > 0) {
-        out += ", " + std::to_string(r.leaves_reused) + " leaves from cache";
-      }
-      out += ")\n";
+      out += "CERTIFIED (" + std::to_string(r.branches) + " branches)\n";
     } else {
       out += "refuted (" + std::to_string(r.total_counterexamples) +
              " counterexamples over " + std::to_string(r.branches) +
@@ -869,13 +848,6 @@ std::string RepairReport::to_text(const AlgorithmGraph& graph,
   out += "verdict:  ";
   out += certified ? "CERTIFIED" : ("REFUTED — " + failure);
   out += "\n";
-  if (confirmation) {
-    out += "replay:   confirmation sweep reused " +
-           std::to_string(confirmation->leaves_reused) + "/" +
-           std::to_string(confirmation->branches) +
-           " leaves from the certify cache (" +
-           std::to_string(cache_entries) + " entries)\n";
-  }
   if (!constraints.pinned.empty() || !constraints.forbidden.empty() ||
       !constraints.forbidden_links.empty()) {
     out += "constraints:\n";
@@ -938,10 +910,6 @@ std::string RepairReport::to_json(const AlgorithmGraph& graph,
     out += ", \"counterexamples\": " +
            obs::json_number(
                static_cast<std::uint64_t>(r.total_counterexamples));
-    out += ", \"leaves_reused\": " +
-           obs::json_number(static_cast<std::uint64_t>(r.leaves_reused));
-    out += ", \"leaves_fresh\": " +
-           obs::json_number(static_cast<std::uint64_t>(r.leaves_fresh));
     out += ", \"events_simulated\": " +
            obs::json_number(static_cast<std::uint64_t>(r.events_simulated));
     out += ", \"shrink_simulations\": " +
@@ -1002,22 +970,6 @@ std::string RepairReport::to_json(const AlgorithmGraph& graph,
     first = false;
   }
   out += "]";
-  out += ",\n  \"cache_entries\": " +
-         obs::json_number(static_cast<std::uint64_t>(cache_entries));
-  if (confirmation) {
-    out += ",\n  \"confirmation\": {\"certified\": ";
-    out += confirmation->certified ? "true" : "false";
-    out += ", \"branches\": " +
-           obs::json_number(
-               static_cast<std::uint64_t>(confirmation->branches));
-    out += ", \"leaves_reused\": " +
-           obs::json_number(
-               static_cast<std::uint64_t>(confirmation->leaves_reused));
-    out += ", \"leaves_fresh\": " +
-           obs::json_number(
-               static_cast<std::uint64_t>(confirmation->leaves_fresh));
-    out += "}";
-  }
   out += ",\n  \"moves_exhausted\": ";
   out += moves_exhausted ? "true" : "false";
   out += ",\n  \"rounds_exhausted\": ";

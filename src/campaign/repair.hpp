@@ -4,8 +4,7 @@
 // refutes, each round:
 //
 //  1. certifies the current schedule over the full budgeted fault model
-//     (campaign/certify.hpp) with a shared replay cache, so re-certifying
-//     an unchanged schedule reuses previously simulated leaves;
+//     (campaign/certify.hpp);
 //  2. shrinks the first counterexample to a 1-minimal reproducer
 //     (campaign/shrink.hpp, budgeted) and banks it — every banked
 //     reproducer must stay fixed by all later moves;
@@ -31,13 +30,10 @@
 //     banked reproducer under the mission oracle; certification of the
 //     accepted schedule starts the next round.
 //
-// The loop ends certified (the final certificate is then replayed through
-// the warm cache — the confirmation sweep — proving the verdict is
-// reproducible from cached leaves and measuring the reuse fraction), or
-// refuted with the final shrunk counterexample when the move set or the
-// round budget is exhausted. Every artifact (moves, certificates, shrunk
-// plans, reuse counters) is deterministic: the repair log is byte-identical
-// for any thread count.
+// The loop ends certified, or refuted with the final shrunk counterexample
+// when the move set or the round budget is exhausted. Every artifact
+// (moves, certificates, shrunk plans) is deterministic: the repair log is
+// byte-identical for any thread count.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +50,7 @@
 namespace ftsched::campaign {
 
 struct RepairSpec {
-  /// Budgets and options of each round's certification sweep. The cache
-  /// pointer is ignored — repair always threads its own shared cache.
+  /// Budgets and options of each round's certification sweep.
   CertifySpec certify;
   /// Accepted-move budget: at most this many repair rounds after the
   /// initial certification.
@@ -119,9 +114,6 @@ struct RepairRound {
   bool certified = false;
   std::size_t branches = 0;
   std::size_t total_counterexamples = 0;
-  /// Replay-cache accounting of this round's sweep (see CertifyReport).
-  std::size_t leaves_reused = 0;
-  std::size_t leaves_fresh = 0;
   std::size_t events_simulated = 0;
   /// The round's shrunk counterexample (empty plan when certified).
   MissionPlan counterexample;
@@ -145,18 +137,12 @@ struct RepairReport {
   std::vector<RepairRound> rounds;
   /// Certification of the final schedule (last round's sweep).
   std::optional<CertifyReport> certificate;
-  /// The confirmation sweep: the final certificate replayed through the
-  /// warm cache. Same verdict, leaves_reused > 0 — the incremental
-  /// re-certification evidence.
-  std::optional<CertifyReport> confirmation;
-  /// Replay-cache population after the loop.
-  std::size_t cache_entries = 0;
   /// Set when the loop stopped without a certificate.
   bool moves_exhausted = false;
   bool rounds_exhausted = false;
   /// Human-readable reason when !certified.
   std::string failure;
-  /// repair.* counters (rounds, moves, cache reuse), deterministic.
+  /// repair.* counters (rounds, moves, verdict), deterministic.
   obs::MetricsSnapshot metrics;
 
   [[nodiscard]] std::string to_text(const AlgorithmGraph& graph,

@@ -1,6 +1,7 @@
 #include "service/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -282,6 +283,25 @@ std::string JsonValue::string_or(std::string_view key,
 bool JsonValue::bool_or(std::string_view key, bool def) const {
   const JsonValue* member = find(key);
   return (member != nullptr && member->is_bool()) ? member->boolean : def;
+}
+
+Expected<std::int64_t> checked_integer(const JsonValue* value,
+                                       std::string_view what,
+                                       std::int64_t lo, std::int64_t hi,
+                                       std::optional<std::int64_t> fallback) {
+  if (value == nullptr) {
+    if (fallback.has_value()) return *fallback;
+    return Error{Error::Code::kInvalidInput,
+                 std::string(what) + " is missing"};
+  }
+  if (!value->is_number() || value->number != std::floor(value->number) ||
+      value->number < static_cast<double>(lo) ||
+      value->number > static_cast<double>(hi)) {
+    return Error{Error::Code::kInvalidInput,
+                 std::string(what) + " must be an integer in [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) + "]"};
+  }
+  return static_cast<std::int64_t>(value->number);
 }
 
 Expected<JsonValue> parse_json(std::string_view text) {

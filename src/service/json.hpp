@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,6 +56,22 @@ class JsonValue {
                                       std::string_view def) const;
   [[nodiscard]] bool bool_or(std::string_view key, bool def) const;
 };
+
+/// Largest magnitude a JSON number carries exactly (2^53); the bound for
+/// every count and index the protocol reads back.
+inline constexpr std::int64_t kJsonMaxInteger = std::int64_t{1} << 53;
+
+/// The one reader for integers arriving in untrusted JSON. `value` is the
+/// member (or array item) to read, null when absent: an absent value yields
+/// `fallback`, or an Error when there is none. A present value must be a
+/// number with an integral value in [lo, hi]; a string, a fraction, a
+/// negative count or an out-of-range id is a kInvalidInput Error naming
+/// `what`. The range check runs on the double, before any cast, so no
+/// input reaches an undefined float-to-integer conversion. [lo, hi] must
+/// lie within +-kJsonMaxInteger.
+[[nodiscard]] Expected<std::int64_t> checked_integer(
+    const JsonValue* value, std::string_view what, std::int64_t lo,
+    std::int64_t hi, std::optional<std::int64_t> fallback = std::nullopt);
 
 /// Parses one complete JSON document (leading/trailing whitespace allowed,
 /// trailing garbage rejected). Errors carry the byte offset and what was

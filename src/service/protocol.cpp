@@ -1,5 +1,8 @@
 #include "service/protocol.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include "service/json.hpp"
 
 namespace ftsched::service {
@@ -42,9 +45,25 @@ Expected<Request> parse_request(std::string_view line) {
           "request: \"problem\" and \"problem_inline\" are exclusive"};
     }
     submit.heuristic = object.string_or("heuristic", "solution1");
-    submit.claim_k = static_cast<int>(object.number_or("claim_k", -1));
-    submit.links = static_cast<int>(object.number_or("links", 0));
-    submit.silences = static_cast<int>(object.number_or("silences", 0));
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    const auto integer = [&](std::string_view key, std::int64_t lo,
+                             std::int64_t fallback) {
+      return checked_integer(object.find(key),
+                             "request: " + std::string(key), lo, kIntMax,
+                             fallback);
+    };
+    const Expected<std::int64_t> claim_k = integer("claim_k", -1, -1);
+    const Expected<std::int64_t> links = integer("links", 0, 0);
+    const Expected<std::int64_t> silences = integer("silences", 0, 0);
+    const Expected<std::int64_t> threads = integer("threads", 0, 0);
+    for (const Expected<std::int64_t>* field :
+         {&claim_k, &links, &silences, &threads}) {
+      if (!field->has_value()) return field->error();
+    }
+    submit.claim_k = static_cast<int>(*claim_k);
+    submit.links = static_cast<int>(*links);
+    submit.silences = static_cast<int>(*silences);
+    submit.threads = static_cast<unsigned>(*threads);
     if (const JsonValue* bound = object.find("response_bound")) {
       if (bound->is_number() && bound->number > 0) {
         submit.response_bound = bound->number;
@@ -82,8 +101,6 @@ Expected<Request> parse_request(std::string_view line) {
         submit.latency_constraints.push_back(std::move(c));
       }
     }
-    submit.threads =
-        static_cast<unsigned>(object.number_or("threads", 0));
     submit.deadline_ms = object.number_or("deadline_ms", 0);
     if (submit.deadline_ms < 0) {
       return Error{Error::Code::kInvalidInput,

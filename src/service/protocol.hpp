@@ -48,6 +48,8 @@ struct SubmitRequest {
   /// parse time; resolution against the schedule happens at submit, where
   /// a malformed spec answers with an error record.
   std::vector<campaign::LatencyConstraint> latency_constraints = {};
+  /// Worker threads for this request; 0 = the server's default. Clamped
+  /// to the server's own thread count.
   unsigned threads = 0;
   /// Per-request deadline; 0 = none. An expired deadline cancels the
   /// remaining certification tasks and answers with an error record.
@@ -64,8 +66,10 @@ struct Request {
   SubmitRequest submit;
 };
 
-/// Parses one request line; malformed JSON or an unknown type is a clean
-/// Error (the server answers with an error record and keeps serving).
+/// Parses one request line; malformed JSON, an unknown type, or an integer
+/// field that is not a non-negative integer in range (claim_k also takes
+/// -1) is a clean Error (the server answers with an error record and keeps
+/// serving).
 [[nodiscard]] Expected<Request> parse_request(std::string_view line);
 
 }  // namespace ftsched::service

@@ -1,5 +1,6 @@
 #include "service/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <condition_variable>
 #include <cstdio>
@@ -21,6 +22,7 @@
 #include <unistd.h>
 
 #include "campaign/certify.hpp"
+#include "campaign/work_pool.hpp"
 #include "io/problem_format.hpp"
 #include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
@@ -216,7 +218,12 @@ void CertifyService::handle_submit(const SubmitRequest& submit,
   spec.max_silences = submit.silences;
   spec.response_bound = submit.response_bound;
   spec.latency_constraints = submit.latency_constraints;
-  spec.threads = submit.threads != 0 ? submit.threads : options_.threads;
+  // A request may ask for fewer workers than the server runs, never more:
+  // certificates do not depend on the thread count, only speed does.
+  const unsigned server_threads = campaign::resolve_threads(options_.threads);
+  spec.threads = submit.threads != 0
+                     ? std::min(submit.threads, server_threads)
+                     : options_.threads;
 
   // Resolve chain constraints against the schedule before acking: a
   // malformed spec (endpoint not in the graph, replica-less op, bad

@@ -1,6 +1,8 @@
 #include "service/stream.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <ostream>
@@ -30,16 +32,32 @@ Time read_time(const JsonValue& object, std::string_view key, Time def) {
   return def;
 }
 
-std::size_t read_size(const JsonValue& object, std::string_view key) {
-  return static_cast<std::size_t>(object.number_or(key, 0));
+/// Reads the non-negative integer member `key` into `out`: `fallback` when
+/// absent (an error when there is none), otherwise range-checked to the
+/// largest value `out` holds. False, with `error` set, on a bad value.
+template <typename T>
+bool read_integer(const JsonValue& object, std::string_view key, T& out,
+                  Error& error, std::optional<std::int64_t> fallback = 0) {
+  const auto hi = static_cast<std::int64_t>(std::min<std::uint64_t>(
+      std::numeric_limits<T>::max(), kJsonMaxInteger));
+  const Expected<std::int64_t> value = checked_integer(
+      object.find(key), "stream: " + std::string(key), 0, hi, fallback);
+  if (!value.has_value()) {
+    error = value.error();
+    return false;
+  }
+  out = static_cast<T>(*value);
+  return true;
 }
 
 bool append_ids(const JsonValue* array, auto& out) {
   if (array == nullptr) return true;  // absent = empty
   if (!array->is_array()) return false;
   for (const JsonValue& item : array->items) {
-    if (!item.is_number()) return false;
-    out.emplace_back(static_cast<std::int32_t>(item.number));
+    const Expected<std::int64_t> id = checked_integer(
+        &item, "id", 0, std::numeric_limits<std::int32_t>::max());
+    if (!id.has_value()) return false;
+    out.emplace_back(static_cast<std::int32_t>(*id));
   }
   return true;
 }
@@ -136,7 +154,6 @@ std::string write_task_record(const campaign::CertifyTaskPartial& task) {
       "{\"type\":\"task\",\"task\":" + std::to_string(task.task_index);
   out += ",\"branches\":" + std::to_string(task.branches);
   out += ",\"forks\":" + std::to_string(task.forks);
-  out += ",\"leaves_reused\":" + std::to_string(task.leaves_reused);
   out += ",\"events_simulated\":" + std::to_string(task.events_simulated);
   out += ",\"instants_kept\":" + std::to_string(task.instants_kept);
   out += ",\"instants_merged\":" + std::to_string(task.instants_merged);
@@ -178,6 +195,8 @@ Expected<campaign::CertifyBranch> parse_branch(const JsonValue& object) {
   };
   if (!object.is_object()) return bad("not an object");
   campaign::CertifyBranch branch;
+  Error error;
+  std::int32_t id = 0;
   if (!append_ids(object.find("dead"), branch.dead_at_start)) {
     return bad("dead must be an array of ids");
   }
@@ -188,9 +207,9 @@ Expected<campaign::CertifyBranch> parse_branch(const JsonValue& object) {
     if (!crashes->is_array()) return bad("crashes must be an array");
     for (const JsonValue& item : crashes->items) {
       if (!item.is_object()) return bad("crash must be an object");
+      if (!read_integer(item, "p", id, error, std::nullopt)) return error;
       FailureEvent event;
-      event.processor =
-          ProcessorId(static_cast<std::int32_t>(item.number_or("p", -1)));
+      event.processor = ProcessorId(id);
       event.time = read_time(item, "t", 0);
       branch.crashes.push_back(event);
     }
@@ -199,8 +218,9 @@ Expected<campaign::CertifyBranch> parse_branch(const JsonValue& object) {
     if (!deaths->is_array()) return bad("link_crashes must be an array");
     for (const JsonValue& item : deaths->items) {
       if (!item.is_object()) return bad("link crash must be an object");
+      if (!read_integer(item, "l", id, error, std::nullopt)) return error;
       LinkFailureEvent event;
-      event.link = LinkId(static_cast<std::int32_t>(item.number_or("l", -1)));
+      event.link = LinkId(id);
       event.time = read_time(item, "t", 0);
       branch.link_crashes.push_back(event);
     }
@@ -209,9 +229,9 @@ Expected<campaign::CertifyBranch> parse_branch(const JsonValue& object) {
     if (!silences->is_array()) return bad("silences must be an array");
     for (const JsonValue& item : silences->items) {
       if (!item.is_object()) return bad("silence must be an object");
+      if (!read_integer(item, "p", id, error, std::nullopt)) return error;
       SilentWindow window;
-      window.processor =
-          ProcessorId(static_cast<std::int32_t>(item.number_or("p", -1)));
+      window.processor = ProcessorId(id);
       window.from = read_time(item, "from", 0);
       window.to = read_time(item, "to", 0);
       branch.silences.push_back(window);
@@ -244,27 +264,31 @@ Expected<StreamRecord> parse_record(std::string_view line) {
   }
   const std::string type = object.string_or("type", "");
   StreamRecord record;
+  Error error;
   if (type == "meta") {
     record.kind = StreamRecord::Kind::kMeta;
     StreamMeta& meta = record.meta;
-    meta.format = static_cast<int>(object.number_or("format", 0));
+    if (!read_integer(object, "format", meta.format, error)) return error;
     if (meta.format != 1) {
       return Error{Error::Code::kInvalidInput,
                    "stream: unsupported format " +
                        std::to_string(meta.format)};
     }
     meta.plan_key = object.string_or("plan_key", "");
-    meta.max_failures = static_cast<int>(object.number_or("max_failures", 0));
-    meta.max_link_failures =
-        static_cast<int>(object.number_or("max_link_failures", 0));
-    meta.max_silences = static_cast<int>(object.number_or("max_silences", 0));
+    if (!read_integer(object, "max_failures", meta.max_failures, error) ||
+        !read_integer(object, "max_link_failures", meta.max_link_failures,
+                      error) ||
+        !read_integer(object, "max_silences", meta.max_silences, error) ||
+        !read_integer(object, "subsets", meta.subsets, error) ||
+        !read_integer(object, "link_subsets", meta.link_subsets, error) ||
+        !read_integer(object, "tasks", meta.tasks, error) ||
+        !read_integer(object, "shard_index", meta.shard_index, error) ||
+        !read_integer(object, "shard_count", meta.shard_count, error) ||
+        !read_integer(object, "max_counterexamples",
+                      meta.max_counterexamples, error)) {
+      return error;
+    }
     meta.response_bound = read_time(object, "response_bound", kInfinite);
-    meta.subsets = read_size(object, "subsets");
-    meta.link_subsets = read_size(object, "link_subsets");
-    meta.tasks = read_size(object, "tasks");
-    meta.shard_index = read_size(object, "shard_index");
-    meta.shard_count = read_size(object, "shard_count");
-    meta.max_counterexamples = read_size(object, "max_counterexamples");
     meta.dedup = object.bool_or("dedup", true);
     if (const JsonValue* list = object.find("latency_constraints")) {
       if (!list->is_array()) {
@@ -293,19 +317,19 @@ Expected<StreamRecord> parse_record(std::string_view line) {
   if (type == "task") {
     record.kind = StreamRecord::Kind::kTask;
     campaign::CertifyTaskPartial& task = record.task;
-    const JsonValue* index = object.find("task");
-    if (index == nullptr || !index->is_number()) {
-      return Error{Error::Code::kInvalidInput,
-                   "stream: task record missing task index"};
+    if (!read_integer(object, "task", task.task_index, error,
+                      std::nullopt) ||
+        !read_integer(object, "branches", task.branches, error) ||
+        !read_integer(object, "forks", task.forks, error) ||
+        !read_integer(object, "events_simulated", task.events_simulated,
+                      error) ||
+        !read_integer(object, "instants_kept", task.instants_kept, error) ||
+        !read_integer(object, "instants_merged", task.instants_merged,
+                      error) ||
+        !read_integer(object, "total_counterexamples",
+                      task.total_counterexamples, error)) {
+      return error;
     }
-    task.task_index = static_cast<std::size_t>(index->number);
-    task.branches = read_size(object, "branches");
-    task.forks = read_size(object, "forks");
-    task.leaves_reused = read_size(object, "leaves_reused");
-    task.events_simulated = read_size(object, "events_simulated");
-    task.instants_kept = read_size(object, "instants_kept");
-    task.instants_merged = read_size(object, "instants_merged");
-    task.total_counterexamples = read_size(object, "total_counterexamples");
     task.worst_response = read_time(object, "worst_response", 0);
     if (const JsonValue* worsts = object.find("worst_chain_latency")) {
       if (!worsts->is_array()) {
@@ -338,8 +362,12 @@ Expected<StreamRecord> parse_record(std::string_view line) {
   }
   if (type == "end") {
     record.kind = StreamRecord::Kind::kEnd;
-    record.end.shard_index = read_size(object, "shard_index");
-    record.end.tasks_emitted = read_size(object, "tasks_emitted");
+    if (!read_integer(object, "shard_index", record.end.shard_index,
+                      error) ||
+        !read_integer(object, "tasks_emitted", record.end.tasks_emitted,
+                      error)) {
+      return error;
+    }
     record.end.cancelled = object.bool_or("cancelled", false);
     return record;
   }

@@ -94,24 +94,6 @@ class EventQueue {
                      : EventSchedulerKind::kBinaryHeap;
   }
 
-  /// Visits every pending event exactly once, in an unspecified,
-  /// implementation-dependent order (the heap's array layout / the
-  /// calendar's bucket chains). Consumers needing a canonical view — the
-  /// state digest — must sort what they collect; both implementations hold
-  /// the same multiset, which is all this guarantees.
-  template <typename Fn>
-  void for_each_pending(Fn&& fn) const {
-    if (!calendar_) {
-      for (const Event& event : heap_) fn(event);
-      return;
-    }
-    for (std::uint32_t b = 0; b < nbuckets_; ++b) {
-      for (std::uint32_t s = head_[b]; s != kNil; s = next_[s]) {
-        fn(slots_[s]);
-      }
-    }
-  }
-
  private:
   static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 
 #include "core/error.hpp"
@@ -198,12 +197,6 @@ struct SimState {
   std::size_t n_elections = 0;
   std::size_t n_transfer_starts = 0;
   std::vector<Time> op_end;  // [op] earliest kOpEnd instant, kInfinite if none
-  /// Date of the most recent recorded trace event (maintained even when the
-  /// Trace itself is suppressed). Part of the state digest: the certifier's
-  /// candidate-instant grid takes midpoints between consecutive trace
-  /// dates, so the last already-recorded date determines the first
-  /// midpoint a resumed exploration will straddle.
-  Time last_trace_date = -kInfinite;
 };
 
 inline constexpr char kIdle = 0;
@@ -421,7 +414,6 @@ class Engine {
     s_.n_elections = 0;
     s_.n_transfer_starts = 0;
     s_.op_end.assign(plan_.op_count, kInfinite);
-    s_.last_trace_date = -kInfinite;
 
     // Failures known since a previous iteration: dead, and flagged by all.
     for (ProcessorId dead : scenario.failed_at_start) {
@@ -612,7 +604,6 @@ class Engine {
   }
 
   void record(const TraceEvent& event) {
-    if (event.time > s_.last_trace_date) s_.last_trace_date = event.time;
     if (!s_.summary) s_.trace.record(event);
   }
 
@@ -1096,293 +1087,6 @@ class Engine {
   SimState& s_;
 };
 
-/// Two coupled multiply-xorshift streams; not cryptographic, but every
-/// absorbed word perturbs all 128 bits, which is what the ~0 collision rate
-/// on the certifier's memo key needs.
-class Hash128 {
- public:
-  void absorb(std::uint64_t x) noexcept {
-    a_ ^= x;
-    a_ *= 0x9E3779B97F4A7C15ULL;
-    a_ ^= a_ >> 29;
-    b_ += x ^ (a_ >> 7);
-    b_ *= 0xC2B2AE3D27D4EB4FULL;
-    b_ ^= b_ >> 31;
-  }
-  void absorb_time(Time t) noexcept {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(Time));
-    std::memcpy(&bits, &t, sizeof(bits));
-    absorb(bits);
-  }
-  [[nodiscard]] std::uint64_t hi() const noexcept { return a_; }
-  [[nodiscard]] std::uint64_t lo() const noexcept { return b_; }
-
- private:
-  std::uint64_t a_ = 0x243F6A8885A308D3ULL;
-  std::uint64_t b_ = 0x13198A2E03707344ULL;
-};
-
-/// See Simulator::branch_digest for the hashed / excluded contract. The
-/// exclusions rest on three facts, pinned by tests/sim/digest_test.cpp:
-///  * wake-dedup stamps (tr_wake, w_sched) and their kDeadline fire TIMES
-///    are derivable at a fixpoint — a blocked transfer (watcher) holds a
-///    pending wake iff it is idle with its value before its slot
-///    (deadline); the COUNT of pending kDeadline entries IS hashed, since
-///    each dispatches as exactly one (fixpoint no-op) event and downstream
-///    event counts must be a function of the digest;
-///  * same-instant same-kind dispatch order (seq) commutes on state — a
-///    batch drains fully before the fixpoint re-evaluates anything;
-///  * intrusive active-list membership is lazy unlink bookkeeping with no
-///    behavioural content.
-StateDigest digest_state(const SimPlan& plan, const SimState& s,
-                         const DigestOptions& opt) {
-  const std::size_t procs = plan.procs;
-  const std::size_t nstatic = plan.transfers.size();
-
-  // Canonical victim relabeling: members of an interchangeable class are
-  // reordered by a label-free sub-hash of their own state slice, so two
-  // states differing only by which class member played victim canonicalize
-  // identically. from_canon[q] = source processor occupying canonical
-  // slot q; to_canon is its inverse.
-  std::vector<std::uint32_t> to_canon(procs), from_canon(procs);
-  for (std::size_t p = 0; p < procs; ++p) {
-    to_canon[p] = static_cast<std::uint32_t>(p);
-    from_canon[p] = static_cast<std::uint32_t>(p);
-  }
-  bool relabeled = false;
-  if (opt.proc_classes != nullptr) {
-    std::vector<char> in_class(procs, 0);
-    struct Keyed {
-      std::uint64_t hi, lo;
-      std::uint32_t p;
-    };
-    std::vector<Keyed> keyed;
-    for (const std::vector<std::uint32_t>& cls : *opt.proc_classes) {
-      for (std::uint32_t p : cls) in_class[p] = 1;
-      keyed.clear();
-      for (std::uint32_t p : cls) {
-        // Label-free slice: relations to other class members are excluded
-        // here (the class precondition makes them a function of the
-        // column's own status) and hashed exactly under the final
-        // permutation below.
-        Hash128 h;
-        h.absorb(static_cast<std::uint64_t>(s.proc_alive[p]) |
-                 (static_cast<std::uint64_t>(s.proc_busy[p]) << 1) |
-                 (static_cast<std::uint64_t>(s.proc_abort[p]) << 2));
-        h.absorb(s.proc_next[p]);
-        for (std::size_t q = 0; q < procs; ++q) {
-          if (in_class[q]) continue;
-          h.absorb(static_cast<std::uint64_t>(s.flags[p * procs + q]) |
-                   (static_cast<std::uint64_t>(s.flags[q * procs + p]) << 1));
-        }
-        for (std::size_t d = 0; d < s.deps; ++d) {
-          h.absorb(static_cast<std::uint64_t>(s.has_value[p * s.deps + d]) |
-                   (static_cast<std::uint64_t>(s.certified[p * s.deps + d])
-                    << 1));
-        }
-        std::vector<std::uint64_t> wins;
-        for (std::size_t i = 0; i < s.silent_windows.size(); ++i) {
-          if (s.silent_windows[i].processor.index() != p) continue;
-          Hash128 wh;
-          wh.absorb_time(s.silent_windows[i].from);
-          wh.absorb_time(s.silent_windows[i].to);
-          wh.absorb_time(s.silent_first_blocked[i]);
-          wins.push_back(wh.hi() ^ wh.lo());
-        }
-        std::sort(wins.begin(), wins.end());
-        for (std::uint64_t w : wins) h.absorb(w);
-        keyed.push_back(Keyed{h.hi(), h.lo(), p});
-      }
-      std::sort(keyed.begin(), keyed.end(),
-                [](const Keyed& a, const Keyed& b) {
-                  if (a.hi != b.hi) return a.hi < b.hi;
-                  if (a.lo != b.lo) return a.lo < b.lo;
-                  return a.p < b.p;
-                });
-      for (std::size_t r = 0; r < cls.size(); ++r) {
-        if (keyed[r].p != cls[r]) relabeled = true;
-        from_canon[cls[r]] = keyed[r].p;
-        to_canon[keyed[r].p] = cls[r];
-      }
-      for (std::uint32_t p : cls) in_class[p] = 0;
-    }
-  }
-
-  Hash128 h;
-  h.absorb(procs);
-  h.absorb(plan.links);
-  h.absorb(plan.deps);
-
-  for (std::size_t q = 0; q < procs; ++q) {
-    const std::uint32_t p = from_canon[q];
-    h.absorb(static_cast<std::uint64_t>(s.proc_alive[p]) |
-             (static_cast<std::uint64_t>(s.proc_busy[p]) << 1) |
-             (static_cast<std::uint64_t>(s.proc_abort[p]) << 2));
-    h.absorb(s.proc_next[p]);
-  }
-  for (std::size_t q1 = 0; q1 < procs; ++q1) {
-    std::uint64_t row = 0;
-    for (std::size_t q2 = 0; q2 < procs; ++q2) {
-      row = (row << 1) | static_cast<std::uint64_t>(
-                             s.flags[from_canon[q1] * procs + from_canon[q2]]);
-      if ((q2 & 63u) == 63u) {
-        h.absorb(row);
-        row = 0;
-      }
-    }
-    h.absorb(row);
-  }
-  for (std::size_t l = 0; l < plan.links; ++l) {
-    h.absorb(static_cast<std::uint64_t>(s.link_alive[l]) |
-             (static_cast<std::uint64_t>(s.link_busy[l]) << 1));
-  }
-  for (std::size_t t = 0; t < nstatic; ++t) {
-    h.absorb((static_cast<std::uint64_t>(s.tr_hop[t]) << 2) |
-             static_cast<std::uint64_t>(s.tr_status[t]));
-  }
-  for (std::size_t d = 0; d < s.dynamic.size(); ++d) {
-    const DynTransfer& tr = s.dynamic[d];
-    h.absorb((static_cast<std::uint64_t>(tr.dep.index()) << 1) |
-             static_cast<std::uint64_t>(tr.liveness));
-    h.absorb(to_canon[tr.to.index()]);
-    // hops has links.size() + 1 entries (the destination closes the
-    // route); pair each link with its feeding hop and absorb the final
-    // hop alone.
-    h.absorb(tr.route->hops.size());
-    for (std::size_t i = 0; i < tr.route->links.size(); ++i) {
-      h.absorb(to_canon[tr.route->hops[i].index()]);
-      h.absorb(tr.route->links[i].index());
-    }
-    h.absorb(to_canon[tr.route->hops.back().index()]);
-    const std::size_t t = nstatic + d;
-    h.absorb((static_cast<std::uint64_t>(s.tr_hop[t]) << 2) |
-             static_cast<std::uint64_t>(s.tr_status[t]));
-
-  }
-  for (std::size_t w = 0; w < plan.watchers.size(); ++w) {
-    h.absorb((static_cast<std::uint64_t>(s.w_pos[w]) << 2) |
-             (static_cast<std::uint64_t>(s.w_elected[w]) << 1) |
-             static_cast<std::uint64_t>(s.w_sent[w]));
-  }
-  for (std::size_t q = 0; q < procs; ++q) {
-    const std::uint32_t p = from_canon[q];
-    std::uint64_t row = 0;
-    for (std::size_t d = 0; d < s.deps; ++d) {
-      row = (row << 2) |
-            (static_cast<std::uint64_t>(s.has_value[p * s.deps + d]) << 1) |
-            static_cast<std::uint64_t>(s.certified[p * s.deps + d]);
-      if ((d & 31u) == 31u) {
-        h.absorb(row);
-        row = 0;
-      }
-    }
-    h.absorb(row);
-  }
-
-  // Silent windows, canonicalized by what a future observer can still see:
-  // a live window (victim alive, closing edge ahead of the frontier) keeps
-  // (victim, effective opening edge, closing edge, first blocked instant);
-  // a spent window survives only as its response-allowance contribution
-  // (closing edge - first blocked instant), and only when the consumer's
-  // verdict depends on the response envelope at all; windows that blocked
-  // nothing and can block nothing vanish. This is what lets a crash that
-  // kills a silenced victim collapse the whole remaining closing-edge grid
-  // into one subtree.
-  struct WindowEntry {
-    int tag;
-    std::uint32_t proc;
-    Time a, b, c;
-  };
-  std::vector<WindowEntry> windows;
-  for (std::size_t i = 0; i < s.silent_windows.size(); ++i) {
-    const SilentWindow& w = s.silent_windows[i];
-    const Time first = s.silent_first_blocked[i];
-    const bool live = s.proc_alive[w.processor.index()] != 0 &&
-                      time_lt(s.executed_until, w.to);
-    if (live) {
-      const Time from =
-          time_le(w.from, s.executed_until) ? -kInfinite : w.from;
-      windows.push_back(WindowEntry{0, to_canon[w.processor.index()], from,
-                                    w.to,
-                                    opt.with_allowance ? first : kInfinite});
-    } else if (opt.with_allowance && !is_infinite(first)) {
-      windows.push_back(WindowEntry{1, 0, 0, w.to - first, 0});
-    }
-  }
-  std::sort(windows.begin(), windows.end(),
-            [](const WindowEntry& x, const WindowEntry& y) {
-              if (x.tag != y.tag) return x.tag < y.tag;
-              if (x.proc != y.proc) return x.proc < y.proc;
-              if (x.a != y.a) return x.a < y.a;
-              if (x.b != y.b) return x.b < y.b;
-              return x.c < y.c;
-            });
-  h.absorb(windows.size());
-  for (const WindowEntry& w : windows) {
-    h.absorb(static_cast<std::uint64_t>(w.tag));
-    h.absorb(w.proc);
-    h.absorb_time(w.a);
-    h.absorb_time(w.b);
-    h.absorb_time(w.c);
-  }
-
-  // Pending events, as a sorted multiset of (time, kind, canonical
-  // subject). kDeadline entries are wake-ups, all derivable from the
-  // hashed state (transfer slots, watcher deadlines, window closing
-  // edges); everything else is real pending work.
-  struct PendingEvent {
-    Time time;
-    std::uint8_t kind;
-    std::uint32_t index;
-  };
-  std::vector<PendingEvent> pending;
-  std::uint64_t deadline_count = 0;
-  s.queue.for_each_pending([&](const Event& event) {
-    if (event.kind == EventKind::kDeadline) {
-      // Deadline fire TIMES are derivable wake-ups (excluded above), but
-      // the COUNT of pending deadlines is not: each one dispatches as one
-      // event, so two otherwise-equal states carrying different numbers of
-      // no-op deadlines would execute different event counts downstream —
-      // and the certifier's events_simulated metric must be a function of
-      // the digest for memo replay to reproduce it exactly.
-      ++deadline_count;
-      return;
-    }
-    std::uint32_t index = event.index;
-    if (event.kind == EventKind::kFailure ||
-        event.kind == EventKind::kOpDone) {
-      index = to_canon[index];
-    }
-    pending.push_back(
-        PendingEvent{event.time, static_cast<std::uint8_t>(event.kind),
-                     index});
-  });
-  std::sort(pending.begin(), pending.end(),
-            [](const PendingEvent& x, const PendingEvent& y) {
-              if (x.time != y.time) return x.time < y.time;
-              if (x.kind != y.kind) return x.kind < y.kind;
-              return x.index < y.index;
-            });
-  h.absorb(pending.size());
-  for (const PendingEvent& event : pending) {
-    h.absorb_time(event.time);
-    h.absorb((static_cast<std::uint64_t>(event.index) << 3) | event.kind);
-  }
-  h.absorb(deadline_count);
-
-  for (std::size_t op = 0; op < plan.op_count; ++op) {
-    h.absorb_time(s.op_end[op]);
-  }
-  h.absorb_time(s.last_trace_date);
-
-  StateDigest digest;
-  digest.hi = h.hi();
-  digest.lo = h.lo();
-  digest.relabeled = relabeled;
-  return digest;
-}
-
 }  // namespace
 
 Simulator::Branch::Branch(std::unique_ptr<sim_detail::SimState> state)
@@ -1479,11 +1183,6 @@ IterationResult Simulator::finish(Branch branch) const {
                 *branch.state_);
   engine.run_all();
   return engine.finish();
-}
-
-StateDigest Simulator::branch_digest(const Branch& branch,
-                                     const DigestOptions& options) const {
-  return digest_state(*plan_, *branch.state_, options);
 }
 
 }  // namespace ftsched

@@ -58,42 +58,6 @@ struct SimOptions {
   EventSchedulerKind scheduler = EventSchedulerKind::kAuto;
 };
 
-/// Canonical 128-bit digest of a paused run's live state — the memo key of
-/// the certification pruning layer (campaign/certify). Two branches with
-/// equal digests are (with ~2^-128 collision probability) behaviourally
-/// identical: every future event, every certifier candidate instant, and
-/// the finished verdict coincide. See Simulator::branch_digest for what is
-/// hashed and what is provably excluded.
-struct StateDigest {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-  /// True when a non-identity victim relabeling produced the canonical
-  /// form — consumers that replay labeled artifacts (counterexample
-  /// records) must not trust label equality across such a match.
-  bool relabeled = false;
-
-  friend bool operator==(const StateDigest& a, const StateDigest& b) {
-    return a.hi == b.hi && a.lo == b.lo;
-  }
-};
-
-struct DigestOptions {
-  /// Include each silent window's response-allowance contribution (the
-  /// tight per-window deferral bound) in the hash. Required whenever the
-  /// consumer's verdict depends on the response envelope; a sweep with an
-  /// infinite response bound can drop it and collapse harder.
-  bool with_allowance = true;
-  /// Interchangeable-processor classes (each a sorted list of processor
-  /// indices, only non-singleton classes listed): members must be
-  /// schedule-automorphic — no scheduled operation, no static transfer
-  /// involvement, identical link incidence — so any permutation within a
-  /// class is a behaviour-preserving relabeling. The digest canonicalizes
-  /// by sorting class members on their own state slice, making it
-  /// invariant to victim identity relabeling within a class. Null = no
-  /// relabeling (exact identity). See campaign::automorphism_classes.
-  const std::vector<std::vector<std::uint32_t>>* proc_classes = nullptr;
-};
-
 struct IterationResult {
   Trace trace;
   /// Events the producing run dispatched itself — NOT counting the shared
@@ -239,25 +203,6 @@ class Simulator {
 
   /// Runs the branch to completion, consuming it.
   [[nodiscard]] IterationResult finish(Branch branch) const;
-
-  /// Canonical digest of the branch's paused state. Hashes exactly the
-  /// state a future observer can distinguish: per-processor liveness /
-  /// busy / program counters / fail flags, link liveness & occupancy,
-  /// static transfer progress, dynamic transfers (payload, destination,
-  /// remaining route), watcher progress, delivered/certified value
-  /// tables, pending non-derivable events (time, kind, subject — pop
-  /// order below the frontier is already spent), canonicalized silent
-  /// windows, earliest completion per output op, and the date of the most
-  /// recent recorded trace event (it seeds the certifier's candidate
-  /// grid). Deliberately excluded because they are derivable or
-  /// observationally dead: the trace itself, queue push sequence numbers,
-  /// executed-event counters, the execution frontier, wake-dedup stamps
-  /// (tr_wake / w_sched) and their kDeadline queue entries, and intrusive
-  /// active-list membership. Stable across EventQueue scheduler kinds and
-  /// across fork/replay construction of the same state.
-  [[nodiscard]] StateDigest branch_digest(const Branch& branch,
-                                          const DigestOptions& options = {})
-      const;
 
   /// The schedule this simulator executes.
   [[nodiscard]] const Schedule& schedule() const noexcept {

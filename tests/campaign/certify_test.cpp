@@ -328,80 +328,26 @@ TEST(Certify, RandomK2ProblemCertifiesToDepthTwo) {
   EXPECT_TRUE(depth_two);
 }
 
-TEST(Certify, ColdCacheChangesNothingWarmCacheReusesLeaves) {
+TEST(Certify, EmptySweepIsMarkedNotExhaustive) {
   const OwnedProblem ex = workload::paper_example1();
   const Schedule schedule = schedule_solution1(ex.problem).value();
-
-  // Cold cache: every lookup misses; the report (verdict, counts,
-  // counterexamples) is byte-identical to cache-off.
-  const CertifyReport off = certify(schedule);
-  CertifyCache cache;
-  CertifySpec with_cache;
-  with_cache.cache = &cache;
-  const CertifyReport cold = certify(schedule, with_cache);
-  expect_same_report(off, cold);
-  EXPECT_EQ(cold.leaves_reused, 0u);
-  EXPECT_EQ(cold.leaves_fresh, cold.branches);
-  EXPECT_GT(cache.size(), 0u);
-
-  // Warm cache, same schedule: same verdict and branch structure, but a
-  // nonzero fraction of leaves served without simulation (forks and the
-  // cache-accounting fields legitimately shrink, so compare the verdict
-  // surface, not the whole report).
-  const CertifyReport warm = certify(schedule, with_cache);
-  EXPECT_EQ(off.certified, warm.certified);
-  EXPECT_EQ(off.subsets, warm.subsets);
-  EXPECT_EQ(off.branches, warm.branches);
-  EXPECT_EQ(off.instants_kept, warm.instants_kept);
-  EXPECT_EQ(off.instants_merged, warm.instants_merged);
-  EXPECT_EQ(off.total_counterexamples, warm.total_counterexamples);
-  EXPECT_EQ(off.worst_response, warm.worst_response);
-  EXPECT_LT(warm.forks, cold.forks);
-  EXPECT_GT(warm.leaves_reused, 0u);
-  EXPECT_EQ(warm.leaves_reused + warm.leaves_fresh, warm.branches);
-  EXPECT_LT(warm.events_simulated, cold.events_simulated);
-}
-
-TEST(Certify, WarmCacheReuseIsThreadCountInvariant) {
-  const OwnedProblem ex = workload::paper_example1();
-  const Schedule schedule = schedule_solution1(ex.problem).value();
-  const auto warm_report = [&](unsigned threads) {
-    CertifyCache cache;
-    CertifySpec spec;
-    spec.cache = &cache;
-    spec.threads = threads;
-    (void)certify(schedule, spec);  // populate
-    return certify(schedule, spec);
-  };
-  const CertifyReport one = warm_report(1);
-  for (const unsigned threads : {2u, 8u}) {
-    const CertifyReport many = warm_report(threads);
-    expect_same_report(one, many);
-    EXPECT_EQ(one.leaves_reused, many.leaves_reused);
-    EXPECT_EQ(one.leaves_fresh, many.leaves_fresh);
-    EXPECT_EQ(one.events_simulated, many.events_simulated);
-  }
-  EXPECT_GT(one.leaves_reused, 0u);
-}
-
-TEST(Certify, CacheKeysOnScheduleBytesNotJustTheProblem) {
-  const OwnedProblem ex = workload::paper_example1();
-  const Schedule sol1 = schedule_solution1(ex.problem).value();
-  const Schedule sol2 = schedule_solution2(ex.problem).value();
-  ASSERT_NE(schedule_hash(sol1), schedule_hash(sol2));
-
-  // A cache warmed by one schedule must not serve another: the second
-  // schedule's sweep is all-fresh, as if the cache were cold.
-  CertifyCache cache;
+  const ArchitectureGraph& arch = *schedule.problem().architecture;
   CertifySpec spec;
-  spec.cache = &cache;
-  (void)certify(sol1, spec);
-  const std::size_t after_first = cache.size();
-  const CertifyReport other = certify(sol2, spec);
-  EXPECT_EQ(other.leaves_reused, 0u);
-  EXPECT_EQ(other.leaves_fresh, other.branches);
-  expect_same_report(certify(sol2), other);
-  EXPECT_GT(cache.size(), after_first);
+  spec.max_failures = 0;
+  spec.max_link_failures = 0;
+  spec.max_silences = 0;
+  const CertifyReport report = certify(schedule, spec);
+  // Zero resolved budgets certify exactly one branch: the fault-free run.
+  EXPECT_TRUE(report.certified);
+  EXPECT_EQ(report.branches, 1u);
+  EXPECT_NE(report.to_json(arch).find("\"sweep\": \"empty\""),
+            std::string::npos);
+
+  CertifySpec real;
+  real.max_failures = 1;
+  EXPECT_NE(certify(schedule, real).to_json(arch).find(
+                "\"sweep\": \"exhaustive\""),
+            std::string::npos);
 }
 
 TEST(Certify, ResponseBoundRefutesWhenTooTight) {

@@ -1,9 +1,9 @@
 // The (K, L, S) frontier sweep: the lattice walk must be a pure function
-// of (schedule, spec) — byte-identical JSON for any thread count and
-// either prune setting — implied refutations must really be dominated by
-// an explored one, every certified point must sit under the static GLS
-// ceiling, and the paper's named chain constraints must hold at the
-// published solutions' design points.
+// of (schedule, spec) — byte-identical JSON for any thread count —
+// implied refutations must really be dominated by an explored one, every
+// certified point must sit under the static GLS ceiling, and the paper's
+// named chain constraints must hold at the published solutions' design
+// points.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -122,7 +122,7 @@ TEST(Frontier, CertifiedPointsStayUnderTheGlsCeiling) {
   EXPECT_EQ(gls_bounds(base).k_bound, 0);
 }
 
-TEST(Frontier, ReportIsByteIdenticalAcrossThreadsAndPrune) {
+TEST(Frontier, ReportIsByteIdenticalAcrossThreads) {
   const OwnedProblem ex = workload::paper_example1();
   const Schedule schedule = schedule_solution1(ex.problem).value();
   const ArchitectureGraph& arch = *ex.problem.architecture;
@@ -138,15 +138,6 @@ TEST(Frontier, ReportIsByteIdenticalAcrossThreadsAndPrune) {
   FrontierSpec eight = one;
   eight.threads = 8;
   EXPECT_EQ(frontier_sweep(schedule, eight).to_json(arch), baseline);
-
-  FrontierSpec unpruned = one;
-  unpruned.prune = false;
-  EXPECT_EQ(frontier_sweep(schedule, unpruned).to_json(arch), baseline);
-
-  FrontierSpec unpruned_threaded = unpruned;
-  unpruned_threaded.threads = 8;
-  EXPECT_EQ(frontier_sweep(schedule, unpruned_threaded).to_json(arch),
-            baseline);
 }
 
 TEST(Frontier, PaperChainConstraintsHoldAtTheDesignPoints) {

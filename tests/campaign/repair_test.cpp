@@ -1,10 +1,10 @@
 // Counterexample-guided repair: a refuted schedule (the K=2 bus workload
 // judged under K=1 + one link death) is repaired into a certified one by
 // accepted constraint moves; the repair log and report are byte-identical
-// for any thread count; the confirmation sweep replays the certificate
-// through the warm cache and reuses a nonzero fraction of leaves; an
-// already-certified schedule repairs in zero moves; an impossible claim
-// reports exhaustion instead of looping.
+// for any thread count; the final certificate is exactly what a fresh
+// certify() of the returned schedule proves; an already-certified schedule
+// repairs in zero moves; an impossible claim reports exhaustion instead of
+// looping.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -68,7 +68,7 @@ TEST(Repair, RefutedBusWorkloadRepairsToCertified) {
   EXPECT_FALSE(report.constraints.empty());
 
   // The constraints reproduce the repaired schedule through the ordinary
-  // scheduler entry points, and it re-certifies from scratch (no cache).
+  // scheduler entry points, and it re-certifies from scratch.
   SchedulerOptions opts;
   opts.constraints = report.constraints;
   opts.active_comm_deps = report.active_comm_deps;
@@ -80,28 +80,23 @@ TEST(Repair, RefutedBusWorkloadRepairsToCertified) {
   EXPECT_TRUE(certify(replayed.value(), cspec).certified);
 }
 
-TEST(Repair, ConfirmationSweepReusesCachedLeaves) {
+TEST(Repair, FinalCertificateEqualsFreshCertify) {
   const OwnedProblem ex = k2_bus_problem();
   const RepairReport report =
       repair(ex.problem, HeuristicKind::kSolution2, k1_l1_spec());
   ASSERT_TRUE(report.certified);
+  ASSERT_TRUE(report.schedule.has_value());
+  ASSERT_TRUE(report.certificate.has_value());
 
-  // Incremental re-certification evidence: the confirmation sweep re-runs
-  // the final certificate through the warm replay cache and serves a
-  // nonzero fraction of its leaves from it, same verdict.
-  ASSERT_TRUE(report.confirmation.has_value());
-  EXPECT_TRUE(report.confirmation->certified);
-  EXPECT_GT(report.confirmation->leaves_reused, 0u);
-  EXPECT_EQ(report.confirmation->leaves_reused +
-                report.confirmation->leaves_fresh,
-            report.confirmation->branches);
-  EXPECT_GT(report.cache_entries, 0u);
-
-  // The same evidence is exported as a metrics counter.
-  const auto reused =
-      report.metrics.counters.find("repair.confirmation_leaves_reused");
-  ASSERT_NE(reused, report.metrics.counters.end());
-  EXPECT_GT(reused->second, 0u);
+  // The certificate the loop reports is exactly the one a from-scratch
+  // sweep of the returned schedule proves, byte for byte.
+  const ArchitectureGraph& arch = *ex.problem.architecture;
+  EXPECT_EQ(report.certificate->to_json(arch),
+            certify(report.schedule.value(), k1_l1_spec().certify)
+                .to_json(arch));
+  const auto certified = report.metrics.counters.find("repair.certified");
+  ASSERT_NE(certified, report.metrics.counters.end());
+  EXPECT_EQ(certified->second, 1u);
 }
 
 TEST(Repair, ReportByteIdenticalAcrossThreadCounts) {
@@ -135,8 +130,6 @@ TEST(Repair, AlreadyCertifiedClaimNeedsNoMoves) {
   EXPECT_TRUE(report.rounds[0].certified);
   EXPECT_FALSE(report.rounds[0].has_move);
   EXPECT_TRUE(report.constraints.empty());
-  ASSERT_TRUE(report.confirmation.has_value());
-  EXPECT_GT(report.confirmation->leaves_reused, 0u);
 }
 
 TEST(Repair, ImpossibleClaimReportsExhaustionNotALoop) {

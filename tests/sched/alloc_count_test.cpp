@@ -1,4 +1,5 @@
-// Allocation accounting for the list-scheduler select loop.
+// Allocation accounting for the list-scheduler select loop, and the fixed
+// heap cost of one small certification sweep.
 //
 // The engine's contract (DESIGN.md "Scheduler performance"): tentative
 // evaluation allocates nothing — scratch timelines, evaluation caches, and
@@ -8,7 +9,10 @@
 // the way a per-evaluation scratch copy would. This binary overrides global
 // operator new/delete with a toggleable counter (its own binary, so the
 // override cannot leak into other test executables) and pins both the
-// growth rate and an absolute per-operation budget.
+// growth rate and an absolute per-operation budget. It also counts the
+// bytes requested, which bounds what a 1-thread certify() of the smallest
+// paper schedule may allocate: any per-sweep table sized for a deep
+// search, not for the sweep at hand, shows up there first.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,13 +41,16 @@
 #endif
 #endif
 
+#include "campaign/certify.hpp"
 #include "sched/heuristics.hpp"
+#include "workload/paper_examples.hpp"
 #include "workload/random_arch.hpp"
 
 namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_bytes{0};
 
 }  // namespace
 
@@ -52,6 +59,7 @@ std::atomic<std::size_t> g_allocations{0};
 void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
@@ -147,6 +155,33 @@ TEST(AllocationCount, ReferenceModeAlsoAllocationFreePerEvaluation) {
 
   EXPECT_LT(large_allocs, 3 * small_allocs)
       << "small=" << small_allocs << " large=" << large_allocs;
+}
+
+/// A 1-thread K=1 certification of the Fig. 17 solution-1 schedule (40
+/// branches) is a fixed-cost measurement: what it requests from operator
+/// new is the engine's per-sweep overhead, dominated by the simulator's
+/// plan and the forked branch states (~0.4 MB). A per-sweep table sized
+/// for deep searches would dwarf that.
+TEST(AllocationCount, SmallCertifySweepStaysUnderOneMebibyte) {
+#ifdef FTSCHED_ALLOC_COUNT_UNAVAILABLE
+  GTEST_SKIP() << "sanitizer runtime owns the global allocation operators";
+#endif
+  const workload::OwnedProblem ex = workload::paper_example1();
+  const Expected<Schedule> schedule = schedule_solution1(ex.problem);
+  ASSERT_TRUE(schedule.has_value());
+  campaign::CertifySpec spec;
+  spec.max_failures = 1;
+  spec.threads = 1;
+
+  g_bytes.store(0);
+  g_counting.store(true);
+  const campaign::CertifyReport report = campaign::certify(*schedule, spec);
+  g_counting.store(false);
+  const std::size_t bytes = g_bytes.load();
+
+  EXPECT_TRUE(report.certified);
+  EXPECT_LT(bytes, std::size_t{1} << 20) << "certify() requested " << bytes
+                                         << " bytes";
 }
 
 }  // namespace

@@ -63,6 +63,31 @@ TEST(ServiceJson, TypedAccessorsDefaultOnMismatch) {
   EXPECT_TRUE(root.bool_or("absent", true));
 }
 
+TEST(ServiceJson, CheckedIntegerRejectsWhatACastWouldMangle) {
+  const auto value = parse_json(
+      R"({"n": 7, "neg": -1, "frac": 2.5, "big": 1e300, "s": "7"})");
+  ASSERT_TRUE(value.has_value());
+  const JsonValue& root = value.value();
+  const auto read = [&](std::string_view key) {
+    return checked_integer(root.find(key), key, 0, 100, 42);
+  };
+  ASSERT_TRUE(read("n").has_value());
+  EXPECT_EQ(*read("n"), 7);
+  ASSERT_TRUE(read("absent").has_value());
+  EXPECT_EQ(*read("absent"), 42);
+  for (const char* key : {"neg", "frac", "big", "s"}) {
+    const auto bad = read(key);
+    ASSERT_FALSE(bad.has_value()) << key;
+    EXPECT_EQ(bad.error().code, Error::Code::kInvalidInput);
+    EXPECT_NE(bad.error().message.find(key), std::string::npos);
+  }
+  // A required field has no fallback: absence is an error too.
+  EXPECT_FALSE(checked_integer(root.find("absent"), "absent", 0, 100)
+                   .has_value());
+  // The sentinel below zero is allowed only when the range admits it.
+  EXPECT_EQ(*checked_integer(root.find("neg"), "neg", -1, 100), -1);
+}
+
 TEST(ServiceJson, MalformedInputsAreCleanErrors) {
   const char* bad[] = {
       "",

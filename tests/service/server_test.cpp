@@ -143,6 +143,53 @@ TEST(CertifyService, MalformedAndFailingRequestsAnswerErrors) {
   EXPECT_TRUE(service.handle_line(R"({"type":"status","id":"s"})", sink));
 }
 
+TEST(CertifyService, OutOfRangeIntegerFieldsAnswerErrorsAndKeepServing) {
+  CertifyService service(ServeOptions{});
+  StringSink sink;
+  const std::string problem = inline_problem();
+  // Each is refused before any work starts: a negative thread count, a
+  // fractional budget, a claim below the -1 sentinel, a count past int.
+  for (const char* field :
+       {R"("threads":-1)", R"("links":0.5)", R"("claim_k":-2)",
+        R"("silences":3000000000)", R"("threads":"4")"}) {
+    EXPECT_TRUE(service.handle_line(
+        std::string(R"({"type":"submit","id":"bad",)") + field +
+            R"(,"problem_inline":)" + problem + "}",
+        sink));
+  }
+  // A valid submit after them is still served.
+  EXPECT_TRUE(service.handle_line(
+      R"({"type":"submit","id":"ok","problem_inline":)" + problem + "}",
+      sink));
+  const auto records = parse_records(sink.text());
+  std::size_t errors = 0;
+  for (const JsonValue& record : records) {
+    if (record.string_or("type", "") == "error") ++errors;
+  }
+  EXPECT_EQ(errors, 5u);
+  const JsonValue* result = find_record(records, "result", "ok");
+  ASSERT_NE(result, nullptr);
+  EXPECT_TRUE(result->bool_or("certified", false));
+}
+
+TEST(CertifyService, RequestThreadsClampToTheServersOwn) {
+  // A request asking for far more workers than the server runs is served
+  // on the server's own threads (certificates do not depend on the count),
+  // not by spawning a pool of 200000.
+  ServeOptions options;
+  options.threads = 2;
+  CertifyService service(options);
+  StringSink sink;
+  EXPECT_TRUE(service.handle_line(
+      R"({"type":"submit","id":"many","threads":200000,"problem_inline":)" +
+          inline_problem() + "}",
+      sink));
+  const auto records = parse_records(sink.text());
+  const JsonValue* result = find_record(records, "result", "many");
+  ASSERT_NE(result, nullptr);
+  EXPECT_TRUE(result->bool_or("certified", false));
+}
+
 TEST(CertifyService, ChainConstrainedSubmitLabelsItsCounterexamples) {
   CertifyService service(ServeOptions{});
   StringSink sink;

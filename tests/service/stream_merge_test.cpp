@@ -128,6 +128,14 @@ TEST(StreamParse, MalformedRecordsAreCleanErrors) {
       R"({"type":"wormhole"})",                  // unknown type
       R"([1,2,3])",                              // not an object
       R"({"type":"task"})",                      // missing task index
+      R"({"type":"task","task":-1})",            // negative task index
+      R"({"type":"task","task":1.5})",           // fractional task index
+      R"({"type":"task","task":1e300})",         // task index past 2^53
+      R"({"type":"task","task":2,"branches":-3})",
+      R"({"type":"task","task":2,"counterexamples":[{"dead":[-1]}]})",
+      R"({"type":"task","task":2,"counterexamples":[{"crashes":[{"t":1}]}]})",
+      R"({"type":"meta","format":1,"max_failures":-1,"shard_count":1})",
+      R"({"type":"end","tasks_emitted":"7"})",
       R"({"type":"meta","format":99})",          // unsupported format
       R"({"type":"meta","format":1,"shard_index":3,"shard_count":2})",
   };
@@ -185,6 +193,12 @@ TEST(StreamParse, RecordsRoundTrip) {
   EXPECT_EQ(t.counterexamples[0].silences, branch.silences);
   EXPECT_TRUE(t.counterexamples[0].outputs_lost);
   EXPECT_EQ(t.counterexamples[0].response_time, kInfinite);
+
+  // Older streams still carry a leaves_reused count; it is ignored.
+  const auto legacy =
+      parse_record(R"({"type":"task","task":3,"leaves_reused":5})");
+  ASSERT_TRUE(legacy.has_value()) << legacy.error().message;
+  EXPECT_EQ(legacy.value().task.task_index, 3u);
 }
 
 TEST(StreamMerge, RefusesTamperedStreams) {
