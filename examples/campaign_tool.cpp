@@ -22,9 +22,10 @@
 // (each implies --certify) extend the sweep beyond the paper's §5.1
 // processor contract with up to L link deaths and S fail-silent windows;
 // --response-bound tightens the response envelope the oracle and the
-// certifier check (a branch's envelope widens by the longest injected
-// silent window). Counterexamples are shrunk to a minimal serialized
-// reproducer automatically.
+// certifier check (a branch's envelope widens by its measured silence
+// deferral: how long a silent window held back a blocked send, at most
+// the window's length). Counterexamples are shrunk to a minimal
+// serialized reproducer automatically.
 //
 // Certification as a service (src/service):
 //
@@ -49,10 +50,13 @@
 //
 // --repair runs the counterexample-guided repair loop (campaign/repair.hpp)
 // instead of certifying once: refute, shrink, localize the root blocker,
-// apply one targeted scheduling-constraint move, re-certify incrementally
-// through the replay cache — until the schedule certifies or the move/round
-// budget runs out. The JSON repair log (--repair-out) records every move
-// and its re-certification verdict and is byte-identical for any --threads.
+// apply one targeted scheduling-constraint move, re-certify — until the
+// schedule certifies or the move/round budget runs out. The JSON repair
+// log (--repair-out) records every move and its re-certification verdict
+// and is byte-identical for any --threads.
+//
+// --trace-out FILE records the profiling spans of any one-shot mode, from
+// scheduling on, as Chrome trace-event JSON.
 //
 // Exit status: 0 = campaign clean (replay satisfied the oracle / schedule
 // certified / repair converged), 1 = oracle violations (certification or
@@ -65,6 +69,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -123,8 +128,8 @@ int usage() {
       "refutation to --certify-out. --certify-links L adds up to L link\n"
       "deaths per branch (budgeted separately from K), --certify-silences\n"
       "S adds up to S fail-silent windows; --response-bound T makes both\n"
-      "the certifier and the oracle enforce response <= T (+ the longest\n"
-      "injected silent window).\n"
+      "the certifier and the oracle enforce response <= T (+ the time a\n"
+      "silent window held back a blocked send, at most its length).\n"
       "--latency NAME:SRC:SINK:BOUND (repeatable) adds a named chain\n"
       "constraint — every surviving replica path from SRC's operation to\n"
       "SINK's must complete within BOUND — checked by the oracle, the\n"
@@ -161,8 +166,9 @@ int usage() {
       "independent of how connections interleave.\n"
       "--metrics-out writes the campaign's merged domain metrics as JSON\n"
       "(deterministic for a given seed, any thread count); --trace-out\n"
-      "writes the run's profiling spans as Chrome trace-event JSON (open\n"
-      "in chrome://tracing or https://ui.perfetto.dev).\n"
+      "writes the profiling spans of any one-shot mode, scheduling\n"
+      "included, as Chrome trace-event JSON (open in chrome://tracing or\n"
+      "https://ui.perfetto.dev).\n"
       "\n"
       "exit status: 0 clean/certified/repaired, 1 refuted, 2 usage error,\n"
       "3 input file unreadable or malformed (diagnostic names the file\n"
@@ -270,56 +276,54 @@ int input_error(const std::string& path, const std::string& message) {
   return 3;
 }
 
-int run(int argc, char** argv);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& error) {
-    // Belt and braces: anything a malformed input drives the library to
-    // throw still exits with the input-error code and a one-line reason.
-    std::fprintf(stderr, "campaign_tool: %s\n", error.what());
-    return 3;
-  }
+/// The whole file at `path`; nullopt when it cannot be opened.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream file(path);
+  if (!file) return std::nullopt;
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
 }
 
-namespace {
-
-int run(int argc, char** argv) {
+/// The parsed command line.
+struct Args {
   std::string input;
+  bool example1 = false;
+  bool example2 = false;
+  HeuristicKind kind = HeuristicKind::kSolution1;
+  /// The campaign knobs. `threads` and the oracle spec also hold the flags
+  /// every mode shares: --threads, --claim-k, --response-bound, --latency.
+  campaign::CampaignOptions options;
   std::string replay_file;
   std::string metrics_out;
   std::string trace_out;
-  HeuristicKind kind = HeuristicKind::kSolution1;
-  bool example1 = false;
-  bool example2 = false;
   bool do_shrink = false;
   bool do_certify = false;
-  bool do_repair = false;
   long certify_links = 0;
   long certify_silences = 0;
-  long repair_rounds = campaign::RepairSpec{}.max_rounds;
   std::string certify_out;
+  bool do_repair = false;
+  long repair_rounds = campaign::RepairSpec{}.max_rounds;
   std::string repair_out;
   bool do_frontier = false;
   long frontier_k = -1;
   long frontier_links = campaign::FrontierSpec{}.max_link_failures;
   long frontier_silences = campaign::FrontierSpec{}.max_silences;
   std::string frontier_out;
-  campaign::LatencyConstraint latency;
-  std::vector<campaign::LatencyConstraint> latency_constraints;
   bool do_plan_key = false;
   bool do_shard = false;
-  bool do_serve = false;
   campaign::CertifyShardSpec shard;
   std::string stream_out;
   std::vector<std::string> merge_streams;
+  bool do_serve = false;
   std::string serve_socket_path;
   long cache_size = 64;
   long serve_threads = 1;
-  campaign::CampaignOptions options;
+};
+
+/// Fills `args` from the command line; false on a usage error.
+bool parse_args(int argc, char** argv, Args& args) {
+  campaign::CampaignOptions& options = args.options;
   // An interesting default mix: short missions, some over-budget attacks,
   // occasional benign silences and wrong suspicions. Link faults stay
   // opt-in (--links) — they are outside the paper's failure hypothesis.
@@ -332,16 +336,17 @@ int run(int argc, char** argv) {
     const std::string arg = argv[i];
     long number = 0;
     double fraction = 0;
+    campaign::LatencyConstraint latency;
     if (arg == "--example1") {
-      example1 = true;
+      args.example1 = true;
     } else if (arg == "--example2") {
-      example2 = true;
+      args.example2 = true;
     } else if (arg == "--base") {
-      kind = HeuristicKind::kBase;
+      args.kind = HeuristicKind::kBase;
     } else if (arg == "--solution1") {
-      kind = HeuristicKind::kSolution1;
+      args.kind = HeuristicKind::kSolution1;
     } else if (arg == "--solution2") {
-      kind = HeuristicKind::kSolution2;
+      args.kind = HeuristicKind::kSolution2;
     } else if (arg == "--seed" && i + 1 < argc &&
                parse_number("--seed", argv[++i], number)) {
       options.seed = static_cast<std::uint64_t>(number);
@@ -369,120 +374,111 @@ int run(int argc, char** argv) {
     } else if (arg == "--suspects") {
       options.spec.suspect_probability = 0.25;
     } else if (arg == "--shrink") {
-      do_shrink = true;
+      args.do_shrink = true;
     } else if (arg == "--certify") {
-      do_certify = true;
+      args.do_certify = true;
     } else if (arg == "--certify-links" && i + 1 < argc &&
                parse_number("--certify-links", argv[++i], number)) {
-      certify_links = number;
-      do_certify = true;
+      args.certify_links = number;
+      args.do_certify = true;
     } else if (arg == "--certify-silences" && i + 1 < argc &&
                parse_number("--certify-silences", argv[++i], number)) {
-      certify_silences = number;
-      do_certify = true;
+      args.certify_silences = number;
+      args.do_certify = true;
     } else if (arg == "--response-bound" && i + 1 < argc &&
                parse_time("--response-bound", argv[++i], fraction)) {
       options.oracle.response_bound = fraction;
     } else if (arg == "--latency" && i + 1 < argc &&
                parse_latency(argv[++i], latency)) {
-      latency_constraints.push_back(latency);
+      // Chain constraints apply everywhere a verdict is formed: the
+      // replay / shrink oracle, certification, repair, the frontier and
+      // the service modes.
+      options.oracle.latency_constraints.push_back(latency);
     } else if (arg == "--certify-out" && i + 1 < argc) {
-      certify_out = argv[++i];
+      args.certify_out = argv[++i];
     } else if (arg == "--repair") {
-      do_repair = true;
+      args.do_repair = true;
     } else if (arg == "--repair-rounds" && i + 1 < argc &&
                parse_number("--repair-rounds", argv[++i], number)) {
-      repair_rounds = number;
-      do_repair = true;
+      args.repair_rounds = number;
+      args.do_repair = true;
     } else if (arg == "--repair-out" && i + 1 < argc) {
-      repair_out = argv[++i];
-      do_repair = true;
+      args.repair_out = argv[++i];
+      args.do_repair = true;
     } else if (arg == "--frontier") {
-      do_frontier = true;
+      args.do_frontier = true;
     } else if (arg == "--frontier-k" && i + 1 < argc &&
                parse_number("--frontier-k", argv[++i], number)) {
-      frontier_k = number;
-      do_frontier = true;
+      args.frontier_k = number;
+      args.do_frontier = true;
     } else if (arg == "--frontier-links" && i + 1 < argc &&
                parse_number("--frontier-links", argv[++i], number)) {
-      frontier_links = number;
-      do_frontier = true;
+      args.frontier_links = number;
+      args.do_frontier = true;
     } else if (arg == "--frontier-silences" && i + 1 < argc &&
                parse_number("--frontier-silences", argv[++i], number)) {
-      frontier_silences = number;
-      do_frontier = true;
+      args.frontier_silences = number;
+      args.do_frontier = true;
     } else if (arg == "--frontier-out" && i + 1 < argc) {
-      frontier_out = argv[++i];
-      do_frontier = true;
+      args.frontier_out = argv[++i];
+      args.do_frontier = true;
     } else if (arg == "--plan-key") {
-      do_plan_key = true;
+      args.do_plan_key = true;
     } else if (arg == "--certify-shard" && i + 1 < argc &&
-               parse_shard(argv[++i], shard)) {
-      do_shard = true;
+               parse_shard(argv[++i], args.shard)) {
+      args.do_shard = true;
     } else if (arg == "--stream-out" && i + 1 < argc) {
-      stream_out = argv[++i];
+      args.stream_out = argv[++i];
     } else if (arg == "--merge-stream" && i + 1 < argc) {
-      merge_streams.emplace_back(argv[++i]);
+      args.merge_streams.emplace_back(argv[++i]);
     } else if (arg == "--serve") {
-      do_serve = true;
+      args.do_serve = true;
     } else if (arg == "--serve-socket" && i + 1 < argc) {
-      serve_socket_path = argv[++i];
-      do_serve = true;
+      args.serve_socket_path = argv[++i];
+      args.do_serve = true;
     } else if (arg == "--cache-size" && i + 1 < argc &&
                parse_number("--cache-size", argv[++i], number)) {
-      cache_size = number;
+      args.cache_size = number;
     } else if (arg == "--serve-threads" && i + 1 < argc &&
                parse_number("--serve-threads", argv[++i], number) &&
                number >= 1) {
-      serve_threads = number;
+      args.serve_threads = number;
     } else if (arg == "--replay" && i + 1 < argc) {
-      replay_file = argv[++i];
+      args.replay_file = argv[++i];
     } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out = argv[++i];
+      args.metrics_out = argv[++i];
     } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
+      args.trace_out = argv[++i];
     } else if (!arg.empty() && arg[0] != '-') {
-      input = arg;
+      args.input = arg;
     } else {
-      return usage();
+      return false;
     }
   }
+  return true;
+}
 
-  if (do_serve) {
-    service::ServeOptions serve_options;
-    serve_options.cache_capacity = static_cast<std::size_t>(cache_size);
-    serve_options.threads = options.threads;
-    serve_options.serve_threads = static_cast<unsigned>(serve_threads);
-    serve_options.stop = &g_stop;
-    install_sigint_drain();
-    if (!serve_socket_path.empty()) {
-      return service::serve_socket(serve_socket_path, serve_options);
-    }
-    return service::serve_lines(std::cin, std::cout, serve_options);
+/// Prints the shrunk form of a refuting plan and the violations it keeps.
+void print_shrunk(const Schedule& sched, const campaign::OracleSpec& spec,
+                  const MissionPlan& plan) {
+  const ArchitectureGraph& arch = *sched.problem().architecture;
+  const Simulator simulator(sched);
+  const campaign::Oracle oracle(sched, spec);
+  const campaign::ShrinkResult shrunk =
+      campaign::shrink(simulator, oracle, plan);
+  std::printf(
+      "\n# shrunk reproducer (%zu -> %zu events, %zu re-simulations)\n%s",
+      shrunk.initial_events, shrunk.final_events, shrunk.simulations,
+      io::write_scenario(shrunk.plan, arch).c_str());
+  for (const std::string& violation : shrunk.violations) {
+    std::printf("# still fails: %s\n", violation.c_str());
   }
+}
 
-  workload::OwnedProblem owned;
-  if (example1) {
-    owned = workload::paper_example1();
-  } else if (example2) {
-    owned = workload::paper_example2();
-  } else if (!input.empty()) {
-    std::ifstream file(input);
-    if (!file) {
-      return input_error(input, "cannot open file");
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    Expected<workload::OwnedProblem> parsed = io::read_problem(buffer.str());
-    if (!parsed) {
-      return input_error(input, parsed.error().message);
-    }
-    owned = std::move(parsed).value();
-  } else {
-    return usage();
-  }
-
-  const Expected<Schedule> result = schedule(owned.problem, kind);
+/// Schedules the problem and runs the one mode the flags select: plan key,
+/// shard, merge, frontier, replay, repair, certify, else a campaign.
+int one_shot(const Args& args, const workload::OwnedProblem& owned) {
+  const Expected<Schedule> result = schedule(owned.problem, args.kind);
   if (!result) {
     std::fprintf(stderr, "scheduling failed (%s): %s\n",
                  to_string(result.error().code).c_str(),
@@ -491,94 +487,85 @@ int run(int argc, char** argv) {
   }
   const Schedule& sched = result.value();
   const ArchitectureGraph& arch = *owned.problem.architecture;
+  const campaign::CampaignOptions& options = args.options;
 
-  // Chain constraints apply everywhere a verdict is formed: the replay /
-  // shrink oracle, certification, repair screening, and the service modes.
-  options.oracle.latency_constraints = latency_constraints;
+  // The one certification spec every certifying mode sweeps, so --plan-key
+  // prints exactly the key a certifyd submission with these flags would
+  // look up, and shards, merges, repair and --certify agree on it.
+  campaign::CertifySpec spec;
+  spec.max_failures = options.oracle.claimed_tolerance;
+  spec.max_link_failures = static_cast<int>(args.certify_links);
+  spec.max_silences = static_cast<int>(args.certify_silences);
+  spec.response_bound = options.oracle.response_bound;
+  spec.latency_constraints = options.oracle.latency_constraints;
+  spec.threads = options.threads;
 
-  // The certification budgets the service modes key/shard/merge against —
-  // identical to what --certify below builds, so --plan-key prints exactly
-  // the key a certifyd submission with these flags would look up.
-  campaign::CertifySpec service_spec;
-  service_spec.max_failures = options.oracle.claimed_tolerance;
-  service_spec.max_link_failures = static_cast<int>(certify_links);
-  service_spec.max_silences = static_cast<int>(certify_silences);
-  service_spec.response_bound = options.oracle.response_bound;
-  service_spec.latency_constraints = latency_constraints;
-  service_spec.threads = options.threads;
-
-  if (do_plan_key) {
+  if (args.do_plan_key) {
     // Bare key on stdout: scripts compare two problems' cache identity.
-    std::printf("%s\n", service::plan_key_string(sched, service_spec).c_str());
+    std::printf("%s\n", service::plan_key_string(sched, spec).c_str());
     return 0;
   }
 
-  if (!do_shard) {
+  if (args.do_shard) {
     // Shard mode keeps stdout clean: with no --stream-out the NDJSON
     // records themselves go there.
-    std::printf("schedule: %s, K=%d, makespan %s\n",
-                to_string(sched.kind()).c_str(), sched.failures_tolerated(),
-                time_to_string(sched.makespan()).c_str());
-  }
-
-  if (do_shard) {
     std::ofstream file;
     std::ostream* out = &std::cout;
-    if (!stream_out.empty()) {
-      file.open(stream_out);
+    if (!args.stream_out.empty()) {
+      file.open(args.stream_out);
       if (!file) {
-        std::fprintf(stderr, "cannot write %s\n", stream_out.c_str());
+        std::fprintf(stderr, "cannot write %s\n", args.stream_out.c_str());
         return 2;
       }
       out = &file;
     }
     service::OstreamSink sink(*out);
     const service::StreamShardResult shard_result =
-        service::certify_stream(sched, service_spec, shard, sink);
+        service::certify_stream(sched, spec, args.shard, sink);
     std::fprintf(stderr, "shard %zu/%zu: %zu tasks streamed\n",
-                 shard.shard_index, shard.shard_count,
+                 args.shard.shard_index, args.shard.shard_count,
                  shard_result.tasks_emitted);
     return shard_result.completed ? 0 : 1;
   }
 
-  if (!merge_streams.empty()) {
+  std::printf("schedule: %s, K=%d, makespan %s\n",
+              to_string(sched.kind()).c_str(), sched.failures_tolerated(),
+              time_to_string(sched.makespan()).c_str());
+
+  if (!args.merge_streams.empty()) {
     std::vector<std::string> streams;
-    for (const std::string& path : merge_streams) {
-      std::ifstream file(path);
-      if (!file) {
-        return input_error(path, "cannot open file");
-      }
-      std::stringstream buffer;
-      buffer << file.rdbuf();
-      streams.push_back(buffer.str());
+    for (const std::string& path : args.merge_streams) {
+      std::optional<std::string> stream = read_file(path);
+      if (!stream) return input_error(path, "cannot open file");
+      streams.push_back(std::move(*stream));
     }
     const Expected<campaign::CertifyReport> merged =
-        service::merge_streams(sched, service_spec, streams);
+        service::merge_streams(sched, spec, streams);
     if (!merged) {
-      return input_error(merge_streams.front(), merged.error().message);
+      return input_error(args.merge_streams.front(), merged.error().message);
     }
     const campaign::CertifyReport& report = merged.value();
     std::fputs(report.to_text(arch).c_str(), stdout);
-    if (!certify_out.empty() &&
-        !write_file(certify_out, report.to_json(arch))) {
+    if (!args.certify_out.empty() &&
+        !write_file(args.certify_out, report.to_json(arch))) {
       return 2;
     }
     return report.certified ? 0 : 1;
   }
 
-  if (do_frontier) {
+  if (args.do_frontier) {
     campaign::FrontierSpec fspec;
-    fspec.max_failures = static_cast<int>(frontier_k);
-    fspec.max_link_failures = static_cast<int>(frontier_links);
-    fspec.max_silences = static_cast<int>(frontier_silences);
+    fspec.max_failures = static_cast<int>(args.frontier_k);
+    fspec.max_link_failures = static_cast<int>(args.frontier_links);
+    fspec.max_silences = static_cast<int>(args.frontier_silences);
     fspec.response_bound = options.oracle.response_bound;
-    fspec.latency_constraints = latency_constraints;
+    fspec.latency_constraints = options.oracle.latency_constraints;
     fspec.threads = options.threads;
     const campaign::FrontierReport report =
         campaign::frontier_sweep(sched, fspec);
     std::fputs(report.to_text(arch).c_str(), stdout);
-    if (!frontier_out.empty() &&
-        !write_file(frontier_out, report.to_json(arch))) {
+    if (!args.frontier_out.empty() &&
+        !write_file(args.frontier_out, report.to_json(arch))) {
       return 2;
     }
     // The frontier is a capability map, not a pass/fail gate; the exit
@@ -586,17 +573,12 @@ int run(int argc, char** argv) {
     return !report.points.empty() && report.points.front().certified ? 0 : 1;
   }
 
-  if (!replay_file.empty()) {
-    std::ifstream file(replay_file);
-    if (!file) {
-      return input_error(replay_file, "cannot open file");
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    const Expected<MissionPlan> plan =
-        io::read_scenario(buffer.str(), arch);
+  if (!args.replay_file.empty()) {
+    const std::optional<std::string> text = read_file(args.replay_file);
+    if (!text) return input_error(args.replay_file, "cannot open file");
+    const Expected<MissionPlan> plan = io::read_scenario(*text, arch);
     if (!plan) {
-      return input_error(replay_file, plan.error().message);
+      return input_error(args.replay_file, plan.error().message);
     }
     const campaign::Oracle oracle(sched, options.oracle);
     const MissionResult mission = run_mission(sched, plan.value());
@@ -613,33 +595,21 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  if (do_repair) {
+  if (args.do_repair) {
     campaign::RepairSpec rspec;
-    rspec.certify.max_failures = options.oracle.claimed_tolerance;
-    rspec.certify.max_link_failures = static_cast<int>(certify_links);
-    rspec.certify.max_silences = static_cast<int>(certify_silences);
-    rspec.certify.response_bound = options.oracle.response_bound;
-    rspec.certify.latency_constraints = latency_constraints;
-    rspec.certify.threads = options.threads;
-    rspec.max_rounds = static_cast<int>(repair_rounds);
-    if (!trace_out.empty()) obs::Profiler::global().enable(true);
+    rspec.certify = spec;
+    rspec.max_rounds = static_cast<int>(args.repair_rounds);
     const campaign::RepairReport report =
-        campaign::repair(owned.problem, kind, rspec);
+        campaign::repair(owned.problem, args.kind, rspec);
     const AlgorithmGraph& graph = *owned.problem.algorithm;
     std::fputs(report.to_text(graph, arch).c_str(), stdout);
-    if (!repair_out.empty() &&
-        !write_file(repair_out, report.to_json(graph, arch))) {
+    if (!args.repair_out.empty() &&
+        !write_file(args.repair_out, report.to_json(graph, arch))) {
       return 2;
     }
-    if (!metrics_out.empty() &&
-        !write_file(metrics_out, report.metrics.to_json())) {
+    if (!args.metrics_out.empty() &&
+        !write_file(args.metrics_out, report.metrics.to_json())) {
       return 2;
-    }
-    if (!trace_out.empty()) {
-      obs::Profiler::global().enable(false);
-      const std::string trace =
-          obs::chrome_trace_from_spans(obs::Profiler::global().drain());
-      if (!write_file(trace_out, trace)) return 2;
     }
     if (report.certified) return 0;
     if (!report.rounds.empty() && !report.rounds.back().certified) {
@@ -651,34 +621,16 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  if (do_certify) {
-    campaign::CertifySpec spec;
-    spec.max_failures = options.oracle.claimed_tolerance;
-    spec.max_link_failures = static_cast<int>(certify_links);
-    spec.max_silences = static_cast<int>(certify_silences);
-    spec.response_bound = options.oracle.response_bound;
-    spec.latency_constraints = latency_constraints;
-    spec.threads = options.threads;
-    // The shrink oracle must judge link faults within the certified budget
-    // as within-contract, or a link counterexample would satisfy it and
-    // the shrinker's precondition (oracle rejects the plan) would fail.
-    options.oracle.claimed_link_tolerance = static_cast<int>(certify_links);
-    if (!trace_out.empty()) obs::Profiler::global().enable(true);
+  if (args.do_certify) {
     const campaign::CertifyReport report = campaign::certify(sched, spec);
     std::fputs(report.to_text(arch).c_str(), stdout);
-    if (!certify_out.empty() &&
-        !write_file(certify_out, report.to_json(arch))) {
+    if (!args.certify_out.empty() &&
+        !write_file(args.certify_out, report.to_json(arch))) {
       return 2;
     }
-    if (!metrics_out.empty() &&
-        !write_file(metrics_out, report.metrics.to_json())) {
+    if (!args.metrics_out.empty() &&
+        !write_file(args.metrics_out, report.metrics.to_json())) {
       return 2;
-    }
-    if (!trace_out.empty()) {
-      obs::Profiler::global().enable(false);
-      const std::string trace =
-          obs::chrome_trace_from_spans(obs::Profiler::global().drain());
-      if (!write_file(trace_out, trace)) return 2;
     }
     if (report.certified) return 0;
 
@@ -689,33 +641,21 @@ int run(int argc, char** argv) {
         campaign::counterexample_plan(report.counterexamples.front());
     std::printf("\n# counterexample reproducer (%zu events)\n%s",
                 plan.event_count(), io::write_scenario(plan, arch).c_str());
-    const Simulator simulator(sched);
-    const campaign::Oracle oracle(sched, options.oracle);
-    const campaign::ShrinkResult shrunk =
-        campaign::shrink(simulator, oracle, plan);
-    std::printf(
-        "\n# shrunk reproducer (%zu -> %zu events, %zu re-simulations)\n%s",
-        shrunk.initial_events, shrunk.final_events, shrunk.simulations,
-        io::write_scenario(shrunk.plan, arch).c_str());
-    for (const std::string& violation : shrunk.violations) {
-      std::printf("# still fails: %s\n", violation.c_str());
-    }
+    // The shrink oracle must judge link faults within the certified budget
+    // as within-contract, or a link counterexample would satisfy it and
+    // the shrinker's precondition (oracle rejects the plan) would fail.
+    campaign::OracleSpec shrink_spec = options.oracle;
+    shrink_spec.claimed_link_tolerance = spec.max_link_failures;
+    print_shrunk(sched, shrink_spec, plan);
     return 1;
   }
 
-  if (!trace_out.empty()) obs::Profiler::global().enable(true);
   const campaign::CampaignReport report =
       campaign::run_campaign(sched, options);
   std::fputs(report.to_text(arch).c_str(), stdout);
-  if (!metrics_out.empty() &&
-      !write_file(metrics_out, report.metrics.to_json())) {
+  if (!args.metrics_out.empty() &&
+      !write_file(args.metrics_out, report.metrics.to_json())) {
     return 2;
-  }
-  if (!trace_out.empty()) {
-    obs::Profiler::global().enable(false);
-    const std::string trace =
-        obs::chrome_trace_from_spans(obs::Profiler::global().drain());
-    if (!write_file(trace_out, trace)) return 2;
   }
   if (report.violations.empty()) return 0;
 
@@ -730,20 +670,64 @@ int run(int argc, char** argv) {
   std::printf("\n# original reproducer (%zu events)\n%s",
               first.plan.event_count(),
               io::write_scenario(first.plan, arch).c_str());
-  if (do_shrink) {
-    const Simulator simulator(sched);
-    const campaign::Oracle oracle(sched, options.oracle);
-    const campaign::ShrinkResult shrunk =
-        campaign::shrink(simulator, oracle, first.plan);
-    std::printf(
-        "\n# shrunk reproducer (%zu -> %zu events, %zu re-simulations)\n%s",
-        shrunk.initial_events, shrunk.final_events, shrunk.simulations,
-        io::write_scenario(shrunk.plan, arch).c_str());
-    for (const std::string& violation : shrunk.violations) {
-      std::printf("# still fails: %s\n", violation.c_str());
-    }
-  }
+  if (args.do_shrink) print_shrunk(sched, options.oracle, first.plan);
   return 1;
 }
 
+int run(int argc, char** argv) {
+  Args args;
+  if (!parse_args(argc, argv, args)) return usage();
+
+  if (args.do_serve) {
+    service::ServeOptions serve_options;
+    serve_options.cache_capacity = static_cast<std::size_t>(args.cache_size);
+    serve_options.threads = args.options.threads;
+    serve_options.serve_threads = static_cast<unsigned>(args.serve_threads);
+    serve_options.stop = &g_stop;
+    install_sigint_drain();
+    if (!args.serve_socket_path.empty()) {
+      return service::serve_socket(args.serve_socket_path, serve_options);
+    }
+    return service::serve_lines(std::cin, std::cout, serve_options);
+  }
+
+  workload::OwnedProblem owned;
+  if (args.example1) {
+    owned = workload::paper_example1();
+  } else if (args.example2) {
+    owned = workload::paper_example2();
+  } else if (!args.input.empty()) {
+    const std::optional<std::string> text = read_file(args.input);
+    if (!text) return input_error(args.input, "cannot open file");
+    Expected<workload::OwnedProblem> parsed = io::read_problem(*text);
+    if (!parsed) {
+      return input_error(args.input, parsed.error().message);
+    }
+    owned = std::move(parsed).value();
+  } else {
+    return usage();
+  }
+
+  // One profiling scope for every one-shot mode: on before scheduling, so
+  // the sched.* spans land beside the mode's own, and written once.
+  obs::Profiler& profiler = obs::Profiler::global();
+  if (!args.trace_out.empty()) profiler.enable(true);
+  const int status = one_shot(args, owned);
+  if (args.trace_out.empty()) return status;
+  profiler.enable(false);
+  const std::string trace = obs::chrome_trace_from_spans(profiler.drain());
+  return write_file(args.trace_out, trace) ? status : 2;
+}
+
 }  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    // Belt and braces: anything a malformed input drives the library to
+    // throw still exits with the input-error code and a one-line reason.
+    std::fprintf(stderr, "campaign_tool: %s\n", error.what());
+    return 3;
+  }
+}

@@ -4,34 +4,31 @@
 //
 //   ./trace_tool gantt --example1 --solution1 -o fig17.trace.json
 //   ./trace_tool sim --example1 --solution1 --fail P1@2 -o faulty.trace.json
-//   ./trace_tool sim --example2 --solution2 --dead P3 --replay repro.scenario
-//   ./trace_tool profile --example1 --solution1 --scenarios 5000 --threads 4
+//   ./trace_tool sim --example2 --solution2 --dead P3
 //   ./trace_tool explain --example1 --solution1
 //
 // Subcommands:
 //   gantt    the static schedule, one timeline row per processor and link;
 //   sim      one simulated iteration (crashes via --fail, processors dead
 //            from the start via --dead) as an actual-execution timeline
-//            with timeout / election / failure instants;
-//   profile  wall-clock profiling spans of a fault-injection campaign over
-//            the schedule, one row per worker thread (needs a build with
-//            FTSCHED_OBS=ON to show scheduler/simulator internals);
+//            with timeout / election / failure instants; a --fail TIME
+//            must be a finite number >= 0;
 //   explain  the per-step candidate tables of the list scheduler (text,
 //            not JSON): every (operation, processor) pressure evaluation
 //            with its sigma components and the decision taken.
 //
+// Profiling spans of a run come from `campaign_tool --trace-out FILE`.
+//
 // Exit status: 0 = ok, 2 = usage or I/O error.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "campaign/runner.hpp"
+#include "io/cli_util.hpp"
 #include "io/problem_format.hpp"
 #include "obs/chrome_trace.hpp"
-#include "obs/span.hpp"
 #include "sched/explain.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/simulator.hpp"
@@ -43,18 +40,11 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: trace_tool <gantt | sim | profile | explain>\n"
+      "usage: trace_tool <gantt | sim | explain>\n"
       "                  <file | --example1 | --example2>\n"
       "                  [--base | --solution1 | --solution2] [-o FILE]\n"
-      "       sim:     [--fail PROC@TIME]... [--dead PROC]...\n"
-      "       profile: [--scenarios N] [--threads N] [--seed N]\n");
+      "       sim:     [--fail PROC@TIME]... [--dead PROC]...\n");
   return 2;
-}
-
-bool parse_number(const std::string& text, long& out) {
-  char* end = nullptr;
-  out = std::strtol(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0' && out >= 0;
 }
 
 bool emit(const std::string& path, const std::string& content) {
@@ -77,10 +67,7 @@ bool emit(const std::string& path, const std::string& content) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string mode = argv[1];
-  if (mode != "gantt" && mode != "sim" && mode != "profile" &&
-      mode != "explain") {
-    return usage();
-  }
+  if (mode != "gantt" && mode != "sim" && mode != "explain") return usage();
 
   std::string input;
   std::string out_file;
@@ -89,13 +76,9 @@ int main(int argc, char** argv) {
   HeuristicKind kind = HeuristicKind::kSolution1;
   std::vector<std::pair<std::string, Time>> crashes;  // --fail name@time
   std::vector<std::string> dead;                      // --dead name
-  long scenarios = 2000;
-  long threads = 0;
-  long seed = 0;
 
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    long number = 0;
     if (arg == "--example1") {
       example1 = true;
     } else if (arg == "--example2") {
@@ -111,29 +94,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--fail" && i + 1 < argc) {
       const std::string spec = argv[++i];
       const std::size_t at = spec.find('@');
-      char* end = nullptr;
-      const double time =
-          at == std::string::npos
-              ? 0.0
-              : std::strtod(spec.c_str() + at + 1, &end);
-      if (at == std::string::npos || end == spec.c_str() + at + 1 ||
-          *end != '\0') {
-        std::fprintf(stderr, "--fail wants PROC@TIME, got %s\n",
+      double time = 0;
+      if (at == std::string::npos ||
+          io::parse_instant(spec.c_str() + at + 1, time) !=
+              io::ParseStatus::kOk) {
+        std::fprintf(stderr,
+                     "trace_tool: --fail operand \"%s\" is not PROC@TIME "
+                     "with TIME a finite number >= 0\n",
                      spec.c_str());
         return 2;
       }
       crashes.emplace_back(spec.substr(0, at), time);
     } else if (arg == "--dead" && i + 1 < argc) {
       dead.emplace_back(argv[++i]);
-    } else if (arg == "--scenarios" && i + 1 < argc &&
-               parse_number(argv[++i], number)) {
-      scenarios = number;
-    } else if (arg == "--threads" && i + 1 < argc &&
-               parse_number(argv[++i], number)) {
-      threads = number;
-    } else if (arg == "--seed" && i + 1 < argc &&
-               parse_number(argv[++i], number)) {
-      seed = number;
     } else if (!arg.empty() && arg[0] != '-') {
       input = arg;
     } else {
@@ -169,12 +142,6 @@ int main(int argc, char** argv) {
   SchedulerOptions sched_options;
   ExplainLog explain;
   if (mode == "explain") sched_options.explain = &explain;
-  if (mode == "profile") {
-    // Enable before scheduling so the sched.* spans (pressure evaluation,
-    // candidate sort, commit) land in the profile alongside the campaign.
-    static_cast<void>(obs::Profiler::global().drain());
-    obs::Profiler::global().enable(true);
-  }
 
   const Expected<Schedule> result =
       schedule(owned.problem, kind, sched_options);
@@ -197,57 +164,36 @@ int main(int argc, char** argv) {
     return emit(out_file, explain.to_text(owned.problem)) ? 0 : 2;
   }
 
-  if (mode == "sim") {
-    FailureScenario scenario;
-    for (const auto& [name, time] : crashes) {
-      const ProcessorId proc = arch.find_processor(name);
-      if (!proc.valid()) {
-        std::fprintf(stderr, "unknown processor %s\n", name.c_str());
-        return 2;
-      }
-      scenario.events.push_back(FailureEvent{proc, time});
+  // sim: one iteration under the --fail and --dead faults.
+  FailureScenario scenario;
+  for (const auto& [name, time] : crashes) {
+    const ProcessorId proc = arch.find_processor(name);
+    if (!proc.valid()) {
+      std::fprintf(stderr, "unknown processor %s\n", name.c_str());
+      return 2;
     }
-    for (const std::string& name : dead) {
-      const ProcessorId proc = arch.find_processor(name);
-      if (!proc.valid()) {
-        std::fprintf(stderr, "unknown processor %s\n", name.c_str());
-        return 2;
-      }
-      scenario.failed_at_start.push_back(proc);
-    }
-    const Simulator simulator(sched);
-    const IterationResult iteration = simulator.run(scenario);
-    std::fprintf(stderr,
-                 "iteration: outputs %s, response %s, %zu timeouts, "
-                 "%zu elections\n",
-                 iteration.all_outputs_produced ? "produced" : "LOST",
-                 time_to_string(iteration.response_time).c_str(),
-                 iteration.trace.count(TraceEvent::Kind::kTimeout),
-                 iteration.trace.count(TraceEvent::Kind::kElection));
-    return emit(out_file,
-                obs::chrome_trace_from_sim_trace(
-                    iteration.trace, *owned.problem.algorithm, arch))
-               ? 0
-               : 2;
+    scenario.events.push_back(FailureEvent{proc, time});
   }
-
-  // profile: hammer the schedule with a campaign while recording spans.
-  campaign::CampaignOptions options;
-  options.scenarios = static_cast<std::size_t>(scenarios);
-  options.threads = static_cast<unsigned>(threads);
-  options.seed = static_cast<std::uint64_t>(seed);
-  options.spec.max_iterations = 3;
-  options.spec.over_budget_fraction = 0.15;
-  options.spec.silence_probability = 0.10;
-  options.spec.suspect_probability = 0.10;
-  const campaign::CampaignReport report =
-      campaign::run_campaign(sched, options);
-  obs::Profiler::global().enable(false);
-  std::fprintf(stderr, "campaign: %zu scenarios on %u threads, %.0f/s\n",
-               report.scenarios_run, report.threads_used,
-               report.scenarios_per_second());
+  for (const std::string& name : dead) {
+    const ProcessorId proc = arch.find_processor(name);
+    if (!proc.valid()) {
+      std::fprintf(stderr, "unknown processor %s\n", name.c_str());
+      return 2;
+    }
+    scenario.failed_at_start.push_back(proc);
+  }
+  const Simulator simulator(sched);
+  const IterationResult iteration = simulator.run(scenario);
+  std::fprintf(stderr,
+               "iteration: outputs %s, response %s, %zu timeouts, "
+               "%zu elections\n",
+               iteration.all_outputs_produced ? "produced" : "LOST",
+               time_to_string(iteration.response_time).c_str(),
+               iteration.trace.count(TraceEvent::Kind::kTimeout),
+               iteration.trace.count(TraceEvent::Kind::kElection));
   return emit(out_file,
-              obs::chrome_trace_from_spans(obs::Profiler::global().drain()))
+              obs::chrome_trace_from_sim_trace(
+                  iteration.trace, *owned.problem.algorithm, arch))
              ? 0
              : 2;
 }

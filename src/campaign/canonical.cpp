@@ -191,14 +191,4 @@ std::string canonical_fingerprint(const MissionPlan& plan) {
   return out;
 }
 
-std::uint64_t plan_key(const MissionPlan& plan) {
-  const std::string bytes = canonical_fingerprint(plan);
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV-1a prime
-  }
-  return hash;
-}
-
 }  // namespace ftsched::campaign

@@ -62,8 +62,18 @@ struct CanonicalScratch {
 void canonical_fingerprint_into(const MissionPlan& plan,
                                 CanonicalScratch& scratch, std::string& out);
 
-/// FNV-1a 64-bit hash of canonical_fingerprint(plan), for callers that
-/// want a compact key and can tolerate (negligible) collisions.
-[[nodiscard]] std::uint64_t plan_key(const MissionPlan& plan);
+/// FNV-1a 64-bit over fingerprint bytes: the compact key the campaign
+/// runner's replay cache indexes canonical fingerprints by (equal
+/// fingerprints hash equal; distinct ones collide with negligible odds,
+/// and the cache verifies the full fingerprint).
+[[nodiscard]] inline std::uint64_t fingerprint_hash(
+    const std::string& bytes) noexcept {
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;  // FNV-1a prime
+  }
+  return hash;
+}
 
 }  // namespace ftsched::campaign

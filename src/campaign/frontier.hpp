@@ -123,7 +123,7 @@ struct FrontierReport {
   std::size_t points_implied = 0;
 
   /// Deterministic machine-readable report: byte-identical across thread
-  /// counts (the CI frontier-smoke diff).
+  /// counts (Frontier.ReportIsByteIdenticalAcrossThreads).
   [[nodiscard]] std::string to_json(const ArchitectureGraph& arch) const;
   /// Human-readable lattice summary.
   [[nodiscard]] std::string to_text(const ArchitectureGraph& arch) const;

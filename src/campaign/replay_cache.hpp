@@ -32,19 +32,6 @@
 
 namespace ftsched::campaign {
 
-/// FNV-1a 64-bit over the fingerprint bytes — same function as
-/// canonical.hpp's plan_key, exposed so the runner hashes the fingerprint
-/// it already built instead of re-canonicalizing.
-[[nodiscard]] inline std::uint64_t fingerprint_hash(
-    const std::string& bytes) noexcept {
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV-1a prime
-  }
-  return hash;
-}
-
 class ReplayCache {
  public:
   /// Capacity is sized for `expected_keys` distinct fingerprints (rounded
@@ -55,9 +42,9 @@ class ReplayCache {
   ReplayCache(const ReplayCache&) = delete;
   ReplayCache& operator=(const ReplayCache&) = delete;
 
-  /// The cached result for `key` (whose fingerprint_hash is `hash`), or
-  /// null. Lock-free. Returns a raw pointer, not a shared_ptr copy:
-  /// published slots are never overwritten or evicted, so the result
+  /// The cached result for `key` (whose canonical.hpp fingerprint_hash is
+  /// `hash`), or null. Lock-free. Returns a raw pointer, not a shared_ptr
+  /// copy: published slots are never overwritten or evicted, so the result
   /// outlives the cache's every reader and a hit costs no refcount
   /// round-trip.
   [[nodiscard]] const MissionResult* find(std::uint64_t hash,

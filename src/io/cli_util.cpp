@@ -1,6 +1,7 @@
 #include "io/cli_util.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -45,6 +46,14 @@ ParseStatus parse_time(const char* text, double& out) {
       text, out, [](const char* s, char** end) { return std::strtod(s, end); });
   if (status != ParseStatus::kOk) return status;
   return out > 0.0 ? ParseStatus::kOk : ParseStatus::kMalformed;
+}
+
+ParseStatus parse_instant(const char* text, double& out) {
+  const ParseStatus status = checked(
+      text, out, [](const char* s, char** end) { return std::strtod(s, end); });
+  if (status != ParseStatus::kOk) return status;
+  return std::isfinite(out) && out >= 0.0 ? ParseStatus::kOk
+                                          : ParseStatus::kMalformed;
 }
 
 ParseStatus parse_shard(const char* text, std::size_t& index,

@@ -32,6 +32,10 @@ enum class ParseStatus { kOk, kMalformed, kOutOfRange };
 /// Strictly positive double into `out`.
 [[nodiscard]] ParseStatus parse_time(const char* text, double& out);
 
+/// An instant: finite double >= 0 into `out` (NaN, infinities and negative
+/// values are kMalformed — a simulator cannot schedule them).
+[[nodiscard]] ParseStatus parse_instant(const char* text, double& out);
+
 /// "I/N" shard assignment with 0 <= I < N.
 [[nodiscard]] ParseStatus parse_shard(const char* text, std::size_t& index,
                                       std::size_t& count);

@@ -55,8 +55,8 @@ class Profiler {
  public:
   [[nodiscard]] static Profiler& global();
 
-  /// Off by default; tools (trace_tool profile, campaign_tool --trace-out)
-  /// switch it on around the region of interest.
+  /// Off by default; campaign_tool --trace-out switches it on around the
+  /// region of interest.
   void enable(bool on) noexcept {
     enabled_.store(on, std::memory_order_relaxed);
   }

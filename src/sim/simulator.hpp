@@ -64,8 +64,7 @@ struct IterationResult {
   /// prefix it was forked from (Branch::fork resets the counter). For a
   /// from-scratch run() this is the whole iteration's event count; for a
   /// forked branch it is the marginal simulation work the branch cost,
-  /// which is exactly what prefix sharing (and the certifier's replay
-  /// cache) saves.
+  /// which is exactly what prefix sharing saves.
   std::size_t events_executed = 0;
   /// True when every extio output of the algorithm was executed by at least
   /// one processor alive at the end of the iteration.

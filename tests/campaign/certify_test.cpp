@@ -7,13 +7,17 @@
 // verdict relative to the naive enumerator it prunes — per fault class.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "../obs/json_check.hpp"
 #include "campaign/certify.hpp"
 #include "campaign/oracle.hpp"
 #include "campaign/shrink.hpp"
+#include "io/problem_format.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/mission.hpp"
 #include "sim/simulator.hpp"
@@ -24,6 +28,17 @@ namespace ftsched::campaign {
 namespace {
 
 using workload::OwnedProblem;
+
+/// The committed K=2 workload, read as `campaign_tool data/certify_k2.ft`
+/// reads it.
+OwnedProblem certify_k2_problem() {
+  std::ifstream file(std::string(FTSCHED_SOURCE_DIR) + "/data/certify_k2.ft");
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  Expected<OwnedProblem> parsed = io::read_problem(buffer.str());
+  EXPECT_TRUE(parsed.has_value());
+  return std::move(parsed).value();
+}
 
 void expect_same_report(const CertifyReport& a, const CertifyReport& b) {
   EXPECT_EQ(a.certified, b.certified);
@@ -207,22 +222,53 @@ TEST(Certify, ReportIsThreadCountInvariantWithLinkAndSilenceBudgets) {
   // The extended sweep fans out over (processor subset x link subset)
   // pairs with typed first victims; partials still merge in task-index
   // order, so the certificate must stay bit-identical for any thread
-  // count — link counterexamples, silence windows, and all.
-  const OwnedProblem ex = workload::paper_example1();
-  const Schedule schedule = schedule_solution1(ex.problem).value();
-  CertifySpec spec;
-  spec.max_failures = 1;
-  spec.max_link_failures = 1;
-  spec.max_silences = 1;
-  spec.threads = 1;
-  const CertifyReport one = certify(schedule, spec);
-  EXPECT_FALSE(one.certified);  // the bus death refutes it
-  for (const unsigned threads : {2u, 4u}) {
-    spec.threads = threads;
-    const CertifyReport many = certify(schedule, spec);
-    expect_same_report(one, many);
-    EXPECT_EQ(one.to_json(*ex.problem.architecture),
-              many.to_json(*ex.problem.architecture));
+  // count — link counterexamples, silence windows, chain labels and all.
+  const OwnedProblem ex1 = workload::paper_example1();
+  const OwnedProblem ex2 = workload::paper_example2();
+  const OwnedProblem k2 = certify_k2_problem();
+  const Schedule ex1_solution1 = schedule_solution1(ex1.problem).value();
+  const Schedule ex2_solution2 = schedule_solution2(ex2.problem).value();
+  const Schedule k2_solution2 = schedule_solution2(k2.problem).value();
+  const CertifySpec chains{
+      .latency_constraints = {LatencyConstraint{"spine", "A", "E", 1.0},
+                              LatencyConstraint{"mission", "I", "O", 100.0}}};
+  struct Case {
+    const Schedule* schedule;
+    CertifySpec spec;
+    bool certified;
+    std::vector<unsigned> threads;  // each compared with the 1-thread run
+  };
+  const std::vector<Case> cases = {
+      // The bus death refutes it.
+      {&ex1_solution1,
+       {.max_failures = 1, .max_link_failures = 1, .max_silences = 1},
+       false,
+       {2, 4}},
+      // campaign_tool data/certify_k2.ft --solution2 --certify-links 1
+      {&k2_solution2, {.max_link_failures = 1}, false, {8}},
+      // ... --claim-k 1 --certify-silences 1
+      {&k2_solution2, {.max_failures = 1, .max_silences = 1}, true, {8}},
+      // campaign_tool --example2 --solution2 --claim-k 2
+      //   --certify-silences 1
+      {&ex2_solution2, {.max_failures = 2, .max_silences = 1}, false, {2, 8}},
+      // campaign_tool --example1 --solution1 --certify
+      //   --latency spine:A:E:1 --latency mission:I:O:100
+      {&ex1_solution1, chains, false, {8}},
+  };
+  for (const Case& c : cases) {
+    const ArchitectureGraph& arch = *c.schedule->problem().architecture;
+    CertifySpec spec = c.spec;
+    spec.threads = 1;
+    const CertifyReport one = certify(*c.schedule, spec);
+    EXPECT_EQ(one.certified, c.certified);
+    const std::string json = one.to_json(arch);
+    EXPECT_TRUE(testing::JsonChecker(json).valid());
+    for (const unsigned threads : c.threads) {
+      spec.threads = threads;
+      const CertifyReport many = certify(*c.schedule, spec);
+      expect_same_report(one, many);
+      EXPECT_EQ(json, many.to_json(arch)) << threads << " threads";
+    }
   }
 }
 
@@ -329,25 +375,23 @@ TEST(Certify, RandomK2ProblemCertifiesToDepthTwo) {
 }
 
 TEST(Certify, EmptySweepIsMarkedNotExhaustive) {
-  const OwnedProblem ex = workload::paper_example1();
-  const Schedule schedule = schedule_solution1(ex.problem).value();
-  const ArchitectureGraph& arch = *schedule.problem().architecture;
-  CertifySpec spec;
-  spec.max_failures = 0;
-  spec.max_link_failures = 0;
-  spec.max_silences = 0;
-  const CertifyReport report = certify(schedule, spec);
-  // Zero resolved budgets certify exactly one branch: the fault-free run.
-  EXPECT_TRUE(report.certified);
-  EXPECT_EQ(report.branches, 1u);
-  EXPECT_NE(report.to_json(arch).find("\"sweep\": \"empty\""),
-            std::string::npos);
-
-  CertifySpec real;
-  real.max_failures = 1;
-  EXPECT_NE(certify(schedule, real).to_json(arch).find(
-                "\"sweep\": \"exhaustive\""),
-            std::string::npos);
+  const OwnedProblem ex1 = workload::paper_example1();
+  const OwnedProblem ex2 = workload::paper_example2();
+  const Schedule ex1_solution1 = schedule_solution1(ex1.problem).value();
+  const Schedule ex2_solution2 = schedule_solution2(ex2.problem).value();
+  for (const Schedule* schedule : {&ex1_solution1, &ex2_solution2}) {
+    const ArchitectureGraph& arch = *schedule->problem().architecture;
+    const CertifyReport report = certify(*schedule, {.max_failures = 0});
+    // Zero resolved budgets certify exactly one branch: the fault-free run.
+    EXPECT_TRUE(report.certified);
+    EXPECT_EQ(report.branches, 1u);
+    EXPECT_NE(report.to_json(arch).find("\"sweep\": \"empty\""),
+              std::string::npos);
+    EXPECT_NE(certify(*schedule, {.max_failures = 1})
+                  .to_json(arch)
+                  .find("\"sweep\": \"exhaustive\""),
+              std::string::npos);
+  }
 }
 
 TEST(Certify, ResponseBoundRefutesWhenTooTight) {

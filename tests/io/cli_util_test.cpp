@@ -66,6 +66,18 @@ TEST(CliUtil, ParseTimeRequiresAFinitePositiveValue) {
   EXPECT_EQ(parse_time("1e999", out), ParseStatus::kOutOfRange);
 }
 
+TEST(CliUtil, ParseInstantRequiresAFiniteNonNegativeValue) {
+  double out = -1;
+  EXPECT_EQ(parse_instant("0", out), ParseStatus::kOk);
+  EXPECT_EQ(out, 0.0);
+  EXPECT_EQ(parse_instant("2.5", out), ParseStatus::kOk);
+  EXPECT_EQ(out, 2.5);
+  for (const char* bad : {"-5", "nan", "inf", "soon", "", "2@"}) {
+    EXPECT_EQ(parse_instant(bad, out), ParseStatus::kMalformed) << bad;
+  }
+  EXPECT_EQ(parse_instant("1e999", out), ParseStatus::kOutOfRange);
+}
+
 TEST(CliUtil, ParseShardValidatesTheAssignment) {
   std::size_t index = 99, count = 99;
   EXPECT_EQ(parse_shard("0/1", index, count), ParseStatus::kOk);
