@@ -9,8 +9,7 @@
 // (same per-iteration outputs/response/counters — trace event ORDER within
 // one instant may differ, which no summary observes), and
 // canonical_fingerprint() serializes that normal form into the exact string
-// key the campaign runner uses to count unique coverage and skip redundant
-// replays.
+// key the campaign runner counts unique coverage by.
 //
 // Soundness argument, per rewrite:
 //  * sorting: scenario event lists only affect the simulator through
@@ -63,9 +62,9 @@ void canonical_fingerprint_into(const MissionPlan& plan,
                                 CanonicalScratch& scratch, std::string& out);
 
 /// FNV-1a 64-bit over fingerprint bytes: the compact key the campaign
-/// runner's replay cache indexes canonical fingerprints by (equal
+/// runner's unique-pattern set indexes canonical fingerprints by (equal
 /// fingerprints hash equal; distinct ones collide with negligible odds,
-/// and the cache verifies the full fingerprint).
+/// and the set verifies the full fingerprint).
 [[nodiscard]] inline std::uint64_t fingerprint_hash(
     const std::string& bytes) noexcept {
   std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis

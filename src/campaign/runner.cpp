@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "campaign/canonical.hpp"
-#include "campaign/replay_cache.hpp"
 #include "campaign/work_pool.hpp"
 #include "core/text.hpp"
 #include "obs/span.hpp"
@@ -21,10 +20,11 @@ namespace ftsched::campaign {
 namespace {
 
 /// Exact string set specialized for canonical fingerprints: keys live in an
-/// append-only arena and the caller supplies the FNV-1a hash it already
-/// computed for the replay cache, so an insert costs one open-addressing
-/// probe plus an arena append — no per-key node allocation, no re-hash.
-/// Equality still compares full key bytes, so the unique count is exact.
+/// append-only arena next to their FNV-1a hashes, so an insert costs one
+/// open-addressing probe plus an arena append — no per-key node
+/// allocation — and the index-order merge re-inserts a chunk's keys with
+/// their stored hashes, no re-hash. Equality still compares full key
+/// bytes, so the unique count is exact.
 class FingerprintSet {
  public:
   /// True when `key` was new. `hash` must be fingerprint_hash(key).
@@ -79,7 +79,6 @@ struct Partial {
   std::size_t within_contract = 0;
   std::size_t expected_losses = 0;
   std::size_t total_violations = 0;
-  std::size_t cached_replays = 0;
   std::vector<CampaignViolation> violations;
   /// Canonical fingerprints of this chunk's scenarios; the global union
   /// gives the unique-coverage count, independent of chunk-to-thread
@@ -117,7 +116,6 @@ struct ChunkTally {
   std::uint64_t within_contract = 0;
   std::uint64_t expected_losses = 0;
   std::uint64_t violations = 0;
-  std::uint64_t cached_replays = 0;
   std::uint64_t faults_crashes = 0;
   std::uint64_t faults_dead_at_start = 0;
   std::uint64_t faults_links = 0;
@@ -198,9 +196,6 @@ void flush_tally(const ChunkTally& tally, obs::MetricsSnapshot& metrics) {
   if (tally.violations > 0) {
     metrics.add_counter("campaign.violations", tally.violations);
   }
-  if (tally.cached_replays > 0) {
-    metrics.add_counter("campaign.cached_replays", tally.cached_replays);
-  }
   metrics.add_counter("campaign.faults.crashes", tally.faults_crashes);
   metrics.add_counter("campaign.faults.dead_at_start",
                       tally.faults_dead_at_start);
@@ -266,12 +261,12 @@ struct ChunkScratch {
 };
 
 /// Hands chunk tasks a recycled ChunkScratch instead of a fresh one, so the
-/// buffers — and, more importantly, the mission scratch's settled-iteration
-/// memo — survive from chunk to chunk. The memo is a pure-function cache
-/// (scenario -> IterationSummary), so which scratch a chunk happens to draw
-/// cannot change any result; it only changes how many simulations are
-/// skipped. At 1 thread the single recycled scratch makes the memo
-/// campaign-global.
+/// buffers — and, more importantly, the mission scratch's discrete-
+/// iteration memo, the campaign's only reuse path — survive from chunk to
+/// chunk. The memo is a pure-function cache (scenario -> IterationSummary),
+/// so which scratch a chunk happens to draw cannot change any result; it
+/// only changes how many simulations are skipped. At 1 thread the single
+/// recycled scratch makes the memo campaign-global.
 class ScratchPool {
  public:
   [[nodiscard]] std::unique_ptr<ChunkScratch> acquire() {
@@ -370,12 +365,6 @@ CampaignReport run_campaign(const Schedule& schedule,
   const std::size_t chunks = (options.scenarios + chunk - 1) / chunk;
   std::vector<Partial> partials(chunks);
 
-  // Cross-chunk replay cache: a MissionResult is a pure function of the
-  // plan's canonical fault pattern, so any chunk (any thread) can reuse a
-  // pattern another chunk already simulated — a hit produces the exact
-  // result a fresh simulation would, leaving every reported field
-  // untouched. Best-effort by design (replay_cache.hpp).
-  ReplayCache cache(options.scenarios);
   ScratchPool scratch_pool;
 
   auto evaluate = [&](std::size_t begin, std::size_t end, Partial& into) {
@@ -396,23 +385,9 @@ CampaignReport run_campaign(const Schedule& schedule,
       generator.scenario_into(i, scenario, gen_scratch);
       count_coverage(scenario, generator.horizon(), partial.coverage);
       canonical_fingerprint_into(scenario.plan, canon_scratch, key);
-      const std::uint64_t hash = fingerprint_hash(key);
-      // cached_replays counts within-chunk duplicate draws — the fixed
-      // partition makes the count thread-count independent, unlike the
-      // shared cache's hit count (which depends on cross-chunk timing and
-      // is therefore deliberately not a report field).
-      if (!partial.fingerprints.insert(hash, key)) {
-        partial.cached_replays += 1;
-        tally.cached_replays += 1;
-      }
-      const MissionResult* shared = cache.find(hash, key);
-      std::shared_ptr<const MissionResult> fresh;
-      if (shared == nullptr) {
-        fresh = std::make_shared<MissionResult>(
-            run_mission(simulator, scenario.plan, mission_scratch));
-        cache.insert(hash, key, fresh);
-      }
-      const MissionResult& result = shared != nullptr ? *shared : *fresh;
+      partial.fingerprints.insert(fingerprint_hash(key), key);
+      const MissionResult result =
+          run_mission(simulator, scenario.plan, mission_scratch);
       const Verdict verdict = oracle.judge(scenario.plan, result);
       count_metrics(scenario, result, verdict, oracle.response_bound(),
                     tally);
@@ -458,7 +433,6 @@ CampaignReport run_campaign(const Schedule& schedule,
     report.within_contract += partial.within_contract;
     report.expected_losses += partial.expected_losses;
     report.total_violations += partial.total_violations;
-    report.cached_replays += partial.cached_replays;
     for (std::size_t i = 0; i < partial.fingerprints.size(); ++i) {
       fingerprints.insert(partial.fingerprints.hash_at(i),
                           partial.fingerprints.key_at(i));
@@ -510,8 +484,7 @@ std::string CampaignReport::to_text(const ArchitectureGraph& arch) const {
          ", crash horizon " + time_to_string(horizon) + "\n";
   out += "coverage: " + std::to_string(unique_scenarios) +
          " unique fault patterns (" + std::to_string(duplicate_scenarios) +
-         " duplicate draws, " + std::to_string(cached_replays) +
-         " cached replays)\n";
+         " duplicate draws)\n";
   char rate[64];
   std::snprintf(rate, sizeof rate, "%.0f scenarios/s on %u thread%s\n",
                 scenarios_per_second(), threads_used,

@@ -80,14 +80,6 @@ struct CampaignReport {
   std::size_t unique_scenarios = 0;
   /// Draws whose canonical pattern had already been generated.
   std::size_t duplicate_scenarios = 0;
-  /// Duplicate draws inside one chunk (canonical fingerprint already seen
-  /// by the same chunk) — the replays the original per-chunk cache
-  /// skipped. The count depends on the fixed chunk partition, not on the
-  /// thread count. The shared cross-chunk replay cache typically skips
-  /// MORE simulations than this; its exact hit count depends on cross-
-  /// chunk timing and is therefore not reported (a hit returns the exact
-  /// result a fresh simulation would, so no reported field can see it).
-  std::size_t cached_replays = 0;
   CampaignCoverage coverage;
   /// Domain metrics of the whole campaign (verdict counters, injected
   /// faults per class, per-iteration timeout/election/transfer counts,

@@ -107,12 +107,6 @@ struct FailureScenario {
   [[nodiscard]] std::size_t total_fault_count() const {
     return failure_count() + link_failure_count();
   }
-
-  /// Structural (exact, order-sensitive) equality. The mission runner uses
-  /// it to skip re-simulating consecutive identical iterations; use
-  /// campaign/canonical.hpp to compare scenarios up to ordering.
-  friend bool operator==(const FailureScenario&,
-                         const FailureScenario&) = default;
 };
 
 /// All subsets of `processors` with size in [1, max_failures]; used by the

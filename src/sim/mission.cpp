@@ -8,6 +8,39 @@
 
 namespace ftsched {
 
+namespace {
+
+/// True when `scenario` is fully described by its start state: no silent
+/// window, no link death, every crash at t = 0.
+bool is_discrete(const FailureScenario& scenario) {
+  return scenario.silent_windows.empty() && scenario.link_events.empty() &&
+         std::all_of(scenario.events.begin(), scenario.events.end(),
+                     [](const FailureEvent& event) { return event.time == 0; });
+}
+
+/// Exact byte key of a discrete scenario: known dead, suspected and the
+/// t = 0 victims (in simulator order), each with its count, then the dead
+/// links.
+void memo_key(const FailureScenario& scenario, std::string& key) {
+  key.clear();
+  auto put = [&key](std::int64_t v) {
+    char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    key.append(bytes, sizeof v);
+  };
+  put(static_cast<std::int64_t>(scenario.failed_at_start.size()));
+  for (ProcessorId p : scenario.failed_at_start) put(p.value());
+  put(static_cast<std::int64_t>(scenario.suspected_at_start.size()));
+  for (ProcessorId p : scenario.suspected_at_start) put(p.value());
+  put(static_cast<std::int64_t>(scenario.events.size()));
+  for (const FailureEvent& event : scenario.events) {
+    put(event.processor.value());
+  }
+  for (LinkId l : scenario.failed_links_at_start) put(l.value());
+}
+
+}  // namespace
+
 MissionResult run_mission(const Schedule& schedule, int iterations,
                           const std::vector<MissionFailure>& failures,
                           const std::vector<MissionSilence>& silences) {
@@ -36,7 +69,7 @@ MissionResult run_mission(const Simulator& simulator, const MissionPlan& plan,
   // The initial knowledge is a set; normalize its presentation (sorted,
   // duplicate-free, suspicion subsumed by known death) so the iteration
   // summaries depend on the fault pattern, not on input ordering — the
-  // invariant the campaign's canonical-fingerprint replay cache relies on.
+  // invariant canonical.hpp's fingerprints rely on.
   auto as_set = [](std::vector<ProcessorId>& procs) {
     std::sort(procs.begin(), procs.end());
     procs.erase(std::unique(procs.begin(), procs.end()), procs.end());
@@ -57,12 +90,6 @@ MissionResult run_mission(const Simulator& simulator, const MissionPlan& plan,
 
   MissionResult result;
   result.iterations.reserve(static_cast<std::size_t>(plan.iterations));
-  // Once the survivors' knowledge settles (steady state of a
-  // failed-at-start-only mission), consecutive iterations face the exact
-  // same scenario; the simulation is deterministic, so the previous
-  // iteration's result is reused instead of re-simulated.
-  x.has_previous = false;
-  IterationSummary& cached = x.summary;
   for (int i = 0; i < plan.iterations; ++i) {
     FailureScenario& scenario = x.scenario;
     scenario.events.clear();
@@ -92,41 +119,20 @@ MissionResult run_mission(const Simulator& simulator, const MissionPlan& plan,
       }
     }
 
-    if (!x.has_previous || !(scenario == x.previous)) {
-      // Settled iterations (pure start state, nothing mid-run) recur
-      // across missions; serve them from the scratch's memo when possible
-      // (see MissionScratch::settled).
-      const bool settled = scenario.events.empty() &&
-                           scenario.silent_windows.empty() &&
-                           scenario.link_events.empty();
-      bool simulated = true;
-      if (settled) {
-        std::string& key = x.settled_key;
-        key.clear();
-        auto put = [&key](std::int64_t v) {
-          char bytes[sizeof v];
-          std::memcpy(bytes, &v, sizeof v);
-          key.append(bytes, sizeof v);
-        };
-        put(static_cast<std::int64_t>(scenario.failed_at_start.size()));
-        for (ProcessorId p : scenario.failed_at_start) put(p.value());
-        put(static_cast<std::int64_t>(scenario.suspected_at_start.size()));
-        for (ProcessorId p : scenario.suspected_at_start) put(p.value());
-        for (LinkId l : scenario.failed_links_at_start) put(l.value());
-        const auto hit = x.settled.find(key);
-        if (hit != x.settled.end()) {
-          cached = hit->second;
-          simulated = false;
-        }
-      }
-      if (simulated) {
-        simulator.run_summary(scenario, x.sim, cached);
-        if (settled) x.settled.emplace(x.settled_key, cached);
-      }
-      x.previous = scenario;
-      x.has_previous = true;
+    // Discrete iterations recur across missions; serve them from the
+    // scratch's memo when possible (see MissionScratch::memo).
+    const IterationSummary* memoized = nullptr;
+    const bool discrete = is_discrete(scenario);
+    if (discrete) {
+      memo_key(scenario, x.key);
+      const auto hit = x.memo.find(x.key);
+      if (hit != x.memo.end()) memoized = &hit->second;
     }
-    const IterationSummary& run = cached;
+    if (memoized == nullptr) {
+      simulator.run_summary(scenario, x.sim, x.summary);
+      if (discrete) x.memo.emplace(x.key, x.summary);
+    }
+    const IterationSummary& run = memoized != nullptr ? *memoized : x.summary;
 
     MissionIteration summary;
     summary.index = i;

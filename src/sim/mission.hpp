@@ -109,29 +109,30 @@ struct MissionResult {
 
 /// Reusable buffers for the batched mission path: one per worker amortizes
 /// every per-mission allocation (the simulator's run state, the per
-/// iteration scenario and its steady-state comparison copy, the knowledge
-/// vectors) across a whole chunk of missions. Treat as opaque; contents
-/// are reset by run_mission.
+/// iteration scenario, the knowledge vectors) across a whole chunk of
+/// missions. Treat as opaque; contents are reset by run_mission. Holds
+/// results of one simulator: never share a scratch across schedules.
 struct MissionScratch {
   Simulator::Scratch sim;
   IterationSummary summary;
   FailureScenario scenario;
-  FailureScenario previous;
-  bool has_previous = false;
   std::vector<ProcessorId> dead;
   std::vector<ProcessorId> known;
   std::vector<ProcessorId> suspected;
   std::vector<LinkId> dead_links;
-  /// Settled-iteration memo: iterations whose scenario is a pure start
-  /// state (no mid-run events, no silent windows) are keyed by that state
-  /// and reused across missions sharing this scratch. Mid-run instants are
-  /// continuous draws that essentially never repeat, but the settled
-  /// iterations that follow them collapse onto a handful of known-dead
-  /// patterns, so a campaign chunk simulates each pattern once. Purely an
-  /// optimization: IterationSummary is a function of the scenario, so a
-  /// hit returns exactly what the skipped simulation would.
-  std::unordered_map<std::string, IterationSummary> settled;
-  std::string settled_key;
+  /// Discrete-iteration memo: an iteration with no silent window, no link
+  /// death and every crash at t = 0 is fully described by its start state
+  /// (known dead, suspected, the t = 0 victims, dead links), so it is
+  /// keyed by that state and reused across missions sharing this scratch.
+  /// Mid-run instants are continuous draws that essentially never repeat,
+  /// but the iterations that follow them collapse onto a handful of such
+  /// states — including the ones that re-inject an undetected dead
+  /// processor at t = 0, every post-crash iteration of a schedule without
+  /// timeouts. Purely an optimization: IterationSummary is a function of
+  /// the scenario, so a hit returns exactly what the skipped simulation
+  /// would.
+  std::unordered_map<std::string, IterationSummary> memo;
+  std::string key;
 };
 
 /// Full-plan variant: link failures and a non-empty initial state in
@@ -139,10 +140,12 @@ struct MissionScratch {
 /// that replay thousands of plans against one schedule (the campaign
 /// runner, the shrinker) reuse one Simulator — construction builds routing
 /// and timeout tables, Simulator::run is const and reentrant. The scratch
-/// overload additionally reuses one set of run buffers across calls; all
-/// overloads produce identical MissionResults (the mission digest is
-/// derived through Simulator::run_summary, whose summary equivalence to
-/// run() is pinned by tests/sim/summary_equiv_test.cpp).
+/// overload additionally reuses one set of run buffers and the discrete-
+/// iteration memo across calls; all overloads produce identical
+/// MissionResults (the mission digest is derived through
+/// Simulator::run_summary, whose summary equivalence to run() is pinned by
+/// tests/sim/summary_equiv_test.cpp; the memo's transparency by
+/// tests/sim/mission_test.cpp).
 [[nodiscard]] MissionResult run_mission(const Simulator& simulator,
                                         const MissionPlan& plan,
                                         MissionScratch& scratch);

@@ -1,7 +1,7 @@
 // Canonical mission-plan rewriting and fingerprinting: the dedup key the
-// campaign runner's replay cache and the certifier's uniqueness counters
-// stand on. A rewrite may only merge plans whose iteration summaries are
-// provably identical (see canonical.hpp for the argument per rule).
+// campaign runner's and the certifier's uniqueness counters stand on. A
+// rewrite may only merge plans whose iteration summaries are provably
+// identical (see canonical.hpp for the argument per rule).
 #include <gtest/gtest.h>
 
 #include "campaign/canonical.hpp"
@@ -136,7 +136,7 @@ TEST(CanonicalPlan, InertSilenceRewritePreservesMissionSummaries) {
 }
 
 TEST(CanonicalPlan, RewritePreservesMissionSummaries) {
-  // The load-bearing claim behind the replay cache: a plan and its
+  // The load-bearing claim behind unique-pattern counting: a plan and its
   // canonical form produce identical iteration summaries.
   const workload::OwnedProblem ex = workload::paper_example1();
   const Schedule schedule = schedule_solution1(ex.problem).value();

@@ -84,11 +84,9 @@ TEST(CampaignRunner, ReportIndependentOfThreadCount) {
               serial.coverage.crash_time_buckets);
     EXPECT_EQ(parallel.coverage.crash_events, serial.coverage.crash_events);
     // Dedup accounting is part of the determinism contract too: the
-    // fingerprint union and the chunk-local replay cache depend on the
-    // fixed partition, never on which thread ran a chunk.
+    // fingerprint union never depends on which thread ran a chunk.
     EXPECT_EQ(parallel.unique_scenarios, serial.unique_scenarios);
     EXPECT_EQ(parallel.duplicate_scenarios, serial.duplicate_scenarios);
-    EXPECT_EQ(parallel.cached_replays, serial.cached_replays);
     EXPECT_TRUE(parallel.metrics == serial.metrics);
   }
   EXPECT_GT(serial.unique_scenarios, 0u);
@@ -97,10 +95,10 @@ TEST(CampaignRunner, ReportIndependentOfThreadCount) {
             serial.scenarios_run);
 }
 
-TEST(CampaignRunner, ReplayCacheSkipsDuplicateScenarios) {
+TEST(CampaignRunner, DuplicateDrawsCollapseIntoUniquePatterns) {
   // Dead-at-start-only scenarios collide heavily on a 3-processor
-  // architecture: the canonical-fingerprint cache must collapse them
-  // without changing any verdict.
+  // architecture: the canonical fingerprints must count the repeats as
+  // duplicates of fewer unique patterns, and no verdict may suffer.
   const workload::OwnedProblem ex = workload::paper_example1();
   const Schedule schedule = schedule_solution1(ex.problem).value();
   CampaignOptions options;
@@ -111,7 +109,7 @@ TEST(CampaignRunner, ReplayCacheSkipsDuplicateScenarios) {
   options.spec.dead_at_start_probability = 1.0;  // dead-at-start only
   const CampaignReport report = run_campaign(schedule, options);
   EXPECT_LT(report.unique_scenarios, report.scenarios_run);
-  EXPECT_GT(report.cached_replays, 0u);
+  EXPECT_GT(report.duplicate_scenarios, 0u);
   EXPECT_EQ(report.total_violations, 0u);
 }
 
@@ -207,9 +205,9 @@ TEST(CampaignRunner, GoldenArtifactsByteIdenticalAcrossThreadCounts) {
   // equality but byte identity of every serialized artifact the engines
   // emit — the campaign metrics JSON and the certification certificate —
   // across 1, 2, and 8 worker threads (8 oversubscribes most CI runners,
-  // exercising arbitrary chunk interleavings). The batched executor, the
-  // per-worker scratch arenas, and the sharded replay cache must all be
-  // invisible in the output bytes.
+  // exercising arbitrary chunk interleavings). The batched executor and the
+  // per-worker scratch arenas with their iteration memos must be invisible
+  // in the output bytes.
   const workload::OwnedProblem ex = workload::paper_example1();
   const Schedule schedule = schedule_solution1(ex.problem).value();
   CampaignOptions options = rich_options(500, 42);

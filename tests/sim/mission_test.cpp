@@ -1,9 +1,11 @@
 // Mission runner and intermittent fail-silent episodes (§6.1 item 3).
 #include <gtest/gtest.h>
 
+#include "campaign/scenario_gen.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/mission.hpp"
 #include "workload/paper_examples.hpp"
+#include "workload/random_arch.hpp"
 
 namespace ftsched {
 namespace {
@@ -137,6 +139,57 @@ TEST(FailSilent, SuspectedProcessorIsRehabilitatedNextIteration) {
   EXPECT_TRUE(result.all_outputs_produced);
   // P2's own sends rehabilitate it.
   EXPECT_TRUE(result.detected_failures.empty());
+}
+
+TEST(Mission, SharedScratchEqualsFreshScratch) {
+  // The discrete-iteration memo is pure reuse: a scratch that has already
+  // served hundreds of missions must return, field for field, what a fresh
+  // one does. Solution 2 has no timeouts, so nothing is ever detected and
+  // every post-crash iteration re-injects its dead processor at t = 0 —
+  // the memo's widest domain.
+  const OwnedProblem ex1 = workload::paper_example1();
+  const OwnedProblem ex2 = workload::paper_example2();
+  workload::RandomProblemParams params;
+  params.dag.operations = 14;
+  params.arch_kind = workload::ArchKind::kFullyConnected;
+  params.seed = 3;
+  const OwnedProblem random = workload::random_problem(params);
+  const Schedule schedules[] = {schedule_solution1(ex1.problem).value(),
+                                schedule_solution2(ex2.problem).value(),
+                                schedule_solution2(random.problem).value()};
+  // campaign_tool's default mix.
+  campaign::CampaignSpec spec;
+  spec.max_iterations = 3;
+  spec.over_budget_fraction = 0.15;
+  spec.silence_probability = 0.10;
+  spec.suspect_probability = 0.10;
+  for (const Schedule& schedule : schedules) {
+    const Simulator simulator(schedule);
+    const campaign::ScenarioGenerator generator(schedule, spec, 42);
+    MissionScratch shared;
+    for (std::size_t i = 0; i < 400; ++i) {
+      const MissionPlan plan = generator.scenario(i).plan;
+      const MissionResult reused = run_mission(simulator, plan, shared);
+      const MissionResult fresh = run_mission(simulator, plan);
+      SCOPED_TRACE("scenario " + std::to_string(i));
+      ASSERT_EQ(reused.iterations.size(), fresh.iterations.size());
+      for (std::size_t k = 0; k < fresh.iterations.size(); ++k) {
+        const MissionIteration& a = reused.iterations[k];
+        const MissionIteration& b = fresh.iterations[k];
+        EXPECT_EQ(a.index, b.index);
+        EXPECT_EQ(a.all_outputs_produced, b.all_outputs_produced);
+        EXPECT_EQ(a.response_time, b.response_time);
+        EXPECT_EQ(a.timeouts, b.timeouts);
+        EXPECT_EQ(a.elections, b.elections);
+        EXPECT_EQ(a.transfers, b.transfers);
+        EXPECT_EQ(a.silence_deferral, b.silence_deferral);
+        EXPECT_EQ(a.known_failed, b.known_failed);
+        EXPECT_EQ(a.suspected, b.suspected);
+        EXPECT_EQ(a.op_completions, b.op_completions);
+      }
+    }
+    EXPECT_FALSE(shared.memo.empty());
+  }
 }
 
 TEST(Mission, RejectsNonPositiveIterationCount) {
