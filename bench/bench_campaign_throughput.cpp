@@ -1,6 +1,6 @@
 // Campaign engine throughput: scenarios/sec of the parallel fault-injection
 // runner over the paper's example-1 solution-1 schedule, swept across
-// thread counts — the scaling evidence for the work-stealing pool. Also
+// thread counts — the scaling evidence for the parallel runtime. Also
 // cross-checks that every thread count and every repetition reproduces the
 // single-thread verdict and coverage bit-exactly (the determinism
 // contract). Each configuration is measured as the best of several warm

@@ -72,6 +72,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <exception>
@@ -196,6 +197,17 @@ bool parse_number(const char* flag, const char* text, long& out) {
   return false;
 }
 
+/// Parses an integer operand into its field: a value the field's type
+/// cannot hold is out of range, exactly like one too large for a long.
+template <class Int>
+bool parse_int(const char* flag, const char* text, Int& out) {
+  long number = 0;
+  if (!parse_number(flag, text, number)) return false;
+  if (!std::in_range<Int>(number)) out_of_range(flag, text);
+  out = static_cast<Int>(number);
+  return true;
+}
+
 bool parse_fraction(const char* flag, const char* text, double& out) {
   switch (io::parse_fraction(text, out)) {
     case io::ParseStatus::kOk: return true;
@@ -299,16 +311,16 @@ struct Args {
   std::string trace_out;
   bool do_shrink = false;
   bool do_certify = false;
-  long certify_links = 0;
-  long certify_silences = 0;
+  int certify_links = 0;
+  int certify_silences = 0;
   std::string certify_out;
   bool do_repair = false;
-  long repair_rounds = campaign::RepairSpec{}.max_rounds;
+  int repair_rounds = campaign::RepairSpec{}.max_rounds;
   std::string repair_out;
   bool do_frontier = false;
-  long frontier_k = -1;
-  long frontier_links = campaign::FrontierSpec{}.max_link_failures;
-  long frontier_silences = campaign::FrontierSpec{}.max_silences;
+  int frontier_k = -1;
+  int frontier_links = campaign::FrontierSpec{}.max_link_failures;
+  int frontier_silences = campaign::FrontierSpec{}.max_silences;
   std::string frontier_out;
   bool do_plan_key = false;
   bool do_shard = false;
@@ -317,8 +329,8 @@ struct Args {
   std::vector<std::string> merge_streams;
   bool do_serve = false;
   std::string serve_socket_path;
-  long cache_size = 64;
-  long serve_threads = 1;
+  std::size_t cache_size = 64;
+  unsigned serve_threads = 1;
 };
 
 /// Fills `args` from the command line; false on a usage error.
@@ -335,6 +347,7 @@ bool parse_args(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     long number = 0;
+    int count = 0;
     double fraction = 0;
     campaign::LatencyConstraint latency;
     if (arg == "--example1") {
@@ -351,19 +364,16 @@ bool parse_args(int argc, char** argv, Args& args) {
                parse_number("--seed", argv[++i], number)) {
       options.seed = static_cast<std::uint64_t>(number);
     } else if (arg == "--scenarios" && i + 1 < argc &&
-               parse_number("--scenarios", argv[++i], number)) {
-      options.scenarios = static_cast<std::size_t>(number);
+               parse_int("--scenarios", argv[++i], options.scenarios)) {
     } else if (arg == "--threads" && i + 1 < argc &&
-               parse_number("--threads", argv[++i], number)) {
-      options.threads = static_cast<unsigned>(number);
+               parse_int("--threads", argv[++i], options.threads)) {
     } else if (arg == "--claim-k" && i + 1 < argc &&
-               parse_number("--claim-k", argv[++i], number)) {
-      options.oracle.claimed_tolerance = static_cast<int>(number);
-      options.spec.max_processor_failures = static_cast<int>(number);
+               parse_int("--claim-k", argv[++i], count)) {
+      options.oracle.claimed_tolerance = count;
+      options.spec.max_processor_failures = count;
     } else if (arg == "--iterations" && i + 1 < argc &&
-               parse_number("--iterations", argv[++i], number) &&
-               number >= 1) {
-      options.spec.max_iterations = static_cast<int>(number);
+               parse_int("--iterations", argv[++i], count) && count >= 1) {
+      options.spec.max_iterations = count;
     } else if (arg == "--overbudget" && i + 1 < argc &&
                parse_fraction("--overbudget", argv[++i], fraction)) {
       options.spec.over_budget_fraction = fraction;
@@ -378,12 +388,11 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (arg == "--certify") {
       args.do_certify = true;
     } else if (arg == "--certify-links" && i + 1 < argc &&
-               parse_number("--certify-links", argv[++i], number)) {
-      args.certify_links = number;
+               parse_int("--certify-links", argv[++i], args.certify_links)) {
       args.do_certify = true;
     } else if (arg == "--certify-silences" && i + 1 < argc &&
-               parse_number("--certify-silences", argv[++i], number)) {
-      args.certify_silences = number;
+               parse_int("--certify-silences", argv[++i],
+                         args.certify_silences)) {
       args.do_certify = true;
     } else if (arg == "--response-bound" && i + 1 < argc &&
                parse_time("--response-bound", argv[++i], fraction)) {
@@ -399,8 +408,7 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (arg == "--repair") {
       args.do_repair = true;
     } else if (arg == "--repair-rounds" && i + 1 < argc &&
-               parse_number("--repair-rounds", argv[++i], number)) {
-      args.repair_rounds = number;
+               parse_int("--repair-rounds", argv[++i], args.repair_rounds)) {
       args.do_repair = true;
     } else if (arg == "--repair-out" && i + 1 < argc) {
       args.repair_out = argv[++i];
@@ -408,16 +416,14 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (arg == "--frontier") {
       args.do_frontier = true;
     } else if (arg == "--frontier-k" && i + 1 < argc &&
-               parse_number("--frontier-k", argv[++i], number)) {
-      args.frontier_k = number;
+               parse_int("--frontier-k", argv[++i], args.frontier_k)) {
       args.do_frontier = true;
     } else if (arg == "--frontier-links" && i + 1 < argc &&
-               parse_number("--frontier-links", argv[++i], number)) {
-      args.frontier_links = number;
+               parse_int("--frontier-links", argv[++i], args.frontier_links)) {
       args.do_frontier = true;
     } else if (arg == "--frontier-silences" && i + 1 < argc &&
-               parse_number("--frontier-silences", argv[++i], number)) {
-      args.frontier_silences = number;
+               parse_int("--frontier-silences", argv[++i],
+                         args.frontier_silences)) {
       args.do_frontier = true;
     } else if (arg == "--frontier-out" && i + 1 < argc) {
       args.frontier_out = argv[++i];
@@ -437,12 +443,10 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.serve_socket_path = argv[++i];
       args.do_serve = true;
     } else if (arg == "--cache-size" && i + 1 < argc &&
-               parse_number("--cache-size", argv[++i], number)) {
-      args.cache_size = number;
+               parse_int("--cache-size", argv[++i], args.cache_size)) {
     } else if (arg == "--serve-threads" && i + 1 < argc &&
-               parse_number("--serve-threads", argv[++i], number) &&
-               number >= 1) {
-      args.serve_threads = number;
+               parse_int("--serve-threads", argv[++i], args.serve_threads) &&
+               args.serve_threads >= 1) {
     } else if (arg == "--replay" && i + 1 < argc) {
       args.replay_file = argv[++i];
     } else if (arg == "--metrics-out" && i + 1 < argc) {
@@ -494,8 +498,8 @@ int one_shot(const Args& args, const workload::OwnedProblem& owned) {
   // look up, and shards, merges, repair and --certify agree on it.
   campaign::CertifySpec spec;
   spec.max_failures = options.oracle.claimed_tolerance;
-  spec.max_link_failures = static_cast<int>(args.certify_links);
-  spec.max_silences = static_cast<int>(args.certify_silences);
+  spec.max_link_failures = args.certify_links;
+  spec.max_silences = args.certify_silences;
   spec.response_bound = options.oracle.response_bound;
   spec.latency_constraints = options.oracle.latency_constraints;
   spec.threads = options.threads;
@@ -555,9 +559,9 @@ int one_shot(const Args& args, const workload::OwnedProblem& owned) {
 
   if (args.do_frontier) {
     campaign::FrontierSpec fspec;
-    fspec.max_failures = static_cast<int>(args.frontier_k);
-    fspec.max_link_failures = static_cast<int>(args.frontier_links);
-    fspec.max_silences = static_cast<int>(args.frontier_silences);
+    fspec.max_failures = args.frontier_k;
+    fspec.max_link_failures = args.frontier_links;
+    fspec.max_silences = args.frontier_silences;
     fspec.response_bound = options.oracle.response_bound;
     fspec.latency_constraints = options.oracle.latency_constraints;
     fspec.threads = options.threads;
@@ -598,7 +602,7 @@ int one_shot(const Args& args, const workload::OwnedProblem& owned) {
   if (args.do_repair) {
     campaign::RepairSpec rspec;
     rspec.certify = spec;
-    rspec.max_rounds = static_cast<int>(args.repair_rounds);
+    rspec.max_rounds = args.repair_rounds;
     const campaign::RepairReport report =
         campaign::repair(owned.problem, args.kind, rspec);
     const AlgorithmGraph& graph = *owned.problem.algorithm;
@@ -680,9 +684,9 @@ int run(int argc, char** argv) {
 
   if (args.do_serve) {
     service::ServeOptions serve_options;
-    serve_options.cache_capacity = static_cast<std::size_t>(args.cache_size);
+    serve_options.cache_capacity = args.cache_size;
     serve_options.threads = args.options.threads;
-    serve_options.serve_threads = static_cast<unsigned>(args.serve_threads);
+    serve_options.serve_threads = args.serve_threads;
     serve_options.stop = &g_stop;
     install_sigint_drain();
     if (!args.serve_socket_path.empty()) {

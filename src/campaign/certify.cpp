@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
-#include <unordered_map>
 
 #include "arch/architecture_graph.hpp"
 #include "campaign/work_pool.hpp"
@@ -785,15 +783,15 @@ CertifyReport CertifyMerger::finish() {
   return std::move(report_);
 }
 
-bool certify_shard(const Schedule& schedule, const CertifySpec& spec,
-                   const CertifyShardSpec& shard,
-                   const std::function<void(CertifyTaskPartial&&)>& emit,
-                   const std::function<bool()>& cancelled) {
+namespace {
+
+/// Runs the shard's slice of an already built plan; certify() and
+/// certify_shard() both sweep through here, so each builds its plan once.
+bool run_sweep(const Schedule& schedule, const CertifySpec& spec,
+               const SweepPlan& plan, const CertifyShardSpec& shard,
+               const std::function<void(CertifyTaskPartial&&)>& emit,
+               const std::function<bool()>& cancelled) {
   FTSCHED_SPAN("certify.shard");
-  FTSCHED_REQUIRE(shard.shard_count >= 1 &&
-                      shard.shard_index < shard.shard_count,
-                  "certify_shard: shard_index must be < shard_count");
-  const SweepPlan plan = build_sweep_plan(schedule, spec);
   const std::size_t procs =
       schedule.problem().architecture->processor_count();
   const std::size_t links = schedule.problem().architecture->link_count();
@@ -810,70 +808,42 @@ bool certify_shard(const Schedule& schedule, const CertifySpec& spec,
     if (shard.owns(t)) owned.push_back(t);
   }
 
-  auto run_task = [&](std::size_t t) {
+  auto run_task = [&](unsigned, std::size_t pos) {
+    const SweepPlan::Task& task = plan.tasks[owned[pos]];
     CertifyTaskPartial partial;
-    partial.task_index = t;
+    partial.task_index = owned[pos];
     Explorer explorer(simulator, spec, deadlines, procs, links, probes,
                       partial);
-    explorer.run(*plan.tasks[t].dead, *plan.tasks[t].dead_links,
-                 plan.tasks[t].first, plan.tasks[t].budgets);
+    explorer.run(*task.dead, *task.dead_links, task.first, task.budgets);
     return partial;
   };
+  return ordered_for(spec.threads, owned.size(), run_task, emit, cancelled);
+}
 
-  const unsigned threads = resolve_threads(spec.threads);
-  if (threads == 1 || owned.size() <= 1) {
-    for (const std::size_t t : owned) {
-      if (cancelled && cancelled()) return false;
-      emit(run_task(t));
-    }
-    return true;
-  }
+}  // namespace
 
-  // Parallel path: workers finish out of order; completed partials park in
-  // a cursor-ordered buffer and are flushed to `emit` in ascending task
-  // order, so the consumer sees exactly the single-threaded stream. The
-  // buffer is bounded by the out-of-order window (at most the number of
-  // in-flight tasks), not the task count.
-  std::mutex emit_mutex;
-  std::unordered_map<std::size_t, CertifyTaskPartial> ready;
-  std::size_t next_pos = 0;
-  bool was_cancelled = false;
-  WorkPool pool(threads);
-  for (std::size_t pos = 0; pos < owned.size(); ++pos) {
-    pool.submit([&, pos] {
-      {
-        const std::lock_guard<std::mutex> lock(emit_mutex);
-        if (was_cancelled) return;
-        if (cancelled && cancelled()) {
-          was_cancelled = true;
-          return;
-        }
-      }
-      CertifyTaskPartial partial = run_task(owned[pos]);
-      const std::lock_guard<std::mutex> lock(emit_mutex);
-      ready.emplace(pos, std::move(partial));
-      while (true) {
-        const auto it = ready.find(next_pos);
-        if (it == ready.end()) break;
-        emit(std::move(it->second));
-        ready.erase(it);
-        ++next_pos;
-      }
-    });
-  }
-  pool.wait();
-  return !was_cancelled;
+bool certify_shard(const Schedule& schedule, const CertifySpec& spec,
+                   const CertifyShardSpec& shard,
+                   const std::function<void(CertifyTaskPartial&&)>& emit,
+                   const std::function<bool()>& cancelled) {
+  FTSCHED_REQUIRE(shard.shard_count >= 1 &&
+                      shard.shard_index < shard.shard_count,
+                  "certify_shard: shard_index must be < shard_count");
+  return run_sweep(schedule, spec, build_sweep_plan(schedule, spec), shard,
+                   emit, cancelled);
 }
 
 CertifyReport certify(const Schedule& schedule, const CertifySpec& spec) {
   FTSCHED_SPAN("certify.run");
   const auto wall_start = std::chrono::steady_clock::now();
 
-  CertifyMerger merger(certify_sweep(schedule, spec), spec);
-  certify_shard(schedule, spec, CertifyShardSpec{},
-                [&](CertifyTaskPartial&& partial) {
-                  merger.add(std::move(partial));
-                });
+  const SweepPlan plan = build_sweep_plan(schedule, spec);
+  CertifyMerger merger(sweep_of(plan, spec), spec);
+  run_sweep(schedule, spec, plan, CertifyShardSpec{},
+            [&](CertifyTaskPartial&& partial) {
+              merger.add(std::move(partial));
+            },
+            {});
   CertifyReport report = merger.finish();
   report.threads_used = resolve_threads(spec.threads);
   report.elapsed_seconds =

@@ -69,9 +69,10 @@
 // Sharing. Branches are never replayed from t=0: the engine forks the
 // paused parent prefix (Simulator::Branch) at each candidate instant, so
 // the cost of a node is its suffix, not its depth. Tasks — one per
-// (dead subsets, first fault victim) — fan across the WorkPool and merge
-// in task-index order, making the report a pure function of
-// (schedule, spec), bit-identical for any thread count.
+// (dead subsets, first fault victim) — fan out through ordered_for
+// (campaign/work_pool.hpp), which hands them to the merger in task-index
+// order, making the report a pure function of (schedule, spec),
+// bit-identical for any thread count.
 #pragma once
 
 #include <cstddef>

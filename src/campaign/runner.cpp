@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string_view>
 #include <utility>
 
@@ -249,46 +248,20 @@ void count_coverage(const CampaignScenario& scenario, Time horizon,
   if (plan.iterations > 1) coverage.multi_iteration_missions += 1;
 }
 
-/// One chunk's working set: sampler/fingerprint/mission buffers that every
-/// scenario of a chunk reuses (the amortization that took the per-scenario
-/// cost from malloc-bound to simulation-bound).
+/// One participant's working set: sampler/fingerprint/mission buffers that
+/// every scenario of its chunks reuses (the amortization that took the
+/// per-scenario cost from malloc-bound to simulation-bound). It survives
+/// from chunk to chunk, and with it the mission scratch's discrete-
+/// iteration memo, the campaign's only reuse path. The memo is a
+/// pure-function cache (scenario -> IterationSummary), so which participant
+/// runs a chunk cannot change any result, only how many simulations are
+/// skipped; at 1 thread the memo is campaign-global.
 struct ChunkScratch {
   CampaignScenario scenario;
   ScenarioScratch gen;
   CanonicalScratch canon;
   MissionScratch mission;
   std::string key;
-};
-
-/// Hands chunk tasks a recycled ChunkScratch instead of a fresh one, so the
-/// buffers — and, more importantly, the mission scratch's discrete-
-/// iteration memo, the campaign's only reuse path — survive from chunk to
-/// chunk. The memo is a pure-function cache (scenario -> IterationSummary),
-/// so which scratch a chunk happens to draw cannot change any result; it
-/// only changes how many simulations are skipped. At 1 thread the single
-/// recycled scratch makes the memo campaign-global.
-class ScratchPool {
- public:
-  [[nodiscard]] std::unique_ptr<ChunkScratch> acquire() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!free_.empty()) {
-        std::unique_ptr<ChunkScratch> scratch = std::move(free_.back());
-        free_.pop_back();
-        return scratch;
-      }
-    }
-    return std::make_unique<ChunkScratch>();
-  }
-
-  void release(std::unique_ptr<ChunkScratch> scratch) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(std::move(scratch));
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<ChunkScratch>> free_;
 };
 
 }  // namespace
@@ -355,39 +328,33 @@ CampaignReport run_campaign(const Schedule& schedule,
     return report;
   }
 
-  // Chunky tasks amortize pool overhead; several chunks per worker give
-  // the stealing something to balance. The partition is deliberately
+  // Chunky tasks amortize the runtime's per-task cost; several chunks per
+  // participant balance uneven chunks. The partition is deliberately
   // independent of the thread count: per-chunk metrics carry floating-point
   // histogram sums, and addition order — fixed by (partition, index-order
   // merge), not by which thread ran what — must not change with --threads
   // for the merged snapshot to stay bit-identical.
   const std::size_t chunk = std::max<std::size_t>(1, options.scenarios / 64);
   const std::size_t chunks = (options.scenarios + chunk - 1) / chunk;
-  std::vector<Partial> partials(chunks);
+  std::vector<ChunkScratch> scratch(std::min<std::size_t>(threads, chunks));
 
-  ScratchPool scratch_pool;
-
-  auto evaluate = [&](std::size_t begin, std::size_t end, Partial& into) {
+  auto evaluate = [&](unsigned slot, std::size_t c) {
     FTSCHED_SPAN("campaign.chunk");
-    // Accumulate locally and move into the preassigned slot at the end:
-    // neighbouring chunks' partials can share a cache line, and writing
-    // them per scenario from different workers would false-share it.
     Partial partial;
     partial.coverage = blank_coverage();
     ChunkTally tally;
-    std::unique_ptr<ChunkScratch> chunk_scratch = scratch_pool.acquire();
-    CampaignScenario& scenario = chunk_scratch->scenario;
-    ScenarioScratch& gen_scratch = chunk_scratch->gen;
-    CanonicalScratch& canon_scratch = chunk_scratch->canon;
-    MissionScratch& mission_scratch = chunk_scratch->mission;
-    std::string& key = chunk_scratch->key;
-    for (std::size_t i = begin; i < end; ++i) {
-      generator.scenario_into(i, scenario, gen_scratch);
+    ChunkScratch& chunk_scratch = scratch[slot];
+    CampaignScenario& scenario = chunk_scratch.scenario;
+    const std::size_t end = std::min(options.scenarios, (c + 1) * chunk);
+    for (std::size_t i = c * chunk; i < end; ++i) {
+      generator.scenario_into(i, scenario, chunk_scratch.gen);
       count_coverage(scenario, generator.horizon(), partial.coverage);
-      canonical_fingerprint_into(scenario.plan, canon_scratch, key);
-      partial.fingerprints.insert(fingerprint_hash(key), key);
+      canonical_fingerprint_into(scenario.plan, chunk_scratch.canon,
+                                 chunk_scratch.key);
+      partial.fingerprints.insert(fingerprint_hash(chunk_scratch.key),
+                                  chunk_scratch.key);
       const MissionResult result =
-          run_mission(simulator, scenario.plan, mission_scratch);
+          run_mission(simulator, scenario.plan, chunk_scratch.mission);
       const Verdict verdict = oracle.judge(scenario.plan, result);
       count_metrics(scenario, result, verdict, oracle.response_bound(),
                     tally);
@@ -406,30 +373,14 @@ CampaignReport run_campaign(const Schedule& schedule,
       }
     }
     flush_tally(tally, partial.metrics);
-    scratch_pool.release(std::move(chunk_scratch));
-    into = std::move(partial);
+    return partial;
   };
 
-  if (threads == 1) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      evaluate(c * chunk, std::min(options.scenarios, (c + 1) * chunk),
-               partials[c]);
-    }
-  } else {
-    WorkPool pool(threads);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      pool.submit([&, c] {
-        evaluate(c * chunk, std::min(options.scenarios, (c + 1) * chunk),
-                 partials[c]);
-      });
-    }
-    pool.wait();
-  }
-
-  // Merge in index order: identical report for any thread count.
-  FTSCHED_SPAN("campaign.merge");
+  // Chunks merge as they are emitted, in index order: identical report
+  // for any thread count.
   FingerprintSet fingerprints;
-  for (Partial& partial : partials) {
+  auto merge = [&](Partial&& partial) {
+    FTSCHED_SPAN("campaign.merge");
     report.within_contract += partial.within_contract;
     report.expected_losses += partial.expected_losses;
     report.total_violations += partial.total_violations;
@@ -450,7 +401,8 @@ CampaignReport run_campaign(const Schedule& schedule,
         report.violations.push_back(std::move(stub));
       }
     }
-  }
+  };
+  ordered_for(threads, chunks, evaluate, merge);
 
   report.unique_scenarios = fingerprints.size();
   report.duplicate_scenarios = report.scenarios_run - report.unique_scenarios;

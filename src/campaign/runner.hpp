@@ -1,12 +1,13 @@
 // Parallel fault-injection campaign runner: fans N generated scenarios
-// across a work-stealing thread pool, judges every mission with the
-// oracle, and aggregates a report with scenario-space coverage counters.
+// out in chunks through ordered_for (campaign/work_pool.hpp), judges every
+// mission with the oracle, and aggregates a report with scenario-space
+// coverage counters.
 //
 // Determinism contract: the report is a pure function of
 // (schedule, options) — independent of thread count and scheduling order.
 // Scenarios are drawn by random access (ScenarioGenerator::scenario(i) is
-// pure), every chunk writes its partial into a preassigned slot, and the
-// partials are merged in index order after the pool drains.
+// pure), and each chunk's partial is merged as ordered_for emits it, in
+// chunk-index order.
 #pragma once
 
 #include <cstddef>

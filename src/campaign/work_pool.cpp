@@ -1,6 +1,8 @@
 #include "campaign/work_pool.hpp"
 
-#include <utility>
+#include <algorithm>
+#include <thread>
+#include <vector>
 
 namespace ftsched::campaign {
 
@@ -10,116 +12,131 @@ unsigned resolve_threads(unsigned requested) {
   return hardware > 0 ? hardware : 1;
 }
 
-WorkPool::WorkPool(unsigned threads) {
-  const unsigned count = resolve_threads(threads);
-  slots_.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
-  workers_.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
+namespace detail {
 
-WorkPool::~WorkPool() {
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
+/// The process-wide helper threads. Idle threads sleep on one condition
+/// variable; an open call stays in the queue until as many helpers as it
+/// asked for have joined it or its caller withdraws it.
+class Pool {
+ public:
+  Pool() = default;
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
 
-void WorkPool::submit(std::function<void()> task) {
-  std::size_t slot;
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    ++pending_;
-    slot = next_slot_;
-    next_slot_ = (next_slot_ + 1) % slots_.size();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(slots_[slot]->mutex);
-    slots_[slot]->tasks.push_back(std::move(task));
-  }
-  {
-    // The queued_ increment must happen under state_mutex_ (after the task
-    // is visible in its deque) or a worker could check the wait predicate,
-    // miss the count, and sleep through the notify.
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    queued_.fetch_add(1, std::memory_order_relaxed);
-  }
-  work_ready_.notify_one();
-}
-
-std::function<void()> WorkPool::take(std::size_t self) {
-  // Own deque first, back (most recently dealt, cache-warm)...
-  {
-    Slot& mine = *slots_[self];
-    const std::lock_guard<std::mutex> lock(mine.mutex);
-    if (!mine.tasks.empty()) {
-      std::function<void()> task = std::move(mine.tasks.back());
-      mine.tasks.pop_back();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  // ...then steal from the front of the other deques, oldest first.
-  for (std::size_t step = 1; step < slots_.size(); ++step) {
-    Slot& victim = *slots_[(self + step) % slots_.size()];
-    const std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      std::function<void()> task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void WorkPool::worker_loop(std::size_t self) {
-  for (;;) {
-    std::function<void()> task = take(self);
-    if (!task) {
-      std::unique_lock<std::mutex> lock(state_mutex_);
-      if (stopping_) return;
-      // Sleep until a task is queued somewhere or the pool shuts down. A
-      // stale positive queued_ (another worker grabbed the task between
-      // our take() and this check) just loops through one more empty
-      // take(); a sleep with queued_ == 0 is safe because submit() bumps
-      // the count under this same mutex before notifying.
-      work_ready_.wait(lock, [this] {
-        return stopping_ ||
-               queued_.load(std::memory_order_relaxed) > 0;
-      });
-      if (stopping_) return;
-      continue;
-    }
-    try {
-      task();
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
+  ~Pool() {
     {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      --pending_;
-      if (pending_ == 0) all_done_.notify_all();
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
     }
+    work_ready_.notify_all();
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  /// Queues `loop` for `helpers` helpers, first growing the pool to that
+  /// many threads (a thread that fails to start throws before the loop is
+  /// queued).
+  void offer(OrderedLoop& loop, unsigned helpers) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      while (threads_.size() < helpers) {
+        threads_.emplace_back([this] { work(); });
+      }
+      loop.wanted_ = helpers;
+      open_.push_back(&loop);
+    }
+    for (unsigned h = 0; h < helpers; ++h) work_ready_.notify_one();
+  }
+
+  /// Withdraws whatever help `loop` has not received yet, then waits until
+  /// every helper that joined it has left.
+  void retire(OrderedLoop& loop) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    std::erase(open_, &loop);
+    loop.helpers_left_.wait(lock, [&] { return loop.active_ == 0; });
+  }
+
+  [[nodiscard]] unsigned size() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<unsigned>(threads_.size());
+  }
+
+ private:
+  void work() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      work_ready_.wait(lock, [this] { return stopping_ || !open_.empty(); });
+      if (stopping_) return;
+      OrderedLoop& loop = *open_.front();
+      const unsigned slot = ++loop.joined_;
+      ++loop.active_;
+      if (loop.joined_ == loop.wanted_) open_.erase(open_.begin());
+      lock.unlock();
+      loop.participate(slot);
+      lock.lock();
+      // Notified under the mutex: the caller cannot wake, return and
+      // destroy the loop before this thread is done touching it.
+      if (--loop.active_ == 0) loop.helpers_left_.notify_one();
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable work_ready_;
+  std::vector<OrderedLoop*> open_;  // calls still wanting helpers, oldest first
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
+};
+
+namespace {
+
+Pool& pool() {
+  static Pool instance;
+  return instance;
+}
+
+}  // namespace
+
+OrderedLoop::OrderedLoop(unsigned threads, std::size_t n,
+                         const std::function<bool()>& cancelled)
+    : n_(n),
+      participants_(std::min<std::size_t>(resolve_threads(threads), n)),
+      cancelled_(cancelled) {}
+
+bool OrderedLoop::execute() {
+  const unsigned helpers =
+      participants_ > 1 ? static_cast<unsigned>(participants_ - 1) : 0;
+  if (helpers > 0) pool().offer(*this, helpers);
+  participate(0);
+  if (helpers > 0) pool().retire(*this);
+  if (error_) std::rethrow_exception(error_);
+  return !stop_.load(std::memory_order_relaxed);
+}
+
+void OrderedLoop::participate(unsigned slot) {
+  try {
+    for (std::size_t i = claim(); i < n_; i = claim()) call_(step_, slot, i);
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (!error_) error_ = std::current_exception();
+    stop_.store(true, std::memory_order_relaxed);
+    window_moved.notify_all();
   }
 }
 
-void WorkPool::wait() {
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  all_done_.wait(lock, [this] { return pending_ == 0; });
-  if (first_error_) {
-    std::exception_ptr error = std::exception_ptr();
-    std::swap(error, first_error_);
-    lock.unlock();
-    std::rethrow_exception(error);
+std::size_t OrderedLoop::claim() {
+  if (stop_.load(std::memory_order_relaxed) ||
+      next_.load(std::memory_order_relaxed) >= n_) {
+    return n_;
   }
+  if (cancelled_ && cancelled_()) {
+    stop_.store(true, std::memory_order_relaxed);
+    return n_;
+  }
+  const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+  return std::min(i, n_);
 }
+
+}  // namespace detail
+
+unsigned pool_size() { return detail::pool().size(); }
 
 }  // namespace ftsched::campaign

@@ -40,7 +40,8 @@ struct ServeOptions {
   bool progress = true;
   /// Socket-mode connection workers. 1 (the default) serves connections
   /// sequentially in accept order; N > 1 lets N clients certify
-  /// concurrently against the one shared service + plan-key cache.
+  /// concurrently against the one shared service + plan-key cache. Their
+  /// sweeps share the process's one helper pool (campaign/work_pool.hpp).
   unsigned serve_threads = 1;
 };
 

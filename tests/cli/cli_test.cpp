@@ -14,6 +14,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,6 +45,19 @@ bool valid_json(const std::string& text) {
 
 bool contains(const std::string& text, const std::string& part) {
   return text.find(part) != std::string::npos;
+}
+
+/// The distinct "tid" values of a Chrome trace: one per thread that
+/// recorded a span.
+std::set<std::string> trace_tids(const std::string& trace) {
+  const std::string key = "\"tid\": ";
+  std::set<std::string> tids;
+  for (std::size_t at = trace.find(key); at != std::string::npos;
+       at = trace.find(key, at + 1)) {
+    const std::size_t begin = at + key.size();
+    tids.insert(trace.substr(begin, trace.find_first_of(",}", begin) - begin));
+  }
+  return tids;
 }
 
 /// The first line of `text` containing `part` (empty when none does).
@@ -136,6 +150,9 @@ TEST_F(Cli, CleanCampaignsAndCertifiedClaimsExitZero) {
                        "--scenarios", "5000"}));
   EXPECT_EQ(0, status({"--example2", "--solution2", "--seed", "7",
                        "--scenarios", "1000", "--threads", "4"}));
+  // Never more helper threads than there are chunks to run.
+  EXPECT_EQ(0, status({"--example1", "--solution1", "--scenarios", "200",
+                       "--threads", "100000"}));
   const std::string cert = path("example2.json");
   EXPECT_EQ(0, status({"--example2", "--solution2", "--certify",
                        "--certify-out", cert}));
@@ -268,14 +285,19 @@ TEST_F(Cli, ServeAnswersMissThenHitUnderThePrintedPlanKey) {
 TEST_F(Cli, TraceOutRecordsSchedulingInEveryMode) {
   const std::string trace = path("run.trace.json");
   const std::vector<std::vector<std::string>> modes = {
-      {"--scenarios", "2000"}, {"--frontier"}};
+      {"--scenarios", "2000", "--example1", "--solution1"},
+      {"--frontier", "--example1", "--solution1"},
+      {"--repair", kCertifyK2, "--solution2", "--claim-k", "1",
+       "--certify-links", "1"}};
   for (std::vector<std::string> args : modes) {
     fs::remove(trace);
-    args.insert(args.end(),
-                {"--example1", "--solution1", "--trace-out", trace});
+    args.insert(args.end(), {"--threads", "4", "--trace-out", trace});
     EXPECT_EQ(0, status(args)) << args[0];
     const std::string spans = read_file(trace);
     EXPECT_TRUE(valid_json(spans)) << args[0];
+    // Every sweep of the run shares one pool: the caller and at most three
+    // helpers ever record a span.
+    EXPECT_LE(trace_tids(spans).size(), 4u) << args[0];
 #if FTSCHED_OBS_ENABLED  // the tools record no spans without it
     EXPECT_TRUE(contains(spans, "\"name\": \"sched.run\"")) << args[0];
 #endif
@@ -318,6 +340,16 @@ TEST_F(Cli, BadInputsExitThreeNamingTheCulprit) {
       {"--example1", "--solution1", "--seed", "99999999999999999999"});
   EXPECT_EQ(result.status, 3);
   EXPECT_TRUE(contains(result.err, "out of range")) << result.err;
+
+  // Operands that fit a long but not their field: no silent wrap-around.
+  for (const char* flag : {"--threads", "--claim-k"}) {
+    for (const char* operand : {"4294967296", "4294967297"}) {
+      result = campaign({"--example1", "--solution1", "--scenarios", "10",
+                         flag, operand});
+      EXPECT_EQ(result.status, 3) << flag << " " << operand;
+      EXPECT_TRUE(contains(result.err, "out of range")) << result.err;
+    }
+  }
 }
 
 }  // namespace
