@@ -1,17 +1,11 @@
 // Shared helpers for the figure/table reproduction benchmarks: consistent
-// headers, paper-vs-measured comparison lines for EXPERIMENTS.md, and the
-// BENCH_*.json machine-readable result files CI archives for trend plots.
+// headers and paper-vs-measured comparison lines for EXPERIMENTS.md.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "core/time.hpp"
-#include "obs/json_util.hpp"
 
 namespace ftsched::bench {
 
@@ -35,57 +29,6 @@ inline void compare(const std::string& what, double paper, double measured,
 
 inline void value(const std::string& what, const std::string& v) {
   std::printf("%-38s %s\n", what.c_str(), v.c_str());
-}
-
-/// One measured configuration of a performance benchmark. `params` is a
-/// free-form "key=value;key=value" string (kept flat so downstream tooling
-/// can diff files without schema knowledge); `wall_ms` is the mean
-/// wall-clock time of one iteration. `derived` holds additional numeric
-/// fields emitted verbatim into the JSON object (throughput rates, scaling
-/// ratios, hardware_threads) so compare_bench.py can gate on rates
-/// directly instead of re-deriving them.
-struct BenchRecord {
-  std::string name;
-  std::string params;
-  double wall_ms = 0.0;
-  std::uint64_t iters = 0;
-  std::vector<std::pair<std::string, double>> derived;
-};
-
-[[nodiscard]] inline std::string bench_json(
-    const std::vector<BenchRecord>& records) {
-  std::string out = "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const BenchRecord& r = records[i];
-    out += "  {\"name\": " + obs::json_string(r.name) +
-           ", \"params\": " + obs::json_string(r.params) +
-           ", \"wall_ms\": " + obs::json_number(r.wall_ms) +
-           ", \"iters\": " + obs::json_number(r.iters);
-    for (const auto& [key, val] : r.derived) {
-      out += ", " + obs::json_string(key) + ": " + obs::json_number(val);
-    }
-    out += "}";
-    out += i + 1 < records.size() ? ",\n" : "\n";
-  }
-  out += "]\n";
-  return out;
-}
-
-/// Writes records to `default_path`, or to $FTSCHED_BENCH_OUT when set
-/// (google-benchmark owns the CLI flags, so the override is an env var).
-inline bool write_bench_json(const std::string& default_path,
-                             const std::vector<BenchRecord>& records) {
-  const char* env = std::getenv("FTSCHED_BENCH_OUT");
-  const std::string path = env != nullptr && *env != '\0' ? env : default_path;
-  std::ofstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  file << bench_json(records);
-  std::fprintf(stderr, "wrote %s (%zu records)\n", path.c_str(),
-               records.size());
-  return true;
 }
 
 }  // namespace ftsched::bench

@@ -7,13 +7,16 @@
 //                     [seed]
 //
 // Every argument is optional; defaults are 20 ops, 4 procs, K=1, ccr=0.5,
-// bus, seed 1.
+// bus, seed 1. A malformed operand is a usage error (exit 2) naming it.
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/text.hpp"
+#include "io/cli_util.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/metrics.hpp"
 #include "sched/validate.hpp"
@@ -24,14 +27,25 @@ using namespace ftsched;
 
 namespace {
 
+/// Exits with a usage error naming the operand unless `ok`.
+void require(bool ok, const char* name, const char* operand) {
+  if (ok) return;
+  std::fprintf(stderr,
+               "tradeoff_explorer: bad %s operand '%s'\n"
+               "usage: tradeoff_explorer [ops >= 1] [procs >= 2] [K < procs] "
+               "[ccr > 0] [bus|p2p|ring|chain|star] [seed]\n",
+               name, operand);
+  std::exit(2);
+}
+
 workload::ArchKind parse_arch(const std::string& name) {
   if (name == "bus") return workload::ArchKind::kBus;
   if (name == "p2p") return workload::ArchKind::kFullyConnected;
   if (name == "ring") return workload::ArchKind::kRing;
   if (name == "chain") return workload::ArchKind::kChain;
   if (name == "star") return workload::ArchKind::kStar;
-  std::fprintf(stderr, "unknown architecture '%s'\n", name.c_str());
-  std::exit(2);
+  require(false, "architecture", name.c_str());
+  return workload::ArchKind::kBus;
 }
 
 /// Masked fraction over all failure subsets of size <= K at mid-iteration.
@@ -57,14 +71,41 @@ std::string masking(const Schedule& schedule, int k) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  long operations = 20;
+  long processors = 4;
+  long k = 1;
+  double ccr = 0.5;
+  long seed = 1;
+  // Parses operand i, when given, into `out`; `in_domain` checks its value.
+  const auto number = [&](int i, const char* name, long& out,
+                          auto in_domain) {
+    if (argc <= i) return;
+    require(io::parse_number(argv[i], out) == io::ParseStatus::kOk &&
+                in_domain(out),
+            name, argv[i]);
+  };
+  number(1, "ops", operations, [](long n) { return n >= 1; });
+  number(2, "procs", processors, [](long n) { return n >= 2; });
+  number(3, "K", k, [&](long n) { return n < processors; });
+  if (argc > 4) {
+    require(io::parse_time(argv[4], ccr) == io::ParseStatus::kOk &&
+                std::isfinite(ccr),
+            "ccr", argv[4]);
+  }
+  const workload::ArchKind arch =
+      argc > 5 ? parse_arch(argv[5]) : workload::ArchKind::kBus;
+  if (arch == workload::ArchKind::kRing) {
+    require(processors >= 3, "procs", argv[2]);
+  }
+  number(6, "seed", seed, [](long) { return true; });
+
   workload::RandomProblemParams params;
-  params.dag.operations = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20;
-  params.processors = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 4;
-  params.failures_to_tolerate =
-      argc > 3 ? static_cast<int>(std::strtol(argv[3], nullptr, 10)) : 1;
-  params.ccr = argc > 4 ? std::strtod(argv[4], nullptr) : 0.5;
-  params.arch_kind = argc > 5 ? parse_arch(argv[5]) : workload::ArchKind::kBus;
-  params.seed = argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 1;
+  params.dag.operations = static_cast<std::size_t>(operations);
+  params.processors = static_cast<std::size_t>(processors);
+  params.failures_to_tolerate = static_cast<int>(k);
+  params.ccr = ccr;
+  params.arch_kind = arch;
+  params.seed = static_cast<std::uint64_t>(seed);
   params.dag.width = 4;
   params.restrict_probability = 0.1;
 

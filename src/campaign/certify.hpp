@@ -55,8 +55,8 @@
 //    being inclusive; and a whole window that blocks none of p's sends is
 //    exactly the parent leaf, so it is pruned outright.
 // Dedup is exact pruning, not sampling: disable it with
-// CertifySpec::dedup = false to get the naive enumerator the bench uses as
-// its from-scratch baseline.
+// CertifySpec::dedup = false to get the naive enumerator the Cost.* tests
+// use as their from-scratch baseline.
 //
 // Response accounting. A branch with silent windows widens its response
 // envelope by the leaf run's measured silence deferral — the same tight
@@ -112,8 +112,8 @@ struct CertifySpec {
   /// Off = the naive enumerator: every representative instant simulated.
   bool dedup = true;
   /// Record every certified branch's failure pattern in
-  /// CertifyReport::branches_list — the bench replays that list from
-  /// scratch as its baseline. Off by default (memory).
+  /// CertifyReport::branches_list — the Cost.* tests replay that list from
+  /// scratch as their baseline. Off by default (memory).
   bool collect_branches = false;
   /// Named end-to-end chain constraints (see campaign/oracle.hpp), checked
   /// on every branch alongside the scalar response envelope: a branch whose

@@ -285,7 +285,9 @@ class Parser {
       return std::nullopt;
     }
     if (t[0] == "deadline" && t.size() == 2) {
-      if (!parse_time(t[1], deadline_)) {
+      // A positive number or inf: no schedule meets a zero, negative or nan
+      // deadline, so such a file is malformed, not merely infeasible.
+      if (!parse_time(t[1], deadline_) || !(deadline_ > 0)) {
         return parse_error(line, "bad deadline: " + t[1]);
       }
       return std::nullopt;

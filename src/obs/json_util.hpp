@@ -1,5 +1,5 @@
 // Tiny JSON rendering helpers shared by every observability exporter
-// (metrics JSON, Chrome trace-event JSON, bench result files). Rendering
+// (metrics JSON, Chrome trace-event JSON, certificates). Rendering
 // only — ftsched emits JSON for external tools (Perfetto, jq, plotting
 // scripts) but never parses it back.
 #pragma once

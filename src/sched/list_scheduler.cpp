@@ -85,6 +85,7 @@ class Engine {
                        ", after the deadline " +
                        time_to_string(problem_.deadline)};
     }
+    schedule_.set_work(work_);
     return std::move(schedule_);
   }
 
@@ -540,13 +541,17 @@ class Engine {
       if (!options_.incremental_select || !slot_valid(slot, proc.id,
                                                       dep_change)) {
         slot.a = evaluate(op, proc.id);
+        ++work_.evaluations;
         slot.links_read = links_read_;
         slot.serial = serial_;
         all_cached = false;
       }
       all_scratch_.push_back(slot.a);
     }
-    if (all_cached && explain == nullptr) return cand_urgency_[op.index()];
+    if (all_cached && explain == nullptr) {
+      ++work_.cached_candidates;
+      return cand_urgency_[op.index()];
+    }
 
     const auto by_pressure = [](const Assignment& a, const Assignment& b) {
       if (!time_eq(a.sigma, b.sigma)) return a.sigma < b.sigma;
@@ -1030,6 +1035,8 @@ class Engine {
   std::vector<std::uint64_t> cand_serial_;
   std::vector<Time> cand_urgency_;
   std::vector<Assignment> kept_cache_;
+  /// Evaluations computed and candidates served whole, for Schedule::work.
+  SchedulerWork work_;
 
   // --- per-evaluation scratch, sized once in init_state ---
   /// Epoch-stamped tentative link timeline (ScratchLinks).

@@ -90,7 +90,8 @@ struct SchedulerOptions {
   /// cache on or off (see DESIGN.md "Scheduler performance" for the
   /// determinism argument, and the golden-hash test sweep that enforces
   /// it); OFF forces the pre-incremental full rescan every step — the
-  /// reference behaviour for equivalence tests and A/B benchmarks.
+  /// reference behaviour for equivalence tests and same-binary A/Bs
+  /// (Schedule::work counts the evaluations either way).
   bool incremental_select = true;
 
   /// Hard placement / routing constraints (see SchedulingConstraints).

@@ -152,6 +152,17 @@ class ReplicaView {
   const ScheduledOperation* ops_ = nullptr;
 };
 
+/// The work the list scheduler's select loop did to build a schedule: a
+/// pure function of (problem, options), pinned by the Cost.* tests. Not
+/// part of the schedule: schedule_hash, the exporters and the goldens
+/// ignore it.
+struct SchedulerWork {
+  /// (candidate, processor) pressure evaluations computed.
+  std::size_t evaluations = 0;
+  /// Candidate visits answered whole from the evaluation cache.
+  std::size_t cached_candidates = 0;
+};
+
 class Schedule {
  public:
   Schedule(const Problem& problem, HeuristicKind kind);
@@ -238,6 +249,11 @@ class Schedule {
   [[nodiscard]] std::vector<ProcessorId> comm_hops(
       const ScheduledComm& comm) const;
 
+  /// What the scheduler spent building this schedule (zero for schedules
+  /// assembled by hand).
+  [[nodiscard]] const SchedulerWork& work() const noexcept { return work_; }
+  void set_work(const SchedulerWork& work) noexcept { work_ = work; }
+
  private:
   const Problem* problem_;
   HeuristicKind kind_;
@@ -249,6 +265,7 @@ class Schedule {
   /// Per dependency: hybrid per-dependency comm policy (see
   /// uses_active_comms).
   std::vector<char> active_comm_;
+  SchedulerWork work_;
 };
 
 /// FNV-1a digest of every byte of scheduling output: kind, K, per-dependency

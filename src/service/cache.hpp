@@ -43,8 +43,7 @@ struct CachedResult {
 };
 
 /// Thread-safe LRU map plan key → CachedResult. Capacity 0 disables
-/// caching entirely (every get is a miss, puts are dropped) — bench_service
-/// uses that as its uncached baseline.
+/// caching entirely (every get is a miss, puts are dropped).
 class ResultCache {
  public:
   explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}

@@ -58,7 +58,7 @@ StreamShardResult certify_stream(const Schedule& schedule,
   result.completed = campaign::certify_shard(
       schedule, spec, shard,
       [&](campaign::CertifyTaskPartial&& partial) {
-        // Certified-branch collection is a local bench concern; it is
+        // Certified-branch collection is a local test concern; it is
         // never part of the wire certificate, and dropping it here keeps
         // the stream (and the worker's live memory) bounded.
         partial.collected.clear();

@@ -130,6 +130,8 @@ MissionResult run_mission(const Simulator& simulator, const MissionPlan& plan,
     }
     if (memoized == nullptr) {
       simulator.run_summary(scenario, x.sim, x.summary);
+      ++x.iterations_simulated;
+      x.events_simulated += x.summary.events_executed;
       if (discrete) x.memo.emplace(x.key, x.summary);
     }
     const IterationSummary& run = memoized != nullptr ? *memoized : x.summary;

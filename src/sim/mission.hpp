@@ -133,6 +133,11 @@ struct MissionScratch {
   /// would.
   std::unordered_map<std::string, IterationSummary> memo;
   std::string key;
+  /// Work counts over every mission run with this scratch: iterations
+  /// actually simulated (memo misses) and the events they dispatched. Pure
+  /// functions of the plans and their order; pinned by the Cost.* tests.
+  std::size_t iterations_simulated = 0;
+  std::size_t events_simulated = 0;
 };
 
 /// Full-plan variant: link failures and a non-empty initial state in

@@ -237,23 +237,31 @@ TEST(Certify, ReportIsThreadCountInvariantWithLinkAndSilenceBudgets) {
     CertifySpec spec;
     bool certified;
     std::vector<unsigned> threads;  // each compared with the 1-thread run
+    std::size_t branches;           // the sweep's work, pinned exactly
   };
   const std::vector<Case> cases = {
       // The bus death refutes it.
       {&ex1_solution1,
        {.max_failures = 1, .max_link_failures = 1, .max_silences = 1},
        false,
-       {2, 4}},
+       {2, 4},
+       155'730},
       // campaign_tool data/certify_k2.ft --solution2 --certify-links 1
-      {&k2_solution2, {.max_link_failures = 1}, false, {8}},
+      {&k2_solution2, {.max_link_failures = 1}, false, {8}, 440'377},
       // ... --claim-k 1 --certify-silences 1
-      {&k2_solution2, {.max_failures = 1, .max_silences = 1}, true, {8}},
+      {&k2_solution2, {.max_failures = 1, .max_silences = 1}, true, {8},
+       390'979},
       // campaign_tool --example2 --solution2 --claim-k 2
-      //   --certify-silences 1
-      {&ex2_solution2, {.max_failures = 2, .max_silences = 1}, false, {2, 8}},
+      //   --certify-silences 1 (the naive enumerator simulates 17.1x as
+      //   many branches)
+      {&ex2_solution2,
+       {.max_failures = 2, .max_silences = 1},
+       false,
+       {2, 8},
+       271'231},
       // campaign_tool --example1 --solution1 --certify
       //   --latency spine:A:E:1 --latency mission:I:O:100
-      {&ex1_solution1, chains, false, {8}},
+      {&ex1_solution1, chains, false, {8}, 40},
   };
   for (const Case& c : cases) {
     const ArchitectureGraph& arch = *c.schedule->problem().architecture;
@@ -261,6 +269,7 @@ TEST(Certify, ReportIsThreadCountInvariantWithLinkAndSilenceBudgets) {
     spec.threads = 1;
     const CertifyReport one = certify(*c.schedule, spec);
     EXPECT_EQ(one.certified, c.certified);
+    EXPECT_EQ(one.branches, c.branches);
     const std::string json = one.to_json(arch);
     EXPECT_TRUE(testing::JsonChecker(json).valid());
     for (const unsigned threads : c.threads) {

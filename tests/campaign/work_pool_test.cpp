@@ -1,7 +1,8 @@
 // The parallel runtime: ordered_for emits in ascending index order at any
 // thread count, stops on the first exception or a cancel, cannot deadlock
-// when nested inside a busy pool, runs a 1-thread call inline without the
-// pool, and keeps the pool at the size of its largest call.
+// when nested inside a busy pool, runs its tasks on helpers alongside the
+// caller, runs a 1-thread call inline without the pool, and keeps the pool
+// at the size of its largest call.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -167,6 +168,34 @@ TEST(OrderedFor, NestedCallFinishesWhileEveryPoolWorkerIsBusy) {
   EXPECT_TRUE(saturated);
   ASSERT_EQ(sums.size(), outer);
   for (std::size_t i = 0; i < outer; ++i) EXPECT_EQ(sums[i], i * 1600 + 120);
+}
+
+TEST(OrderedFor, HelpersRunTasksAlongsideTheCaller) {
+  const Alarm alarm(120);
+  // Each task waits until all of them are in flight at once, which only
+  // happens when three helpers join the caller. Were helpers never to
+  // join, the caller would run the tasks one after another and the first
+  // wait would time out.
+  constexpr unsigned kParticipants = 4;
+  std::mutex mutex;
+  std::condition_variable all_in;
+  unsigned in_flight = 0;
+  bool timed_out = false;
+  ordered_for(
+      kParticipants, kParticipants,
+      [&](unsigned, std::size_t) {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++in_flight;
+        all_in.notify_all();
+        if (!all_in.wait_for(lock, std::chrono::seconds(20), [&] {
+              return in_flight == kParticipants || timed_out;
+            })) {
+          timed_out = true;
+        }
+        return 0;
+      },
+      [](int) {});
+  EXPECT_FALSE(timed_out);
 }
 
 TEST(OrderedFor, OneThreadRunsInlineAndNeverBuildsThePool) {

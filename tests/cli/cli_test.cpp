@@ -1,8 +1,9 @@
-// The command-line contract of campaign_tool and trace_tool, checked on the
-// built binaries run as subprocesses: the exit-code table (0 clean or
-// certified, 1 refuted, 2 usage error, 3 bad input), the bytes each output
-// flag writes (compared with the committed data/golden/ files), the
-// --plan-key line, --trace-out and the stderr diagnostics. Verdicts, thread
+// The command-line contract of campaign_tool, trace_tool and
+// tradeoff_explorer, checked on the built binaries run as subprocesses: the
+// exit-code table (0 clean or certified, 1 refuted, 2 usage error, 3 bad
+// input), the bytes each output flag writes (compared with the committed
+// data/golden/ files or across thread counts), the --plan-key line,
+// --trace-out and the stderr diagnostics. Verdicts, thread
 // counts and partitions are pinned in process by the campaign and service
 // suites. Each test writes into its own temp directory, so the suite is
 // safe under `ctest -j`.
@@ -159,6 +160,19 @@ TEST_F(Cli, CleanCampaignsAndCertifiedClaimsExitZero) {
   EXPECT_TRUE(valid_json(read_file(cert)));
 }
 
+TEST_F(Cli, MetricsOutIsByteIdenticalAcrossThreadCounts) {
+  const std::string one = path("metrics1.json");
+  const std::string eight = path("metrics8.json");
+  for (const auto& [threads, out] : {std::pair{"1", one}, {"8", eight}}) {
+    EXPECT_EQ(0, status({"--example1", "--solution1", "--seed", "42",
+                         "--scenarios", "5000", "--threads", threads,
+                         "--metrics-out", out}));
+  }
+  const std::string metrics = read_file(one);
+  EXPECT_TRUE(valid_json(metrics));
+  EXPECT_EQ(read_file(eight), metrics);
+}
+
 TEST_F(Cli, CertifyOutWritesTheGoldenCertificates) {
   const std::string cert = path("cert.json");
   for (const char* threads : {"1", "8"}) {
@@ -187,10 +201,15 @@ TEST_F(Cli, RefutedClaimsExitOneWithAValidCertificate) {
     args.insert(args.end(), {"--certify-out", cert});
     EXPECT_EQ(1, status(args)) << ::testing::PrintToString(args);
     EXPECT_TRUE(valid_json(read_file(cert)));
+    // The K=3 sweeps' work, pinned exactly: example 2 clamps K to N-1 = 2.
+    if (args[0] == "--example2") {
+      EXPECT_TRUE(contains(read_file(cert), "\"branches\": 1058,"));
+    }
   }
   // The last run's 4-processor workload really sweeps K=3: no clamp to
   // N-1 applies.
   EXPECT_TRUE(contains(read_file(cert), "\"max_failures\": 3"));
+  EXPECT_TRUE(contains(read_file(cert), "\"branches\": 462267,"));
 }
 
 TEST_F(Cli, ChainRefutationNamesTheViolatedChain) {
@@ -341,6 +360,20 @@ TEST_F(Cli, BadInputsExitThreeNamingTheCulprit) {
   EXPECT_EQ(result.status, 3);
   EXPECT_TRUE(contains(result.err, "out of range")) << result.err;
 
+  // A deadline no schedule can meet is malformed input, not a verdict.
+  const std::string example1 =
+      read_file(std::string(FTSCHED_SOURCE_DIR) + "/data/example1.ft");
+  for (const char* deadline : {"nan", "-5", "0"}) {
+    const std::string file = path("deadline.ft");
+    std::ofstream(file) << example1 << "  deadline " << deadline << "\n";
+    result = campaign({file, "--solution1", "--certify"});
+    EXPECT_EQ(result.status, 3) << deadline;
+    EXPECT_TRUE(contains(result.err, "deadline.ft")) << result.err;
+    EXPECT_TRUE(contains(result.err,
+                         std::string("bad deadline: ") + deadline))
+        << result.err;
+  }
+
   // Operands that fit a long but not their field: no silent wrap-around.
   for (const char* flag : {"--threads", "--claim-k"}) {
     for (const char* operand : {"4294967296", "4294967297"}) {
@@ -350,6 +383,30 @@ TEST_F(Cli, BadInputsExitThreeNamingTheCulprit) {
       EXPECT_TRUE(contains(result.err, "out of range")) << result.err;
     }
   }
+}
+
+TEST_F(Cli, TradeoffExplorerNamesTheBadOperand) {
+  struct Case {
+    std::vector<std::string> args;
+    const char* operand;
+  };
+  const std::vector<Case> cases = {
+      {{"abc"}, "ops"},
+      {{"0"}, "ops"},
+      {{"20", "0"}, "procs"},
+      {{"20", "4", "-1"}, "K"},
+      {{"20", "4", "1", "nan"}, "ccr"},
+  };
+  for (const Case& c : cases) {
+    const Outcome result = run(FTSCHED_TRADEOFF_EXPLORER, c.args);
+    EXPECT_EQ(result.status, 2) << ::testing::PrintToString(c.args);
+    EXPECT_TRUE(contains(result.err, std::string("bad ") + c.operand +
+                                         " operand '" + c.args.back() + "'"))
+        << result.err;
+  }
+  EXPECT_EQ(0, run(FTSCHED_TRADEOFF_EXPLORER, {"20", "4", "1", "0.5", "bus",
+                                               "1"})
+                   .status);
 }
 
 }  // namespace

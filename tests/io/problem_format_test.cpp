@@ -136,6 +136,22 @@ TEST(ProblemFormat, ReportsErrorsWithLineNumbers) {
   ASSERT_FALSE(negative_k.has_value());
 }
 
+TEST(ProblemFormat, DeadlineIsAPositiveNumberOrInf) {
+  const std::string head = "problem\n  tolerate 0\n  deadline ";
+  for (const char* ok : {"12.5", "1e-3", "inf"}) {
+    const auto parsed = io::read_problem(head + ok + "\n");
+    EXPECT_TRUE(parsed.has_value()) << ok;
+  }
+  EXPECT_TRUE(is_infinite(io::read_problem(head + "inf\n")->problem.deadline));
+  for (const char* bad : {"nan", "-nan", "-5", "0", "-0", "-inf", "1e999",
+                          "soon"}) {
+    const auto parsed = io::read_problem(head + bad + "\n");
+    ASSERT_FALSE(parsed.has_value()) << bad;
+    EXPECT_EQ(parsed.error().message,
+              std::string("line 3: bad deadline: ") + bad);
+  }
+}
+
 TEST(ProblemFormat, ShippedExampleFileMatchesBuiltin) {
   // data/example1.ft is the file users start from; it must stay in sync
   // with the built-in paper example (same Figure-17 schedule).

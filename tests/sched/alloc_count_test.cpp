@@ -42,6 +42,7 @@
 #endif
 
 #include "campaign/certify.hpp"
+#include "campaign/runner.hpp"
 #include "sched/heuristics.hpp"
 #include "workload/paper_examples.hpp"
 #include "workload/random_arch.hpp"
@@ -182,6 +183,38 @@ TEST(AllocationCount, SmallCertifySweepStaysUnderOneMebibyte) {
   EXPECT_TRUE(report.certified);
   EXPECT_LT(bytes, std::size_t{1} << 20) << "certify() requested " << bytes
                                          << " bytes";
+}
+
+/// A 1-thread campaign of 4,000 seed-42 scenarios on the Fig. 17 schedule
+/// (8,023 iterations, 1,992 simulated, 64,672 events) allocates about 5
+/// times per scenario. A per-event allocation adds about 16, summarizing a
+/// traced run instead of the summary path about 18, and rebuilding the
+/// simulator's plan per run about 32.
+TEST(AllocationCount, CampaignAllocatesAFewTimesPerScenario) {
+#ifdef FTSCHED_ALLOC_COUNT_UNAVAILABLE
+  GTEST_SKIP() << "sanitizer runtime owns the global allocation operators";
+#endif
+  const workload::OwnedProblem ex = workload::paper_example1();
+  const Schedule schedule = schedule_solution1(ex.problem).value();
+  campaign::CampaignOptions options;
+  options.scenarios = 4000;
+  options.seed = 42;
+  options.threads = 1;
+  options.spec.max_iterations = 3;
+  options.spec.over_budget_fraction = 0.15;
+  options.spec.silence_probability = 0.10;
+  options.spec.suspect_probability = 0.10;
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  const campaign::CampaignReport report =
+      campaign::run_campaign(schedule, options);
+  g_counting.store(false);
+  const double per_scenario = static_cast<double>(g_allocations.load()) /
+                              static_cast<double>(options.scenarios);
+
+  EXPECT_EQ(report.total_violations, 0u);
+  EXPECT_LT(per_scenario, 6.0) << "allocations per scenario";
 }
 
 }  // namespace
