@@ -66,6 +66,14 @@ struct IterationResult {
   /// forked branch it is the marginal simulation work the branch cost,
   /// which is exactly what prefix sharing saves.
   std::size_t events_executed = 0;
+  /// Entities the event core examined while producing this result: each
+  /// watcher, processor and transfer the same-instant fixpoint visited,
+  /// each in-flight frame crash and link-death handling inspected, and
+  /// each candidate a wake-up lookup checked (an arriving value's waiters,
+  /// a freed link's waiters, a flagged sender's watchers, due time
+  /// guards). Counted like events_executed (this branch's own work only).
+  /// A work count for the Cost.* tests; no artifact reports it.
+  std::size_t entity_visits = 0;
   /// True when every extio output of the algorithm was executed by at least
   /// one processor alive at the end of the iteration.
   bool all_outputs_produced = false;
@@ -98,6 +106,8 @@ struct IterationSummary {
   bool all_outputs_produced = false;
   Time response_time = kInfinite;
   std::size_t events_executed = 0;
+  /// See IterationResult::entity_visits.
+  std::size_t entity_visits = 0;
   /// Trace-event counts: kTimeout / kElection / kTransferStart.
   std::size_t timeouts = 0;
   std::size_t elections = 0;

@@ -148,6 +148,75 @@ TEST(Cost, FaultFreeSimulatorEvents) {
   }
 }
 
+TEST(Cost, EventCoreVisitsStayFlat) {
+  // Seed-5 DAGs of 25 to 400 operations on 8 processors, each run
+  // fault-free and with one crash per processor at makespan / 2. A
+  // same-instant batch revisits only the entities its events can unblock,
+  // so the entities examined per event (fixpoint visits, fault-handler
+  // frames, wake-lookup candidates) stay flat as the plan grows: 1.47x on
+  // the bus and 1.05x on P2P from 25 to 400 operations. Rescanning every
+  // live entity per batch grew them linearly: from 28 to 430 per event on
+  // the bus and from 43 to 701 on P2P.
+  struct Config {
+    workload::ArchKind arch;
+    HeuristicKind kind;
+    std::size_t operations;
+    std::size_t events;
+    std::size_t visits;
+  };
+  constexpr auto kBus = workload::ArchKind::kBus;
+  constexpr auto kP2P = workload::ArchKind::kFullyConnected;
+  using enum HeuristicKind;
+  const std::vector<Config> configs = {
+      {kBus, kSolution1, 25, 1'403, 5'570},
+      {kBus, kSolution1, 50, 3'385, 16'605},
+      {kBus, kSolution1, 100, 6'414, 31'783},
+      {kBus, kSolution1, 200, 13'343, 69'513},
+      {kBus, kSolution1, 400, 26'935, 156'643},
+      {kP2P, kSolution2, 25, 1'373, 3'609},
+      {kP2P, kSolution2, 50, 2'972, 8'182},
+      {kP2P, kSolution2, 100, 5'799, 15'831},
+      {kP2P, kSolution2, 200, 11'526, 31'219},
+      {kP2P, kSolution2, 400, 23'630, 65'143},
+  };
+  double smallest = 0;
+  for (const Config& c : configs) {
+    workload::RandomProblemParams params;
+    params.dag.operations = c.operations;
+    params.processors = 8;
+    params.arch_kind = c.arch;
+    params.seed = 5;
+    const OwnedProblem ex = workload::random_problem(params);
+    const Schedule s = schedule(ex.problem, c.kind).value();
+    const Simulator simulator(s);
+    Simulator::Scratch scratch;
+    IterationSummary summary;
+    std::size_t events = 0;
+    std::size_t visits = 0;
+    auto run = [&](const FailureScenario& scenario) {
+      simulator.run_summary(scenario, scratch, summary);
+      events += summary.events_executed;
+      visits += summary.entity_visits;
+    };
+    run({});
+    for (std::size_t p = 0; p < params.processors; ++p) {
+      run(FailureScenario::crash(
+          ProcessorId{static_cast<ProcessorId::underlying_type>(p)},
+          s.makespan() / 2));
+    }
+    const std::string label =
+        to_string(c.kind) + " " + std::to_string(c.operations);
+    EXPECT_EQ(events, c.events) << label;
+    EXPECT_EQ(visits, c.visits) << label;
+    const double per_event =
+        static_cast<double>(visits) / static_cast<double>(events);
+    if (c.operations == 25) smallest = per_event;
+    if (c.operations == 400) {
+      EXPECT_LE(per_event, 2 * smallest) << label;
+    }
+  }
+}
+
 TEST(Cost, OneMissionScratchRunsTheCampaignPlans) {
   // The plans of a 4,000-scenario seed-42 campaign on the Fig. 17 schedule,
   // run in order through one scratch: what run_campaign simulates at one
