@@ -28,6 +28,7 @@
 #include "io/problem_format.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/simulator.hpp"
+#include "workload/paper_examples.hpp"
 #include "workload/random_arch.hpp"
 
 namespace ftsched {
@@ -331,6 +332,98 @@ TEST(Golden, LargePlanTraces) {
     Fnv campaign;
     const campaign::ScenarioGenerator generator(schedule, spec, kCampaignSeed);
     for (std::size_t i = 0; i < g.draws; ++i) {
+      hash_mission(campaign, simulator, generator.scenario(i).plan, scratch);
+    }
+
+    Fnv placed;
+    const IterationResult free =
+        hash_run(placed, simulator, FailureScenario{}, scratch);
+    for (const FailureScenario& scenario : placed_scenarios(schedule, free)) {
+      hash_run(placed, simulator, scenario, scratch);
+    }
+
+    Fnv forks;
+    hash_forks(forks, simulator, schedule);
+
+    EXPECT_EQ(hex(campaign.value()), hex(g.campaign)) << g.name;
+    EXPECT_EQ(hex(placed.value()), hex(g.placed)) << g.name;
+    EXPECT_EQ(hex(forks.value()), hex(g.forks)) << g.name;
+  }
+}
+
+TEST(Golden, SmallPlanTraces) {
+  // The same digests on small plans: the paper's two examples under each
+  // heuristic that schedules them (23 to 64 expected events per iteration)
+  // and the 14-operation, 4-processor random plans of summary_equiv_test
+  // (92 to 133). At these sizes every campaign draw, placed fault and fork
+  // lands in a handful of queue buckets, so equal-time batches, ties and
+  // out-of-horizon events dominate.
+  constexpr std::uint64_t kCampaignSeed = 0x9e3779b97f4a7c15ULL;
+  const OwnedProblem ex1 = workload::paper_example1();
+  const OwnedProblem ex2 = workload::paper_example2();
+  auto random14 = [](std::uint64_t seed) {
+    workload::RandomProblemParams params;
+    params.dag.operations = 14;
+    params.processors = 4;
+    params.failures_to_tolerate = 1;
+    params.seed = seed;
+    return workload::random_problem(params);
+  };
+  const OwnedProblem seed3 = random14(3);
+  const OwnedProblem seed21 = random14(21);
+  struct SmallPlan {
+    const char* name;
+    const Problem* problem;
+    HeuristicKind kind;
+    std::uint64_t campaign, placed, forks;
+  };
+  using enum HeuristicKind;
+  const std::vector<SmallPlan> plans = {
+      {"example1 base", &ex1.problem, kBase,
+       0x6ee0482a7b5899ebULL, 0x20204d53eae5ad3fULL,
+       0x5cd882ab84ae72feULL},
+      {"example2 base", &ex2.problem, kBase,
+       0x25ce2b388de53f6eULL, 0x973f2fc7139956d0ULL,
+       0x9296d6d5babaeb5bULL},
+      {"example1 solution1", &ex1.problem, kSolution1,
+       0xa38282dec31a23e3ULL, 0x2ccb5ede53832bd5ULL,
+       0x5904422068094c11ULL},
+      {"example1 solution2", &ex1.problem, kSolution2,
+       0x84c2d94263d94a1fULL, 0x7136578208b96d99ULL,
+       0xbe41198d22c99c65ULL},
+      {"example2 solution2", &ex2.problem, kSolution2,
+       0xe57b47c393bdab54ULL, 0x004f47aa3b0cb4d3ULL,
+       0x9acd70863ee8e396ULL},
+      {"example2 solution1", &ex2.problem, kSolution1,
+       0xdfdc5fd6029408f0ULL, 0x5f3648c2e27d8f66ULL,
+       0x79b786f5b42b6431ULL},
+      {"random14 seed 3 solution1", &seed3.problem, kSolution1,
+       0x8f5df4db39bf043fULL, 0x78580ee253362bd5ULL,
+       0x0f134bede05430ebULL},
+      {"random14 seed 3 solution2", &seed3.problem, kSolution2,
+       0x63095293727ec886ULL, 0x7a7734727cb8418bULL,
+       0xa13601fbd38f7f1eULL},
+      {"random14 seed 21 solution1", &seed21.problem, kSolution1,
+       0x440eac15a8f88e81ULL, 0x0abee367778db18eULL,
+       0x02927515afbfdbd3ULL},
+      {"random14 seed 21 solution2", &seed21.problem, kSolution2,
+       0xc3ca5223f873125cULL, 0x889ad65149908618ULL,
+       0xdbf7e3186f2aebe1ULL},
+  };
+  campaign::CampaignSpec spec;
+  spec.max_iterations = 3;
+  spec.over_budget_fraction = 0.15;
+  spec.silence_probability = 0.10;
+  spec.suspect_probability = 0.10;
+  spec.link_failure_probability = 0.10;
+  for (const SmallPlan& g : plans) {
+    const Schedule schedule = ftsched::schedule(*g.problem, g.kind).value();
+    const Simulator simulator(schedule);
+    Simulator::Scratch scratch;
+
+    Fnv campaign;
+    const campaign::ScenarioGenerator generator(schedule, spec, kCampaignSeed);
+    for (std::size_t i = 0; i < 300; ++i) {
       hash_mission(campaign, simulator, generator.scenario(i).plan, scratch);
     }
 
