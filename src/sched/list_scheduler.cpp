@@ -15,22 +15,13 @@
 // Performance architecture (see DESIGN.md "Scheduler performance"):
 // scheduling is this system's compile-time hot path — the campaign engine
 // and the hybrid tuner re-run it thousands of times per sweep — so the
-// select loop is incremental and allocation-free. Every tentative
-// (candidate, processor) evaluation is cached together with a
-// version-stamped read-set: the processor slot it starts on, the committed
-// delivery entries of its input dependencies, and the link timelines its
-// tentative transfers read (a folded 64-bit mask). A commit bumps one
-// monotonic serial and stamps exactly the resources it wrote; at the next
-// step a cached evaluation is reused iff nothing it read carries a newer
-// stamp. Reused values are bit-identical to what re-evaluation would
-// produce, so the schedule — and the explain log, which replays cached
-// entries — is byte-identical with the cache on or off (enforced by the
-// golden-hash sweep in tests/sched/golden_hash_test.cpp). Tentative
-// transfers run on an epoch-stamped scratch timeline instead of a copy of
-// the link array, and all per-step working sets live in members sized once
-// in init_state().
+// select loop is allocation-free. Each step evaluates every allowed
+// (candidate, processor) pair; tentative transfers run on an epoch-stamped
+// scratch overlay of the link timelines instead of a copy of the link
+// array, precedence is read from flattened CSR tables, only the K+1 best
+// assignments are sorted, and all per-step working sets live in members
+// sized once in init_state().
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -98,28 +89,16 @@ class Engine {
     Time sigma = 0;
   };
 
-  /// Cached tentative evaluation of one (operation, processor) pair.
-  /// `serial` is the commit serial the evaluation was computed at (0 =
-  /// never evaluated); `links_read` folds every link whose committed
-  /// timeline the evaluation read into bit (link % 64). The entry is
-  /// reusable iff no stamped write to its read-set is newer than `serial`.
-  struct EvalSlot {
-    Assignment a;
-    std::uint64_t serial = 0;
-    std::uint64_t links_read = 0;
-  };
-
   /// Tentative link timeline for one evaluation: reads fall through to the
-  /// committed timeline (recording the link in the read-set mask) unless
-  /// this evaluation already wrote the slot in the current epoch. Starting
-  /// a new evaluation is one counter bump — no copy of the link array.
+  /// committed timeline unless this evaluation already wrote the slot in
+  /// the current epoch. Starting a new evaluation is one counter bump — no
+  /// copy of the link array.
   struct ScratchLinks {
     Engine& e;
 
-    Time get(LinkId link) {
+    Time get(LinkId link) const {
       const std::size_t i = link.index();
       if (e.scratch_epoch_[i] == e.epoch_) return e.scratch_links_[i];
-      e.links_read_ |= std::uint64_t{1} << (i & 63);
       return e.link_ready_[i];
     }
     void set(LinkId link, Time t) {
@@ -129,17 +108,12 @@ class Engine {
     }
   };
 
-  /// Committed link timeline: writes go to the real array and stamp the
-  /// link with the current commit serial, invalidating cached evaluations
-  /// that read it.
+  /// Committed link timeline: reads and writes go to the real array.
   struct CommitLinks {
     Engine& e;
 
     Time get(LinkId link) const { return e.link_ready_[link.index()]; }
-    void set(LinkId link, Time t) {
-      e.link_ready_[link.index()] = t;
-      e.link_fold_stamp_[link.index() & 63] = e.serial_;
-    }
+    void set(LinkId link, Time t) { e.link_ready_[link.index()] = t; }
   };
 
   /// Does this dependency's value travel by actively replicated transfers?
@@ -287,16 +261,7 @@ class Engine {
     scratch_epoch_.assign(links, 0);
     epoch_ = 0;
 
-    serial_ = 1;
-    proc_stamp_.assign(proc_count_, 0);
-    dep_stamp_.assign(deps, 0);
-    link_fold_stamp_.assign(64, 0);
-
-    eval_cache_.assign(ops * proc_count_, EvalSlot{});
-    cand_serial_.assign(ops, 0);
-    cand_urgency_.assign(ops, 0);
-    kept_cache_.assign(ops * static_cast<std::size_t>(replicas_),
-                       Assignment{});
+    kept_.assign(ops * static_cast<std::size_t>(replicas_), Assignment{});
     all_scratch_.reserve(proc_count_);
     placements_.reserve(static_cast<std::size_t>(replicas_));
 
@@ -509,48 +474,23 @@ class Engine {
     return std::nullopt;
   }
 
-  /// mSn.1 for one candidate: its K+1 assignments minimizing sigma,
-  /// ascending (sigma, completion, processor id), written to the
-  /// candidate's kept_cache_ row; returns the urgency (the kept set's
-  /// largest sigma). check_input() guarantees enough allowed processors
-  /// exist. Per-(op, proc) evaluations are cached and reused while their
-  /// version-stamped read-set is untouched; cached entries carry exactly
-  /// the values re-evaluation would produce, so reuse cannot change any
-  /// decision. With `explain`, every evaluation — cached entries replayed —
-  /// is appended to the step's candidate list (kept = among the K+1 best).
+  /// mSn.1 for one candidate: evaluates it on every allowed processor and
+  /// writes its K+1 assignments minimizing sigma, ascending (sigma,
+  /// completion, processor id), to the candidate's kept_ row; returns the
+  /// urgency (the kept set's largest sigma). check_input() guarantees enough
+  /// allowed processors exist. With `explain`, every evaluation is appended
+  /// to the step's candidate list (kept = in the kept set).
   Time keep_best(OperationId op, ExplainStep* explain) {
     FTSCHED_SPAN("sched.pressure_eval");
-    // Committed deliveries of any input dependency invalidate every
-    // processor's evaluation of this candidate at once.
-    std::uint64_t dep_change = 0;
-    for (DependencyId dep : pred_span(op)) {
-      dep_change = std::max(dep_change, dep_stamp_[dep.index()]);
-    }
-
     all_scratch_.clear();
-    bool all_cached = options_.incremental_select &&
-                      cand_serial_[op.index()] != 0 &&
-                      cand_serial_[op.index()] >= dep_change;
     const std::size_t row = op.index() * proc_count_;
     for (const Processor& proc : arch().processors()) {
       if (!exec().allowed_fast(op, proc.id)) continue;
       if (has_place_constraints_ && forbidden_[row + proc.id.index()] != 0) {
         continue;
       }
-      EvalSlot& slot = eval_cache_[row + proc.id.index()];
-      if (!options_.incremental_select || !slot_valid(slot, proc.id,
-                                                      dep_change)) {
-        slot.a = evaluate(op, proc.id);
-        ++work_.evaluations;
-        slot.links_read = links_read_;
-        slot.serial = serial_;
-        all_cached = false;
-      }
-      all_scratch_.push_back(slot.a);
-    }
-    if (all_cached && explain == nullptr) {
-      ++work_.cached_candidates;
-      return cand_urgency_[op.index()];
+      all_scratch_.push_back(evaluate(op, proc.id));
+      ++work_.evaluations;
     }
 
     const auto by_pressure = [](const Assignment& a, const Assignment& b) {
@@ -565,40 +505,24 @@ class Engine {
         has_place_constraints_ && !pinned_on_[op.index()].empty()
             ? &pinned_on_[op.index()]
             : nullptr;
+    const auto replicas = static_cast<std::size_t>(replicas_);
     {
       FTSCHED_SPAN("sched.candidate_sort");
-      const auto kept_end =
-          all_scratch_.begin() + static_cast<std::ptrdiff_t>(replicas_);
       if (explain != nullptr || pins != nullptr) {
         // The audit log lists the full table in pressure order (and pinned
         // selection scans all of it), so sort it all; the fast path only
         // needs the K+1 winners in order.
         std::sort(all_scratch_.begin(), all_scratch_.end(), by_pressure);
       } else {
-        std::partial_sort(all_scratch_.begin(), kept_end, all_scratch_.end(),
-                          by_pressure);
+        std::partial_sort(
+            all_scratch_.begin(),
+            all_scratch_.begin() + static_cast<std::ptrdiff_t>(replicas),
+            all_scratch_.end(), by_pressure);
       }
     }
     Assignment* kept = kept_row(op);
     if (pins == nullptr) {
-      if (explain != nullptr) {
-        for (std::size_t i = 0; i < all_scratch_.size(); ++i) {
-          const Assignment& a = all_scratch_[i];
-          ExplainCandidate candidate;
-          candidate.op = op;
-          candidate.proc = a.proc;
-          candidate.start = a.start;
-          candidate.duration = a.end - a.start;
-          candidate.tail = timing_.tail[op.index()];
-          candidate.penalty = successor_penalty(op, a.proc);
-          candidate.sigma = a.sigma;
-          candidate.kept = i < static_cast<std::size_t>(replicas_);
-          explain->candidates.push_back(candidate);
-        }
-      }
-      for (std::size_t i = 0; i < static_cast<std::size_t>(replicas_); ++i) {
-        kept[i] = all_scratch_[i];
-      }
+      std::copy_n(all_scratch_.begin(), replicas, kept);
     } else {
       pin_selected_.assign(all_scratch_.size(), 0);
       std::size_t taken = 0;
@@ -609,28 +533,11 @@ class Engine {
           ++taken;
         }
       }
-      for (std::size_t i = 0;
-           i < all_scratch_.size() &&
-           taken < static_cast<std::size_t>(replicas_);
+      for (std::size_t i = 0; i < all_scratch_.size() && taken < replicas;
            ++i) {
         if (pin_selected_[i] == 0) {
           pin_selected_[i] = 1;
           ++taken;
-        }
-      }
-      if (explain != nullptr) {
-        for (std::size_t i = 0; i < all_scratch_.size(); ++i) {
-          const Assignment& a = all_scratch_[i];
-          ExplainCandidate candidate;
-          candidate.op = op;
-          candidate.proc = a.proc;
-          candidate.start = a.start;
-          candidate.duration = a.end - a.start;
-          candidate.tail = timing_.tail[op.index()];
-          candidate.penalty = successor_penalty(op, a.proc);
-          candidate.sigma = a.sigma;
-          candidate.kept = pin_selected_[i] != 0;
-          explain->candidates.push_back(candidate);
         }
       }
       std::size_t k = 0;
@@ -638,42 +545,36 @@ class Engine {
         if (pin_selected_[i] != 0) kept[k++] = all_scratch_[i];
       }
     }
-    cand_urgency_[op.index()] =
-        kept[static_cast<std::size_t>(replicas_) - 1].sigma;
-    cand_serial_[op.index()] = serial_;
-    return cand_urgency_[op.index()];
-  }
-
-  /// This candidate's K+1 kept assignments (kept_cache_ row), valid until a
-  /// commit invalidates one of its evaluations.
-  Assignment* kept_row(OperationId op) {
-    return kept_cache_.data() +
-           op.index() * static_cast<std::size_t>(replicas_);
-  }
-
-  bool slot_valid(const EvalSlot& slot, ProcessorId proc,
-                  std::uint64_t dep_change) const {
-    if (slot.serial == 0) return false;
-    if (slot.serial < dep_change) return false;
-    if (slot.serial < proc_stamp_[proc.index()]) return false;
-    std::uint64_t mask = slot.links_read;
-    while (mask != 0) {
-      const int bit = std::countr_zero(mask);
-      if (slot.serial < link_fold_stamp_[static_cast<std::size_t>(bit)]) {
-        return false;
+    if (explain != nullptr) {
+      for (std::size_t i = 0; i < all_scratch_.size(); ++i) {
+        const Assignment& a = all_scratch_[i];
+        ExplainCandidate candidate;
+        candidate.op = op;
+        candidate.proc = a.proc;
+        candidate.start = a.start;
+        candidate.duration = a.end - a.start;
+        candidate.tail = timing_.tail[op.index()];
+        candidate.penalty = successor_penalty(op, a.proc);
+        candidate.sigma = a.sigma;
+        candidate.kept =
+            pins == nullptr ? i < replicas : pin_selected_[i] != 0;
+        explain->candidates.push_back(candidate);
       }
-      mask &= mask - 1;
     }
-    return true;
+    return kept[replicas - 1].sigma;
+  }
+
+  /// This candidate's K+1 kept assignments (kept_ row), as its latest
+  /// keep_best() left them.
+  Assignment* kept_row(OperationId op) {
+    return kept_.data() + op.index() * static_cast<std::size_t>(replicas_);
   }
 
   /// Tentative evaluation of (op, proc): earliest start given the committed
   /// partial schedule, scheduling the implied communications on the
-  /// epoch-stamped scratch link timeline. Records the links read into
-  /// links_read_ for the caller to stash in the evaluation's cache slot.
+  /// epoch-stamped scratch link timeline.
   Assignment evaluate(OperationId op, ProcessorId proc) {
     ++epoch_;
-    links_read_ = 0;
     ScratchLinks links{*this};
     const Time data = data_ready(op, proc, links, nullptr);
     const Time start = std::max(data, proc_ready_[proc.index()]);
@@ -824,7 +725,6 @@ class Engine {
       at = end;
       record.segments.push_back(CommSegment{link, start, end});
     }
-    if (!record.segments.empty()) dep_stamp_[dep_id.index()] = serial_;
     for (const CommSegment& seg : record.segments) {
       for (ProcessorId endpoint : arch().link(seg.link).endpoints) {
         Time& slot = avail(dep_id, sender.rank, endpoint);
@@ -846,10 +746,7 @@ class Engine {
   /// mSn.3: commits the chosen operation on its K+1 processors, main first.
   /// Ranks are re-derived from the actual completion dates, which can differ
   /// from the evaluated ones once the replicas' transfers interact on links.
-  /// Bumps the commit serial and stamps every resource written, so only the
-  /// cached evaluations that actually read them are re-evaluated next step.
   void commit(OperationId op) {
-    ++serial_;
     const Assignment* kept = kept_row(op);
     CommitLinks links{*this};
     placements_.clear();
@@ -859,7 +756,6 @@ class Engine {
       const Time start = std::max(data, proc_ready_[proc.index()]);
       const Time end = start + exec().duration_fast(op, proc);
       proc_ready_[proc.index()] = end;
-      proc_stamp_[proc.index()] = serial_;
       local_end_[op.index() * proc_count_ + proc.index()] = end;
       placements_.push_back(ScheduledOperation{op, 0, proc, start, end});
     }
@@ -1017,25 +913,10 @@ class Engine {
   /// the hot-path equivalent of Schedule::replica_on(op, proc)->end.
   std::vector<Time> local_end_;
 
-  // --- incremental-select state (see class comment) ---
-  /// Monotonic commit counter; bumped at the start of every commit.
-  std::uint64_t serial_ = 1;
-  /// Per processor: serial of the last proc_ready_ write.
-  std::vector<std::uint64_t> proc_stamp_;
-  /// Per dependency: serial of the last committed delivery (avail_ write).
-  std::vector<std::uint64_t> dep_stamp_;
-  /// Per folded link index (link % 64): serial of the last timeline write.
-  /// Folding trades precision for a fixed-size mask — aliasing can only
-  /// cause extra re-evaluation, never a stale reuse.
-  std::vector<std::uint64_t> link_fold_stamp_;
-  /// Per (operation, processor): cached tentative evaluation.
-  std::vector<EvalSlot> eval_cache_;
-  /// Per operation: serial/urgency of the cached keep_best result, and its
-  /// kept K+1 assignments as one flat row-major array.
-  std::vector<std::uint64_t> cand_serial_;
-  std::vector<Time> cand_urgency_;
-  std::vector<Assignment> kept_cache_;
-  /// Evaluations computed and candidates served whole, for Schedule::work.
+  /// Per operation: the K+1 assignments its latest keep_best() kept, as one
+  /// flat row-major array.
+  std::vector<Assignment> kept_;
+  /// Evaluations computed, for Schedule::work.
   SchedulerWork work_;
 
   // --- per-evaluation scratch, sized once in init_state ---
@@ -1043,8 +924,6 @@ class Engine {
   std::vector<Time> scratch_links_;
   std::vector<std::uint64_t> scratch_epoch_;
   std::uint64_t epoch_ = 0;
-  /// Folded mask of links the current evaluation read (ScratchLinks::get).
-  std::uint64_t links_read_ = 0;
   /// keep_best working set and commit placement buffer.
   std::vector<Assignment> all_scratch_;
   std::vector<ScheduledOperation> placements_;

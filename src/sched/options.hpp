@@ -1,4 +1,6 @@
-// Tunables of the list-scheduling engine, exposed for ablation studies.
+// Options of the list-scheduling engine: the placement and routing policies
+// the heuristics and the repair engine select, the hard constraints, and the
+// decision log.
 #pragma once
 
 #include <vector>
@@ -81,18 +83,6 @@ struct SchedulerOptions {
   /// empty vector means all-passive. schedule_hybrid() drives this knob
   /// automatically; expose it here for manual ablations.
   std::vector<bool> active_comm_deps;
-
-  /// Incremental candidate re-evaluation: cache every (candidate,
-  /// processor) evaluation together with its version-stamped read-set
-  /// (processor availability, link timelines, committed-delivery entries)
-  /// and, at each mSn step, re-evaluate only the candidates whose read-set
-  /// a commit actually invalidated. Schedules are byte-identical with the
-  /// cache on or off (see DESIGN.md "Scheduler performance" for the
-  /// determinism argument, and the golden-hash test sweep that enforces
-  /// it); OFF forces the pre-incremental full rescan every step — the
-  /// reference behaviour for equivalence tests and same-binary A/Bs
-  /// (Schedule::work counts the evaluations either way).
-  bool incremental_select = true;
 
   /// Hard placement / routing constraints (see SchedulingConstraints).
   /// Empty (the default) costs nothing: the engine's hot paths test one

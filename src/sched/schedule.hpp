@@ -159,8 +159,6 @@ class ReplicaView {
 struct SchedulerWork {
   /// (candidate, processor) pressure evaluations computed.
   std::size_t evaluations = 0;
-  /// Candidate visits answered whole from the evaluation cache.
-  std::size_t cached_candidates = 0;
 };
 
 class Schedule {

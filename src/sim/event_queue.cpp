@@ -2,38 +2,24 @@
 
 namespace ftsched::sim_detail {
 
-namespace {
-
-/// Below this many expected events a heap's O(log n) with tiny n beats the
-/// calendar's bucket bookkeeping; above it the calendar's O(1) push and
-/// short bucket scans win.
-constexpr std::size_t kCalendarThreshold = 64;
-
-}  // namespace
-
-void EventQueue::configure(EventSchedulerKind kind, Time horizon,
-                           std::size_t expected_events) {
-  if (kind == EventSchedulerKind::kAuto) {
-    kind = (expected_events >= kCalendarThreshold && horizon > 0)
-               ? EventSchedulerKind::kCalendar
-               : EventSchedulerKind::kBinaryHeap;
-  }
-  calendar_ = kind == EventSchedulerKind::kCalendar && horizon > 0;
+void EventQueue::configure(Time horizon, std::size_t expected_events) {
   size_ = 0;
-  heap_.clear();
-  if (!calendar_) return;
-
   // Aim for ~2 events per bucket across the horizon; events beyond the
   // horizon (late backup sends, injected faults past the makespan) all land
   // in the last bucket, which degrades to a linear scan but stays correct.
-  std::uint32_t buckets = 16;
-  while (buckets < 1024 && static_cast<std::size_t>(buckets) * 2 <
-                               expected_events) {
-    buckets *= 2;
+  // A horizon <= 0 has no width to divide: one bucket holds every event.
+  nbuckets_ = 1;
+  limit_ = 0;
+  inv_width_ = 0;
+  if (horizon > 0) {
+    nbuckets_ = 16;
+    while (nbuckets_ < 1024 && static_cast<std::size_t>(nbuckets_) * 2 <
+                                   expected_events) {
+      nbuckets_ *= 2;
+    }
+    limit_ = horizon;
+    inv_width_ = static_cast<double>(nbuckets_) / horizon;
   }
-  nbuckets_ = buckets;
-  limit_ = horizon;
-  inv_width_ = static_cast<double>(nbuckets_) / horizon;
   head_.assign(nbuckets_, kNil);
   slots_.clear();
   next_.clear();

@@ -131,8 +131,8 @@ struct SimPlan {
 
   std::vector<OperationId> extio_out;  // response-defining outputs
 
-  Time horizon = 0;                  // schedule makespan (calendar sizing)
-  std::size_t expected_events = 0;   // calendar-vs-heap auto selection
+  Time horizon = 0;                 // schedule makespan (bucket sizing)
+  std::size_t expected_events = 0;  // bucket count sizing
 };
 
 inline constexpr char kIdle = 0;
@@ -494,11 +494,10 @@ struct HopView {
 class Engine {
  public:
   Engine(const Schedule& schedule, const RoutingTable& routing,
-         const SimPlan& plan, EventSchedulerKind scheduler, SimState& s)
+         const SimPlan& plan, SimState& s)
       : schedule_(schedule),
         routing_(routing),
         plan_(plan),
-        scheduler_(scheduler),
         graph_(*schedule.problem().algorithm),
         s_(s) {}
 
@@ -511,7 +510,7 @@ class Engine {
     s_.entity_visits = 0;
     s_.executed_until = -kInfinite;
     s_.seq = 0;
-    s_.queue.configure(scheduler_, plan_.horizon, plan_.expected_events);
+    s_.queue.configure(plan_.horizon, plan_.expected_events);
     s_.trace.clear();
     s_.proc.assign(procs, ProcRun{});
     for (std::size_t p = 0; p < procs; ++p) {
@@ -1350,7 +1349,6 @@ class Engine {
   const Schedule& schedule_;
   const RoutingTable& routing_;
   const SimPlan& plan_;
-  const EventSchedulerKind scheduler_;
   const AlgorithmGraph& graph_;
   SimState& s_;
 };
@@ -1386,9 +1384,8 @@ Simulator::Scratch& Simulator::Scratch::operator=(Scratch&&) noexcept =
     default;
 Simulator::Scratch::~Scratch() = default;
 
-Simulator::Simulator(const Schedule& schedule, SimOptions options)
+Simulator::Simulator(const Schedule& schedule)
     : schedule_(&schedule),
-      options_(options),
       routing_(*schedule.problem().architecture),
       timeouts_(schedule, routing_),
       plan_(sim_detail::build_plan(schedule, timeouts_)) {}
@@ -1398,7 +1395,7 @@ Simulator::~Simulator() = default;
 IterationResult Simulator::run(const FailureScenario& scenario) const {
   FTSCHED_SPAN("sim.run");
   sim_detail::SimState state;
-  Engine engine(*schedule_, routing_, *plan_, options_.scheduler, state);
+  Engine engine(*schedule_, routing_, *plan_, state);
   engine.init(scenario);
   engine.run_all();
   return engine.finish();
@@ -1412,7 +1409,7 @@ void Simulator::run_summary(const FailureScenario& scenario, Scratch& scratch,
   }
   sim_detail::SimState& state = *scratch.state_;
   state.summary = true;
-  Engine engine(*schedule_, routing_, *plan_, options_.scheduler, state);
+  Engine engine(*schedule_, routing_, *plan_, state);
   engine.init(scenario);
   engine.run_all();
   engine.finish_summary(out);
@@ -1420,36 +1417,30 @@ void Simulator::run_summary(const FailureScenario& scenario, Scratch& scratch,
 
 Simulator::Branch Simulator::begin(const FailureScenario& scenario) const {
   auto state = std::make_unique<sim_detail::SimState>();
-  Engine(*schedule_, routing_, *plan_, options_.scheduler, *state)
-      .init(scenario);
+  Engine(*schedule_, routing_, *plan_, *state).init(scenario);
   return Branch(std::move(state));
 }
 
 void Simulator::advance_until(Branch& branch, Time t) const {
-  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_)
-      .run_until(t);
+  Engine(*schedule_, routing_, *plan_, *branch.state_).run_until(t);
 }
 
 void Simulator::inject(Branch& branch, const FailureEvent& failure) const {
-  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_)
-      .inject(failure);
+  Engine(*schedule_, routing_, *plan_, *branch.state_).inject(failure);
 }
 
 void Simulator::inject(Branch& branch,
                        const LinkFailureEvent& failure) const {
-  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_)
-      .inject(failure);
+  Engine(*schedule_, routing_, *plan_, *branch.state_).inject(failure);
 }
 
 void Simulator::inject(Branch& branch, const SilentWindow& window) const {
-  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_)
-      .inject(window);
+  Engine(*schedule_, routing_, *plan_, *branch.state_).inject(window);
 }
 
 IterationResult Simulator::finish(Branch branch) const {
   FTSCHED_SPAN("sim.finish");
-  Engine engine(*schedule_, routing_, *plan_, options_.scheduler,
-                *branch.state_);
+  Engine engine(*schedule_, routing_, *plan_, *branch.state_);
   engine.run_all();
   return engine.finish();
 }

@@ -48,16 +48,6 @@
 
 namespace ftsched {
 
-/// Run-independent simulator knobs.
-struct SimOptions {
-  /// Event-queue implementation. kAuto selects the calendar queue for
-  /// plans dense enough (expected events over the schedule horizon) for
-  /// bucketing to pay off, else the binary heap. Every kind produces
-  /// bit-identical results — events are totally ordered by
-  /// (time, kind, push order), so the pop sequence is unique.
-  EventSchedulerKind scheduler = EventSchedulerKind::kAuto;
-};
-
 struct IterationResult {
   Trace trace;
   /// Events the producing run dispatched itself — NOT counting the shared
@@ -128,7 +118,7 @@ struct SimState;
 class Simulator {
  public:
   /// The schedule must outlive the simulator.
-  explicit Simulator(const Schedule& schedule, SimOptions options = {});
+  explicit Simulator(const Schedule& schedule);
   ~Simulator();
 
   /// Simulates one iteration under `scenario`. Deterministic.
@@ -220,7 +210,6 @@ class Simulator {
 
  private:
   const Schedule* schedule_;
-  SimOptions options_;
   RoutingTable routing_;
   TimeoutTable timeouts_;
   /// Scenario-independent run state (per-processor programs, static

@@ -126,8 +126,8 @@ std::vector<FailureScenario> interesting_scenarios(const Schedule& schedule) {
   return scenarios;
 }
 
-void check_schedule(const Schedule& schedule, SimOptions options = {}) {
-  const Simulator simulator(schedule, options);
+void check_schedule(const Schedule& schedule) {
+  const Simulator simulator(schedule);
   for (const FailureScenario& scenario : interesting_scenarios(schedule)) {
     const IterationResult scratch = simulator.run(scenario);
     // Mode 1: the whole scenario seeds the branch.
@@ -169,34 +169,6 @@ TEST(ForkEquivalence, RandomProblems) {
       SCOPED_TRACE(to_string(kind) + " seed " + std::to_string(seed));
       check_schedule(result.value());
     }
-  }
-}
-
-TEST(ForkEquivalence, CalendarSchedulerMatchesScratchRuns) {
-  // The whole begin/advance/inject/fork/finish surface over the calendar
-  // event queue: forking deep-copies the calendar's slot arrays and free
-  // list, and every sliced replay must still match the from-scratch run.
-  const OwnedProblem ex1 = workload::paper_example1();
-  check_schedule(schedule_solution1(ex1.problem).value(),
-                 {EventSchedulerKind::kCalendar});
-  const OwnedProblem ex2 = workload::paper_example2();
-  check_schedule(schedule_solution2(ex2.problem).value(),
-                 {EventSchedulerKind::kCalendar});
-}
-
-TEST(ForkEquivalence, SchedulersAgreeAcrossForkModes) {
-  // Heap and calendar simulators over the same schedule: a branch forked
-  // and finished under one queue implementation equals a from-scratch run
-  // under the other — queue choice is invisible end to end.
-  const OwnedProblem ex = workload::paper_example1();
-  const Schedule schedule = schedule_solution1(ex.problem).value();
-  const Simulator heap(schedule, {EventSchedulerKind::kBinaryHeap});
-  const Simulator calendar(schedule, {EventSchedulerKind::kCalendar});
-  for (const FailureScenario& scenario : interesting_scenarios(schedule)) {
-    expect_identical(calendar.finish(calendar.begin(scenario)),
-                     heap.run(scenario));
-    expect_identical(replay_forked(calendar, scenario, true),
-                     heap.run(scenario));
   }
 }
 

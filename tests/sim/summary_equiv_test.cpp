@@ -1,26 +1,15 @@
-// Three contracts of the rebuilt event core, pinned over scenario sweeps:
-//
-//  1. Summary equivalence — Simulator::run_summary produces, field for
-//     field, the digest a full Simulator::run would derive from its trace
-//     (the batched campaign path simulates without materializing traces).
-//  2. Cross-scheduler byte identity — the binary-heap and calendar event
-//     queues yield bit-identical traces, digests, and detections for the
-//     same scenario. Events are totally ordered by (time, kind, push
-//     order); no implementation may break ties differently.
-//  3. Verdict invariance under equal-time ties — scenarios engineered so
-//     many events share exact instants (crashes and window edges placed on
-//     schedule completion times) produce the same mission results and the
-//     same oracle verdicts whichever queue implementation served them.
-//     Equal-time reordering freedom inside the queue cannot leak into a
-//     verdict.
+// Summary equivalence of the event core, pinned over scenario sweeps:
+// Simulator::run_summary produces, field for field, the digest a full
+// Simulator::run would derive from its trace (the batched campaign path
+// simulates without materializing traces). The scenarios pile crashes,
+// window edges and link deaths onto schedule completion instants, so the
+// same-instant batches hold many equal-time events.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
-#include "campaign/oracle.hpp"
 #include "sched/heuristics.hpp"
-#include "sim/mission.hpp"
 #include "sim/simulator.hpp"
 #include "workload/paper_examples.hpp"
 #include "workload/random_arch.hpp"
@@ -98,34 +87,13 @@ std::vector<FailureScenario> tie_heavy_scenarios(const Schedule& schedule,
 }
 
 void check_schedule(const Schedule& schedule, std::uint64_t seed) {
-  const Simulator heap(schedule, {EventSchedulerKind::kBinaryHeap});
-  const Simulator calendar(schedule, {EventSchedulerKind::kCalendar});
-  Simulator::Scratch heap_scratch;
-  Simulator::Scratch calendar_scratch;
-  IterationSummary heap_summary;
-  IterationSummary calendar_summary;
-
+  const Simulator simulator(schedule);
+  Simulator::Scratch scratch;
+  IterationSummary summary;
   for (const FailureScenario& scenario :
        tie_heavy_scenarios(schedule, seed, 24)) {
-    const IterationResult via_heap = heap.run(scenario);
-    const IterationResult via_calendar = calendar.run(scenario);
-
-    // Contract 2: byte-identical traces across queue implementations.
-    ASSERT_EQ(via_heap.trace.events().size(),
-              via_calendar.trace.events().size());
-    for (std::size_t i = 0; i < via_heap.trace.events().size(); ++i) {
-      ASSERT_TRUE(via_heap.trace.events()[i] == via_calendar.trace.events()[i])
-          << "trace diverges at event " << i;
-    }
-    EXPECT_EQ(via_heap.events_executed, via_calendar.events_executed);
-
-    // Contract 1: the trace-free digest equals the trace-derived one, for
-    // both schedulers.
-    heap.run_summary(scenario, heap_scratch, heap_summary);
-    expect_equal(heap_summary, digest_of(via_heap));
-    calendar.run_summary(scenario, calendar_scratch, calendar_summary);
-    expect_equal(calendar_summary, digest_of(via_calendar));
-    expect_equal(heap_summary, calendar_summary);
+    simulator.run_summary(scenario, scratch, summary);
+    expect_equal(summary, digest_of(simulator.run(scenario)));
   }
 }
 
@@ -155,65 +123,6 @@ TEST(SummaryEquivalence, RandomProblems) {
       check_schedule(result.value(), seed);
     }
   }
-}
-
-TEST(SummaryEquivalence, OracleVerdictsInvariantUnderQueueTies) {
-  // Contract 3 at the oracle level: multi-iteration missions whose fault
-  // instants collide with schedule completion times are judged identically
-  // whichever queue implementation ran them — equal-time processing order
-  // is fixed by (kind, push order), not by the queue's internals.
-  const OwnedProblem ex = workload::paper_example1();
-  const Schedule schedule = schedule_solution1(ex.problem).value();
-  const Simulator heap(schedule, {EventSchedulerKind::kBinaryHeap});
-  const Simulator calendar(schedule, {EventSchedulerKind::kCalendar});
-  const campaign::Oracle oracle(schedule);
-  const Time makespan = schedule.makespan();
-  const auto nprocs = static_cast<std::int32_t>(
-      schedule.problem().architecture->processor_count());
-
-  std::mt19937_64 rng(4242);
-  int judged = 0;
-  for (int round = 0; round < 40; ++round) {
-    MissionPlan plan;
-    plan.iterations = 1 + static_cast<int>(rng() % 3);
-    const Time instant = makespan * static_cast<Time>(rng() % 9) / 8.0;
-    const ProcessorId victim{static_cast<std::int32_t>(
-        rng() % static_cast<std::uint64_t>(nprocs))};
-    plan.failures.push_back(
-        {static_cast<int>(rng() % static_cast<std::uint64_t>(plan.iterations)),
-         FailureEvent{victim, instant}});
-    if (rng() % 2 != 0) {
-      // A window opening at the exact same instant on another processor.
-      plan.silences.push_back(
-          {plan.failures[0].iteration,
-           SilentWindow{ProcessorId{(victim.value() + 1) % nprocs}, instant,
-                        instant + makespan / 8.0}});
-    }
-
-    const MissionResult via_heap = run_mission(heap, plan);
-    const MissionResult via_calendar = run_mission(calendar, plan);
-    ASSERT_EQ(via_heap.iterations.size(), via_calendar.iterations.size());
-    for (std::size_t i = 0; i < via_heap.iterations.size(); ++i) {
-      EXPECT_EQ(via_heap.iterations[i].all_outputs_produced,
-                via_calendar.iterations[i].all_outputs_produced);
-      EXPECT_EQ(via_heap.iterations[i].response_time,
-                via_calendar.iterations[i].response_time);
-      EXPECT_EQ(via_heap.iterations[i].known_failed,
-                via_calendar.iterations[i].known_failed);
-      EXPECT_EQ(via_heap.iterations[i].suspected,
-                via_calendar.iterations[i].suspected);
-    }
-
-    const campaign::Verdict a = oracle.judge(plan, via_heap);
-    const campaign::Verdict b = oracle.judge(plan, via_calendar);
-    EXPECT_EQ(a.within_contract, b.within_contract);
-    EXPECT_EQ(a.outputs_lost, b.outputs_lost);
-    EXPECT_EQ(a.response_exceeded, b.response_exceeded);
-    EXPECT_EQ(a.first_violation_iteration, b.first_violation_iteration);
-    EXPECT_EQ(a.violations, b.violations);
-    ++judged;
-  }
-  EXPECT_EQ(judged, 40);
 }
 
 }  // namespace
