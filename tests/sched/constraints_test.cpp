@@ -5,6 +5,10 @@
 // dropped — the contract the counterexample-guided repair engine builds on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "sched/explain.hpp"
 #include "sched/heuristics.hpp"
 #include "workload/random_arch.hpp"
 
@@ -67,9 +71,30 @@ TEST(Constraints, PinForcesAReplicaOntoTheProcessor) {
   SchedulerOptions options;
   options.constraints.pinned.push_back(
       SchedulingConstraints::Pin{victim, target});
+  ExplainLog log;
+  options.explain = &log;
   const Schedule pinned = schedule_solution2(ex.problem, options).value();
   EXPECT_NE(pinned.replica_on(victim, target), nullptr);
   EXPECT_EQ(pinned.replicas(victim).size(), base.replicas(victim).size());
+
+  // The explain log marks the pinned selection kept: exactly the
+  // processors the victim's replicas were placed on.
+  std::vector<ProcessorId> kept;
+  for (const ExplainStep& step : log.steps) {
+    if (step.chosen != victim) continue;
+    for (const ExplainCandidate& candidate : step.candidates) {
+      if (candidate.op == victim && candidate.kept) {
+        kept.push_back(candidate.proc);
+      }
+    }
+  }
+  std::vector<ProcessorId> placed;
+  for (const ScheduledOperation* replica : pinned.replicas(victim)) {
+    placed.push_back(replica->processor);
+  }
+  std::sort(kept.begin(), kept.end());
+  std::sort(placed.begin(), placed.end());
+  EXPECT_EQ(kept, placed);
 }
 
 TEST(Constraints, ForbidExcludesTheProcessor) {
