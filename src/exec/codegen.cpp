@@ -8,18 +8,6 @@
 
 namespace ftsched {
 
-namespace {
-
-/// The processor feeding each segment of an active comm (hop sequence from
-/// the static route; segment i is fed by hop i).
-std::vector<ProcessorId> feeding_hops(const RoutingTable& routing,
-                                      const ScheduledComm& comm) {
-  const Route& route = routing.route(comm.from, comm.to);
-  return route.hops;  // hops[i] feeds links[i]; last entry is `to`
-}
-
-}  // namespace
-
 Executive generate_executive(const Schedule& schedule) {
   const Problem& problem = schedule.problem();
   const AlgorithmGraph& graph = *problem.algorithm;
@@ -65,10 +53,13 @@ Executive generate_executive(const Schedule& schedule) {
     throw std::logic_error("transfer crosses a link its hop is not on");
   };
 
-  // Sends and receives, per active transfer hop.
+  // Sends and receives, per active transfer hop, on the route the comm was
+  // scheduled on (hops[i] feeds segment i), which the simulator and the
+  // certifier follow too; disjoint routing and ForbidLink constraints
+  // leave the routing table's shortest route.
   for (const ScheduledComm& comm : schedule.comms()) {
     if (!comm.active) continue;
-    const std::vector<ProcessorId> hops = feeding_hops(routing, comm);
+    const std::vector<ProcessorId> hops = schedule.comm_hops(comm);
     for (std::size_t i = 0; i < comm.segments.size(); ++i) {
       const CommSegment& segment = comm.segments[i];
 
