@@ -70,8 +70,8 @@
 #include <stdexcept>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -177,68 +177,20 @@ int usage() {
   return 2;
 }
 
+using io::read_file;
 using io::write_file;
 
-/// Out-of-range operands ride the tool's existing exit-3 diagnostic path:
-/// main() catches, prints "campaign_tool: <reason>" and returns 3 — the
-/// same treatment a malformed input file gets, because the operand LOOKED
-/// numeric and silently saturating it is the bug these wrappers fix.
-[[noreturn]] void out_of_range(const char* flag, const char* text) {
-  throw std::invalid_argument(std::string(flag) + " operand \"" + text +
-                              "\" is out of range");
-}
-
-bool parse_number(const char* flag, const char* text, long& out) {
-  switch (io::parse_number(text, out)) {
-    case io::ParseStatus::kOk: return true;
-    case io::ParseStatus::kOutOfRange: out_of_range(flag, text);
-    case io::ParseStatus::kMalformed: break;
+/// True when a numeric operand parsed. An out-of-range one throws instead:
+/// main() prints "campaign_tool: <reason>" and exits 3 — the treatment a
+/// malformed input file gets, because the operand LOOKED numeric and
+/// silently saturating it is the bug this check exists for.
+bool operand_ok(io::ParseStatus status, std::string_view flag,
+                std::string_view text) {
+  if (status == io::ParseStatus::kOutOfRange) {
+    throw std::invalid_argument(std::string(flag) + " operand \"" +
+                                std::string(text) + "\" is out of range");
   }
-  return false;
-}
-
-/// Parses an integer operand into its field: a value the field's type
-/// cannot hold is out of range, exactly like one too large for a long.
-template <class Int>
-bool parse_int(const char* flag, const char* text, Int& out) {
-  long number = 0;
-  if (!parse_number(flag, text, number)) return false;
-  if (!std::in_range<Int>(number)) out_of_range(flag, text);
-  out = static_cast<Int>(number);
-  return true;
-}
-
-bool parse_fraction(const char* flag, const char* text, double& out) {
-  switch (io::parse_fraction(text, out)) {
-    case io::ParseStatus::kOk: return true;
-    case io::ParseStatus::kOutOfRange: out_of_range(flag, text);
-    case io::ParseStatus::kMalformed: break;
-  }
-  return false;
-}
-
-bool parse_time(const char* flag, const char* text, double& out) {
-  switch (io::parse_time(text, out)) {
-    case io::ParseStatus::kOk: return true;
-    case io::ParseStatus::kOutOfRange: out_of_range(flag, text);
-    case io::ParseStatus::kMalformed: break;
-  }
-  return false;
-}
-
-/// Parses a "--certify-shard I/N" operand.
-bool parse_shard(const char* text, campaign::CertifyShardSpec& out) {
-  std::size_t index = 0;
-  std::size_t count = 1;
-  switch (io::parse_shard(text, index, count)) {
-    case io::ParseStatus::kOk:
-      out.shard_index = index;
-      out.shard_count = count;
-      return true;
-    case io::ParseStatus::kOutOfRange: out_of_range("--certify-shard", text);
-    case io::ParseStatus::kMalformed: break;
-  }
-  return false;
+  return status == io::ParseStatus::kOk;
 }
 
 /// Parses a "--latency NAME:SRC:SINK:BOUND" operand (names resolve against
@@ -257,10 +209,8 @@ bool parse_latency(const char* text, campaign::LatencyConstraint& out) {
   if (out.name.empty() || out.source_op.empty() || out.sink_op.empty()) {
     return false;
   }
-  double bound = 0;
-  if (!parse_time("--latency", s.c_str() + c + 1, bound)) return false;
-  out.bound = bound;
-  return true;
+  const std::string_view bound = std::string_view(s).substr(c + 1);
+  return operand_ok(io::parse_time(bound, out.bound), "--latency", bound);
 }
 
 /// SIGINT sets the flag; certifyd drains the in-flight request and exits.
@@ -286,15 +236,6 @@ int input_error(const std::string& path, const std::string& message) {
   std::fprintf(stderr, "campaign_tool: %s: %s\n", path.c_str(),
                message.c_str());
   return 3;
-}
-
-/// The whole file at `path`; nullopt when it cannot be opened.
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return std::nullopt;
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
 }
 
 /// The parsed command line.
@@ -346,9 +287,14 @@ bool parse_args(int argc, char** argv, Args& args) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    long number = 0;
+    // The operand of a flag that takes one ("" after the last argument).
+    const std::string_view value = i + 1 < argc ? argv[i + 1] : "";
+    // Whether the flag's numeric operand parsed; consumes it.
+    const auto parsed = [&](io::ParseStatus status) {
+      ++i;
+      return operand_ok(status, arg, value);
+    };
     int count = 0;
-    double fraction = 0;
     campaign::LatencyConstraint latency;
     if (arg == "--example1") {
       args.example1 = true;
@@ -360,23 +306,21 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.kind = HeuristicKind::kSolution1;
     } else if (arg == "--solution2") {
       args.kind = HeuristicKind::kSolution2;
-    } else if (arg == "--seed" && i + 1 < argc &&
-               parse_number("--seed", argv[++i], number)) {
-      options.seed = static_cast<std::uint64_t>(number);
-    } else if (arg == "--scenarios" && i + 1 < argc &&
-               parse_int("--scenarios", argv[++i], options.scenarios)) {
-    } else if (arg == "--threads" && i + 1 < argc &&
-               parse_int("--threads", argv[++i], options.threads)) {
-    } else if (arg == "--claim-k" && i + 1 < argc &&
-               parse_int("--claim-k", argv[++i], count)) {
+    } else if (arg == "--seed" &&
+               parsed(io::parse_number(value, options.seed))) {
+    } else if (arg == "--scenarios" &&
+               parsed(io::parse_number(value, options.scenarios))) {
+    } else if (arg == "--threads" &&
+               parsed(io::parse_number(value, options.threads))) {
+    } else if (arg == "--claim-k" && parsed(io::parse_number(value, count))) {
       options.oracle.claimed_tolerance = count;
       options.spec.max_processor_failures = count;
-    } else if (arg == "--iterations" && i + 1 < argc &&
-               parse_int("--iterations", argv[++i], count) && count >= 1) {
+    } else if (arg == "--iterations" &&
+               parsed(io::parse_number(value, count)) && count >= 1) {
       options.spec.max_iterations = count;
-    } else if (arg == "--overbudget" && i + 1 < argc &&
-               parse_fraction("--overbudget", argv[++i], fraction)) {
-      options.spec.over_budget_fraction = fraction;
+    } else if (arg == "--overbudget" &&
+               parsed(io::parse_fraction(
+                   value, options.spec.over_budget_fraction))) {
     } else if (arg == "--links") {
       options.spec.link_failure_probability = 0.25;
     } else if (arg == "--silence") {
@@ -387,16 +331,14 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.do_shrink = true;
     } else if (arg == "--certify") {
       args.do_certify = true;
-    } else if (arg == "--certify-links" && i + 1 < argc &&
-               parse_int("--certify-links", argv[++i], args.certify_links)) {
+    } else if (arg == "--certify-links" &&
+               parsed(io::parse_number(value, args.certify_links))) {
       args.do_certify = true;
-    } else if (arg == "--certify-silences" && i + 1 < argc &&
-               parse_int("--certify-silences", argv[++i],
-                         args.certify_silences)) {
+    } else if (arg == "--certify-silences" &&
+               parsed(io::parse_number(value, args.certify_silences))) {
       args.do_certify = true;
-    } else if (arg == "--response-bound" && i + 1 < argc &&
-               parse_time("--response-bound", argv[++i], fraction)) {
-      options.oracle.response_bound = fraction;
+    } else if (arg == "--response-bound" &&
+               parsed(io::parse_time(value, options.oracle.response_bound))) {
     } else if (arg == "--latency" && i + 1 < argc &&
                parse_latency(argv[++i], latency)) {
       // Chain constraints apply everywhere a verdict is formed: the
@@ -407,31 +349,31 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.certify_out = argv[++i];
     } else if (arg == "--repair") {
       args.do_repair = true;
-    } else if (arg == "--repair-rounds" && i + 1 < argc &&
-               parse_int("--repair-rounds", argv[++i], args.repair_rounds)) {
+    } else if (arg == "--repair-rounds" &&
+               parsed(io::parse_number(value, args.repair_rounds))) {
       args.do_repair = true;
     } else if (arg == "--repair-out" && i + 1 < argc) {
       args.repair_out = argv[++i];
       args.do_repair = true;
     } else if (arg == "--frontier") {
       args.do_frontier = true;
-    } else if (arg == "--frontier-k" && i + 1 < argc &&
-               parse_int("--frontier-k", argv[++i], args.frontier_k)) {
+    } else if (arg == "--frontier-k" &&
+               parsed(io::parse_number(value, args.frontier_k))) {
       args.do_frontier = true;
-    } else if (arg == "--frontier-links" && i + 1 < argc &&
-               parse_int("--frontier-links", argv[++i], args.frontier_links)) {
+    } else if (arg == "--frontier-links" &&
+               parsed(io::parse_number(value, args.frontier_links))) {
       args.do_frontier = true;
-    } else if (arg == "--frontier-silences" && i + 1 < argc &&
-               parse_int("--frontier-silences", argv[++i],
-                         args.frontier_silences)) {
+    } else if (arg == "--frontier-silences" &&
+               parsed(io::parse_number(value, args.frontier_silences))) {
       args.do_frontier = true;
     } else if (arg == "--frontier-out" && i + 1 < argc) {
       args.frontier_out = argv[++i];
       args.do_frontier = true;
     } else if (arg == "--plan-key") {
       args.do_plan_key = true;
-    } else if (arg == "--certify-shard" && i + 1 < argc &&
-               parse_shard(argv[++i], args.shard)) {
+    } else if (arg == "--certify-shard" &&
+               parsed(io::parse_shard(value, args.shard.shard_index,
+                                      args.shard.shard_count))) {
       args.do_shard = true;
     } else if (arg == "--stream-out" && i + 1 < argc) {
       args.stream_out = argv[++i];
@@ -442,10 +384,10 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (arg == "--serve-socket" && i + 1 < argc) {
       args.serve_socket_path = argv[++i];
       args.do_serve = true;
-    } else if (arg == "--cache-size" && i + 1 < argc &&
-               parse_int("--cache-size", argv[++i], args.cache_size)) {
-    } else if (arg == "--serve-threads" && i + 1 < argc &&
-               parse_int("--serve-threads", argv[++i], args.serve_threads) &&
+    } else if (arg == "--cache-size" &&
+               parsed(io::parse_number(value, args.cache_size))) {
+    } else if (arg == "--serve-threads" &&
+               parsed(io::parse_number(value, args.serve_threads)) &&
                args.serve_threads >= 1) {
     } else if (arg == "--replay" && i + 1 < argc) {
       args.replay_file = argv[++i];

@@ -5,10 +5,11 @@
 //
 // Pass a file path to compile your own node instead of the built-in one.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
+#include <string>
 
 #include "graph/dot.hpp"
+#include "io/cli_util.hpp"
 #include "lang/compiler.hpp"
 #include "sched/gantt.hpp"
 #include "sched/heuristics.hpp"
@@ -39,14 +40,12 @@ tel
 int main(int argc, char** argv) {
   std::string source = kBuiltin;
   if (argc > 1) {
-    std::ifstream file(argv[1]);
+    std::optional<std::string> file = io::read_file(argv[1]);
     if (!file) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    source = buffer.str();
+    source = std::move(*file);
   }
 
   const Expected<lang::CompiledNode> compiled = lang::compile_node(source);

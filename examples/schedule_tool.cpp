@@ -7,11 +7,11 @@
 //   ./schedule_tool problem.ft --base --csv | column -t -s,
 //   ./schedule_tool --example1 --solution1 --exec   # built-in paper input
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 
 #include "exec/codegen.hpp"
+#include "io/cli_util.hpp"
 #include "io/problem_format.hpp"
 #include "io/schedule_export.hpp"
 #include "sched/gantt.hpp"
@@ -76,15 +76,12 @@ int main(int argc, char** argv) {
   } else if (example2) {
     owned = workload::paper_example2();
   } else if (!input.empty()) {
-    std::ifstream file(input);
-    if (!file) {
+    const std::optional<std::string> text = io::read_file(input);
+    if (!text) {
       std::fprintf(stderr, "cannot open %s\n", input.c_str());
       return 1;
     }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    Expected<workload::OwnedProblem> parsed =
-        io::read_problem(buffer.str());
+    Expected<workload::OwnedProblem> parsed = io::read_problem(*text);
     if (!parsed) {
       std::fprintf(stderr, "%s: %s\n", input.c_str(),
                    parsed.error().message.c_str());

@@ -22,8 +22,9 @@
 // Exit status: 0 = ok, 2 = usage or I/O error.
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/cli_util.hpp"
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
       const std::size_t at = spec.find('@');
       double time = 0;
       if (at == std::string::npos ||
-          io::parse_instant(spec.c_str() + at + 1, time) !=
+          io::parse_instant(std::string_view(spec).substr(at + 1), time) !=
               io::ParseStatus::kOk) {
         std::fprintf(stderr,
                      "trace_tool: --fail operand \"%s\" is not PROC@TIME "
@@ -120,14 +121,12 @@ int main(int argc, char** argv) {
   } else if (example2) {
     owned = workload::paper_example2();
   } else if (!input.empty()) {
-    std::ifstream file(input);
-    if (!file) {
+    const std::optional<std::string> text = io::read_file(input);
+    if (!text) {
       std::fprintf(stderr, "cannot open %s\n", input.c_str());
       return 2;
     }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    Expected<workload::OwnedProblem> parsed = io::read_problem(buffer.str());
+    Expected<workload::OwnedProblem> parsed = io::read_problem(*text);
     if (!parsed) {
       std::fprintf(stderr, "%s: %s\n", input.c_str(),
                    parsed.error().message.c_str());

@@ -1,77 +1,71 @@
 #include "io/cli_util.hpp"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <sstream>
 
 namespace ftsched::io {
 
 namespace {
 
-/// strtol/strtod communicate overflow ONLY through errno: the return value
-/// is a saturated LONG_MAX / HUGE_VAL that passes naive range checks.
-/// errno must be cleared before the call — a stale ERANGE from an earlier
-/// library call would otherwise condemn a perfectly good operand.
-template <typename Value, typename Convert>
-ParseStatus checked(const char* text, Value& out, Convert convert) {
-  errno = 0;
-  char* end = nullptr;
-  out = convert(text, &end);
-  if (end == text || *end != '\0') return ParseStatus::kMalformed;
-  if (errno == ERANGE) return ParseStatus::kOutOfRange;
+/// parse_real, then kMalformed unless `in_domain(value)`.
+template <class InDomain>
+ParseStatus parse_real_in(std::string_view text, double& out,
+                          InDomain in_domain) {
+  double value = 0;
+  const ParseStatus status = parse_real(text, value);
+  if (status != ParseStatus::kOk) return status;
+  if (!in_domain(value)) return ParseStatus::kMalformed;
+  out = value;
   return ParseStatus::kOk;
 }
 
 }  // namespace
 
-ParseStatus parse_number(const char* text, long& out) {
-  const ParseStatus status = checked(
-      text, out, [](const char* s, char** end) { return std::strtol(s, end, 10); });
-  if (status != ParseStatus::kOk) return status;
-  return out >= 0 ? ParseStatus::kOk : ParseStatus::kMalformed;
+ParseStatus parse_fraction(std::string_view text, double& out) {
+  return parse_real_in(text, out,
+                       [](double v) { return v >= 0.0 && v <= 1.0; });
 }
 
-ParseStatus parse_fraction(const char* text, double& out) {
-  const ParseStatus status = checked(
-      text, out, [](const char* s, char** end) { return std::strtod(s, end); });
-  if (status != ParseStatus::kOk) return status;
-  return out >= 0.0 && out <= 1.0 ? ParseStatus::kOk
-                                  : ParseStatus::kMalformed;
+ParseStatus parse_time(std::string_view text, double& out) {
+  return parse_real_in(text, out, [](double v) { return v > 0.0; });
 }
 
-ParseStatus parse_time(const char* text, double& out) {
-  const ParseStatus status = checked(
-      text, out, [](const char* s, char** end) { return std::strtod(s, end); });
-  if (status != ParseStatus::kOk) return status;
-  return out > 0.0 ? ParseStatus::kOk : ParseStatus::kMalformed;
+ParseStatus parse_instant(std::string_view text, double& out) {
+  return parse_real_in(text, out,
+                       [](double v) { return std::isfinite(v) && v >= 0.0; });
 }
 
-ParseStatus parse_instant(const char* text, double& out) {
-  const ParseStatus status = checked(
-      text, out, [](const char* s, char** end) { return std::strtod(s, end); });
-  if (status != ParseStatus::kOk) return status;
-  return std::isfinite(out) && out >= 0.0 ? ParseStatus::kOk
-                                          : ParseStatus::kMalformed;
-}
-
-ParseStatus parse_shard(const char* text, std::size_t& index,
+ParseStatus parse_shard(std::string_view text, std::size_t& index,
                         std::size_t& count) {
-  errno = 0;
-  char* end = nullptr;
-  const long i = std::strtol(text, &end, 10);
-  if (end == text || *end != '/') return ParseStatus::kMalformed;
-  if (errno == ERANGE) return ParseStatus::kOutOfRange;
-  const char* rest = end + 1;
-  errno = 0;
-  const long n = std::strtol(rest, &end, 10);
-  if (end == rest || *end != '\0') return ParseStatus::kMalformed;
-  if (errno == ERANGE) return ParseStatus::kOutOfRange;
-  if (i < 0 || n <= 0 || i >= n) return ParseStatus::kMalformed;
-  index = static_cast<std::size_t>(i);
-  count = static_cast<std::size_t>(n);
+  const std::size_t slash = text.find('/');
+  if (slash == std::string_view::npos) return ParseStatus::kMalformed;
+  std::size_t i = 0;
+  std::size_t n = 0;
+  ParseStatus status = parse_number(text.substr(0, slash), i);
+  if (status == ParseStatus::kOk) {
+    status = parse_number(text.substr(slash + 1), n);
+  }
+  if (status != ParseStatus::kOk) return status;
+  if (i >= n) return ParseStatus::kMalformed;
+  index = i;
+  count = n;
   return ParseStatus::kOk;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return std::nullopt;
+  std::ostringstream text;
+  text << file.rdbuf();
+  // The copy sets failbit on `text` alike for an empty file and for a
+  // failed read; only a failed read leaves `file` short of its end, and
+  // probing it then fails again and sets badbit.
+  if (file.peek() != std::ifstream::traits_type::eof() || file.bad()) {
+    return std::nullopt;
+  }
+  return std::move(text).str();
 }
 
 bool write_file(const std::string& path, const std::string& content) {

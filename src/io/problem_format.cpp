@@ -1,52 +1,19 @@
 #include "io/problem_format.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <optional>
 #include <vector>
 
 #include "core/text.hpp"
+#include "io/cli_util.hpp"
+#include "io/lexer.hpp"
 
 namespace ftsched::io {
 
 namespace {
 
-std::vector<std::string> tokenize(std::string_view line) {
-  std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    if (i >= line.size() || line[i] == '#') break;
-    std::size_t start = i;
-    while (i < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    tokens.emplace_back(line.substr(start, i - start));
-  }
-  return tokens;
-}
+using Tokens = std::vector<std::string_view>;
 
-Error parse_error(int line, const std::string& message) {
-  return Error{Error::Code::kInvalidInput,
-               "line " + std::to_string(line) + ": " + message};
-}
-
-/// Parses a duration ("1.25" or "inf").
-bool parse_time(const std::string& token, Time& out) {
-  if (token == "inf") {
-    out = kInfinite;
-    return true;
-  }
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
-OperationKind parse_kind(const std::string& token, bool& ok) {
+OperationKind parse_kind(std::string_view token, bool& ok) {
   ok = true;
   if (token == "comp") return OperationKind::kComp;
   if (token == "mem") return OperationKind::kMem;
@@ -65,19 +32,11 @@ class Parser {
     enum class Section { kNone, kAlgorithm, kArchitecture, kExec, kComm,
                          kProblem };
     Section section = Section::kNone;
-    int line_number = 0;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-      const std::size_t eol = text.find('\n', pos);
-      const std::string_view line =
-          text.substr(pos, eol == std::string_view::npos ? text.size() - pos
-                                                         : eol - pos);
-      pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-      ++line_number;
-      const std::vector<std::string> tokens = tokenize(line);
-      if (tokens.empty()) continue;
-
-      const std::string& head = tokens.front();
+    LineLexer lexer(text);
+    while (lexer.next()) {
+      const int line_number = lexer.line();
+      const Tokens& tokens = lexer.tokens();
+      const std::string_view head = tokens.front();
       if (head == "algorithm") {
         section = Section::kAlgorithm;
         continue;
@@ -104,8 +63,8 @@ class Parser {
       std::optional<Error> error;
       switch (section) {
         case Section::kNone:
-          error = parse_error(line_number,
-                              "directive outside any section: " + head);
+          error = parse_error(line_number, "directive outside any section: ",
+                              head);
           break;
         case Section::kAlgorithm:
           error = algorithm_line(line_number, tokens);
@@ -153,24 +112,23 @@ class Parser {
     return std::nullopt;
   }
 
-  std::optional<Error> algorithm_line(int line,
-                                      const std::vector<std::string>& t) {
+  std::optional<Error> algorithm_line(int line, const Tokens& t) {
     try {
       if (t[0] == "operation" && (t.size() == 2 || t.size() == 3)) {
         OperationKind kind = OperationKind::kComp;
         if (t.size() == 3) {
           bool ok = false;
           kind = parse_kind(t[2], ok);
-          if (!ok) return parse_error(line, "unknown kind: " + t[2]);
+          if (!ok) return parse_error(line, "unknown kind: ", t[2]);
         }
-        algorithm_->add_operation(t[1], kind);
+        algorithm_->add_operation(std::string(t[1]), kind);
         return std::nullopt;
       }
       if (t[0] == "dependency" && t.size() == 3) {
         const OperationId src = algorithm_->find_operation(t[1]);
         const OperationId dst = algorithm_->find_operation(t[2]);
-        if (!src.valid()) return parse_error(line, "unknown operation " + t[1]);
-        if (!dst.valid()) return parse_error(line, "unknown operation " + t[2]);
+        if (!src.valid()) return parse_error(line, "unknown operation ", t[1]);
+        if (!dst.valid()) return parse_error(line, "unknown operation ", t[2]);
         algorithm_->add_dependency(src, dst);
         return std::nullopt;
       }
@@ -181,11 +139,10 @@ class Parser {
                              "'dependency <src> <dst>'");
   }
 
-  std::optional<Error> architecture_line(int line,
-                                         const std::vector<std::string>& t) {
+  std::optional<Error> architecture_line(int line, const Tokens& t) {
     try {
       if (t[0] == "processor" && t.size() == 2) {
-        architecture_->add_processor(t[1]);
+        architecture_->add_processor(std::string(t[1]));
         return std::nullopt;
       }
       if (t[0] == "link" && t.size() == 4) {
@@ -194,7 +151,7 @@ class Parser {
         if (!a.valid() || !b.valid()) {
           return parse_error(line, "unknown processor in link");
         }
-        architecture_->add_link(t[1], a, b);
+        architecture_->add_link(std::string(t[1]), a, b);
         return std::nullopt;
       }
       if (t[0] == "bus" && t.size() >= 4) {
@@ -202,11 +159,11 @@ class Parser {
         for (std::size_t i = 2; i < t.size(); ++i) {
           const ProcessorId p = architecture_->find_processor(t[i]);
           if (!p.valid()) {
-            return parse_error(line, "unknown processor " + t[i]);
+            return parse_error(line, "unknown processor ", t[i]);
           }
           endpoints.push_back(p);
         }
-        architecture_->add_bus(t[1], std::move(endpoints));
+        architecture_->add_bus(std::string(t[1]), std::move(endpoints));
         return std::nullopt;
       }
     } catch (const std::invalid_argument& ex) {
@@ -216,15 +173,15 @@ class Parser {
                              "<p> <q>' or 'bus <name> <p...>'");
   }
 
-  std::optional<Error> exec_line(int line, const std::vector<std::string>& t) {
+  std::optional<Error> exec_line(int line, const Tokens& t) {
     if (t.size() != 3) {
       return parse_error(line, "expected '<operation> <processor|*> <wcet>'");
     }
     const OperationId op = algorithm_->find_operation(t[0]);
-    if (!op.valid()) return parse_error(line, "unknown operation " + t[0]);
+    if (!op.valid()) return parse_error(line, "unknown operation ", t[0]);
     Time wcet = 0;
-    if (!parse_time(t[2], wcet)) {
-      return parse_error(line, "bad duration: " + t[2]);
+    if (parse_real(t[2], wcet) != ParseStatus::kOk) {
+      return parse_error(line, "bad duration: ", t[2]);
     }
     try {
       if (t[1] == "*") {
@@ -232,7 +189,7 @@ class Parser {
       } else {
         const ProcessorId proc = architecture_->find_processor(t[1]);
         if (!proc.valid()) {
-          return parse_error(line, "unknown processor " + t[1]);
+          return parse_error(line, "unknown processor ", t[1]);
         }
         exec_->set(op, proc, wcet);
       }
@@ -242,7 +199,7 @@ class Parser {
     return std::nullopt;
   }
 
-  std::optional<Error> comm_line(int line, const std::vector<std::string>& t) {
+  std::optional<Error> comm_line(int line, const Tokens& t) {
     if (t.size() != 3) {
       return parse_error(line, "expected '<dependency> <link|*> <duration>'");
     }
@@ -253,17 +210,17 @@ class Parser {
         break;
       }
     }
-    if (!dep.valid()) return parse_error(line, "unknown dependency " + t[0]);
+    if (!dep.valid()) return parse_error(line, "unknown dependency ", t[0]);
     Time duration = 0;
-    if (!parse_time(t[2], duration)) {
-      return parse_error(line, "bad duration: " + t[2]);
+    if (parse_real(t[2], duration) != ParseStatus::kOk) {
+      return parse_error(line, "bad duration: ", t[2]);
     }
     try {
       if (t[1] == "*") {
         comm_->set_uniform(dep, duration);
       } else {
         const LinkId link = architecture_->find_link(t[1]);
-        if (!link.valid()) return parse_error(line, "unknown link " + t[1]);
+        if (!link.valid()) return parse_error(line, "unknown link ", t[1]);
         comm_->set(dep, link, duration);
       }
     } catch (const std::invalid_argument& ex) {
@@ -272,23 +229,18 @@ class Parser {
     return std::nullopt;
   }
 
-  std::optional<Error> problem_line(int line,
-                                    const std::vector<std::string>& t) {
+  std::optional<Error> problem_line(int line, const Tokens& t) {
     if (t[0] == "tolerate" && t.size() == 2) {
-      int k = -1;
-      const auto [ptr, ec] =
-          std::from_chars(t[1].data(), t[1].data() + t[1].size(), k);
-      if (ec != std::errc{} || ptr != t[1].data() + t[1].size() || k < 0) {
-        return parse_error(line, "bad failure count: " + t[1]);
+      if (parse_number(t[1], tolerate_) != ParseStatus::kOk) {
+        return parse_error(line, "bad failure count: ", t[1]);
       }
-      tolerate_ = k;
       return std::nullopt;
     }
     if (t[0] == "deadline" && t.size() == 2) {
       // A positive number or inf: no schedule meets a zero, negative or nan
       // deadline, so such a file is malformed, not merely infeasible.
-      if (!parse_time(t[1], deadline_) || !(deadline_ > 0)) {
-        return parse_error(line, "bad deadline: " + t[1]);
+      if (parse_time(t[1], deadline_) != ParseStatus::kOk) {
+        return parse_error(line, "bad deadline: ", t[1]);
       }
       return std::nullopt;
     }

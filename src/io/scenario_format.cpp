@@ -1,51 +1,17 @@
 #include "io/scenario_format.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <optional>
 #include <vector>
+
+#include "io/cli_util.hpp"
+#include "io/lexer.hpp"
 
 namespace ftsched::io {
 
 namespace {
 
-std::vector<std::string> tokenize(std::string_view line) {
-  std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    if (i >= line.size() || line[i] == '#') break;
-    std::size_t start = i;
-    while (i < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    tokens.emplace_back(line.substr(start, i - start));
-  }
-  return tokens;
-}
-
-Error parse_error(int line, const std::string& message) {
-  return Error{Error::Code::kInvalidInput,
-               "line " + std::to_string(line) + ": " + message};
-}
-
-bool parse_time(const std::string& token, Time& out) {
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end && out >= 0;
-}
-
-bool parse_int(const std::string& token, int& out) {
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
-}
+using Tokens = std::vector<std::string_view>;
 
 /// Shortest representation that round-trips bit-exactly.
 std::string time_exact(Time t) {
@@ -56,14 +22,14 @@ std::string time_exact(Time t) {
 }
 
 /// Parses an optional trailing "@N" iteration token.
-std::optional<Error> parse_at(const std::vector<std::string>& tokens,
-                              std::size_t index, int line, int& iteration) {
+std::optional<Error> parse_at(const Tokens& tokens, std::size_t index,
+                              int line, int& iteration) {
   iteration = 0;
   if (index >= tokens.size()) return std::nullopt;
-  const std::string& token = tokens[index];
-  if (token.size() < 2 || token[0] != '@' ||
-      !parse_int(token.substr(1), iteration) || iteration < 0) {
-    return parse_error(line, "expected @<iteration>, got '" + token + "'");
+  const std::string_view token = tokens[index];
+  if (!token.starts_with('@') ||
+      parse_number(token.substr(1), iteration) != ParseStatus::kOk) {
+    return parse_error(line, "expected @<iteration>, got '", token, "'");
   }
   return std::nullopt;
 }
@@ -106,64 +72,51 @@ Expected<MissionPlan> read_scenario(std::string_view text,
                                     const ArchitectureGraph& arch) {
   MissionPlan plan;
   bool in_scenario = false;
-  int line_number = 0;
-  std::size_t pos = 0;
   // Every iteration an event targets; validated against plan.iterations at
   // the end so directive order does not matter.
   int max_iteration = 0;
 
-  auto processor = [&](const std::string& name) {
-    return arch.find_processor(name);
-  };
-  auto link = [&](const std::string& name) { return arch.find_link(name); };
-
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, eol == std::string_view::npos ? text.size() - pos
-                                                       : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_number;
-    const std::vector<std::string> tokens = tokenize(line);
-    if (tokens.empty()) continue;
-
-    const std::string& head = tokens.front();
+  LineLexer lexer(text);
+  while (lexer.next()) {
+    const int line_number = lexer.line();
+    const Tokens& tokens = lexer.tokens();
+    const std::string_view head = tokens.front();
     if (head == "scenario") {
       in_scenario = true;
       continue;
     }
     if (!in_scenario) {
-      return parse_error(line_number,
-                         "directive before 'scenario' header: " + head);
+      return parse_error(line_number, "directive before 'scenario' header: ",
+                         head);
     }
 
     int iteration = 0;
     if (head == "iterations") {
-      if (tokens.size() != 2 || !parse_int(tokens[1], plan.iterations) ||
+      if (tokens.size() != 2 ||
+          parse_number(tokens[1], plan.iterations) != ParseStatus::kOk ||
           plan.iterations < 1) {
         return parse_error(line_number, "expected: iterations <count >= 1>");
       }
     } else if (head == "dead" || head == "suspected") {
       if (tokens.size() != 2) {
-        return parse_error(line_number,
-                           "expected: " + head + " <processor>");
+        return parse_error(line_number, "expected: ", head, " <processor>");
       }
-      const ProcessorId proc = processor(tokens[1]);
+      const ProcessorId proc = arch.find_processor(tokens[1]);
       if (!proc.valid()) {
-        return parse_error(line_number, "unknown processor " + tokens[1]);
+        return parse_error(line_number, "unknown processor ", tokens[1]);
       }
       (head == "dead" ? plan.dead_at_start : plan.suspected_at_start)
           .push_back(proc);
     } else if (head == "crash") {
       Time time = 0;
       if (tokens.size() < 3 || tokens.size() > 4 ||
-          !parse_time(tokens[2], time)) {
+          parse_instant(tokens[2], time) != ParseStatus::kOk) {
         return parse_error(line_number,
                            "expected: crash <processor> <time> [@iter]");
       }
-      const ProcessorId proc = processor(tokens[1]);
+      const ProcessorId proc = arch.find_processor(tokens[1]);
       if (!proc.valid()) {
-        return parse_error(line_number, "unknown processor " + tokens[1]);
+        return parse_error(line_number, "unknown processor ", tokens[1]);
       }
       if (auto err = parse_at(tokens, 3, line_number, iteration)) return *err;
       max_iteration = std::max(max_iteration, iteration);
@@ -173,15 +126,16 @@ Expected<MissionPlan> read_scenario(std::string_view text,
       Time from = 0;
       Time to = 0;
       if (tokens.size() < 4 || tokens.size() > 5 ||
-          !parse_time(tokens[2], from) || !parse_time(tokens[3], to) ||
+          parse_instant(tokens[2], from) != ParseStatus::kOk ||
+          parse_instant(tokens[3], to) != ParseStatus::kOk ||
           !time_lt(from, to)) {
         return parse_error(
             line_number,
             "expected: silent <processor> <from> <to> [@iter] with from < to");
       }
-      const ProcessorId proc = processor(tokens[1]);
+      const ProcessorId proc = arch.find_processor(tokens[1]);
       if (!proc.valid()) {
-        return parse_error(line_number, "unknown processor " + tokens[1]);
+        return parse_error(line_number, "unknown processor ", tokens[1]);
       }
       if (auto err = parse_at(tokens, 4, line_number, iteration)) return *err;
       max_iteration = std::max(max_iteration, iteration);
@@ -191,28 +145,28 @@ Expected<MissionPlan> read_scenario(std::string_view text,
       if (tokens.size() != 2) {
         return parse_error(line_number, "expected: link-dead <link>");
       }
-      const LinkId id = link(tokens[1]);
+      const LinkId id = arch.find_link(tokens[1]);
       if (!id.valid()) {
-        return parse_error(line_number, "unknown link " + tokens[1]);
+        return parse_error(line_number, "unknown link ", tokens[1]);
       }
       plan.dead_links_at_start.push_back(id);
     } else if (head == "link-crash") {
       Time time = 0;
       if (tokens.size() < 3 || tokens.size() > 4 ||
-          !parse_time(tokens[2], time)) {
+          parse_instant(tokens[2], time) != ParseStatus::kOk) {
         return parse_error(line_number,
                            "expected: link-crash <link> <time> [@iter]");
       }
-      const LinkId id = link(tokens[1]);
+      const LinkId id = arch.find_link(tokens[1]);
       if (!id.valid()) {
-        return parse_error(line_number, "unknown link " + tokens[1]);
+        return parse_error(line_number, "unknown link ", tokens[1]);
       }
       if (auto err = parse_at(tokens, 3, line_number, iteration)) return *err;
       max_iteration = std::max(max_iteration, iteration);
       plan.link_failures.push_back(
           MissionLinkFailure{iteration, LinkFailureEvent{id, time}});
     } else {
-      return parse_error(line_number, "unknown directive: " + head);
+      return parse_error(line_number, "unknown directive: ", head);
     }
   }
 

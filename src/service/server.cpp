@@ -7,10 +7,8 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -23,6 +21,7 @@
 
 #include "campaign/certify.hpp"
 #include "campaign/work_pool.hpp"
+#include "io/cli_util.hpp"
 #include "io/problem_format.hpp"
 #include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
@@ -178,15 +177,13 @@ void CertifyService::handle_submit(const SubmitRequest& submit,
 
   std::string text = submit.problem_inline;
   if (!submit.problem_path.empty()) {
-    std::ifstream file(submit.problem_path);
+    std::optional<std::string> file = io::read_file(submit.problem_path);
     if (!file) {
       emit_error(sink, submit.id,
                  "cannot open problem file " + submit.problem_path, delta);
       return;
     }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    text = buffer.str();
+    text = std::move(*file);
   }
   Expected<workload::OwnedProblem> parsed = io::read_problem(text);
   if (!parsed.has_value()) {
@@ -262,15 +259,13 @@ void CertifyService::handle_submit(const SubmitRequest& submit,
   };
 
   const auto write_certificate = [&](const CachedResult& result) {
-    if (submit.certificate_out.empty()) return true;
-    std::ofstream file(submit.certificate_out);
-    if (!file) {
-      emit_error(sink, submit.id,
-                 "cannot write " + submit.certificate_out, delta);
-      return false;
+    if (submit.certificate_out.empty() ||
+        io::write_file(submit.certificate_out, result.certificate_json)) {
+      return true;
     }
-    file << result.certificate_json;
-    return true;
+    emit_error(sink, submit.id, "cannot write " + submit.certificate_out,
+               delta);
+    return false;
   };
 
   std::optional<CachedResult> hit;

@@ -355,6 +355,21 @@ TEST_F(Cli, BadInputsExitThreeNamingTheCulprit) {
   EXPECT_EQ(result.status, 3);
   EXPECT_TRUE(contains(result.err, "missing.ft")) << result.err;
 
+  // A directory opens but cannot be read: unreadable, not an empty problem.
+  const std::string directory = path("directory.ft");
+  fs::create_directories(directory);
+  result = campaign({directory, "--solution1", "--repair"});
+  EXPECT_EQ(result.status, 3);
+  EXPECT_TRUE(contains(result.err, "directory.ft")) << result.err;
+
+  // A crash instant the simulator cannot schedule is malformed input.
+  const std::string replay = path("inf.scenario");
+  std::ofstream(replay) << "scenario\n  crash P1 inf\n";
+  result = campaign({"--example1", "--solution1", "--replay", replay});
+  EXPECT_EQ(result.status, 3);
+  EXPECT_TRUE(contains(result.err, "inf.scenario")) << result.err;
+  EXPECT_TRUE(contains(result.err, "line 2")) << result.err;
+
   result = campaign(
       {"--example1", "--solution1", "--seed", "99999999999999999999"});
   EXPECT_EQ(result.status, 3);

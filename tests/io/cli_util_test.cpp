@@ -29,6 +29,9 @@ TEST(CliUtil, ParseNumberRejectsMalformedOperands) {
   EXPECT_EQ(parse_number("abc", out), ParseStatus::kMalformed);
   EXPECT_EQ(parse_number("-3", out), ParseStatus::kMalformed);
   EXPECT_EQ(parse_number("1 2", out), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_number("+5", out), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_number(" 5", out), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_number("0x10", out), ParseStatus::kMalformed);
 }
 
 TEST(CliUtil, ParseNumberRejectsOverflowInsteadOfSaturating) {
@@ -63,7 +66,13 @@ TEST(CliUtil, ParseTimeRequiresAFinitePositiveValue) {
   EXPECT_EQ(parse_time("0", out), ParseStatus::kMalformed);
   EXPECT_EQ(parse_time("-1", out), ParseStatus::kMalformed);
   EXPECT_EQ(parse_time("soon", out), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_time("+5", out), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_time(" 5", out), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_time("0x10", out), ParseStatus::kMalformed);
   EXPECT_EQ(parse_time("1e999", out), ParseStatus::kOutOfRange);
+  // A subnormal is a value, not an underflow.
+  EXPECT_EQ(parse_time("1e-320", out), ParseStatus::kOk);
+  EXPECT_EQ(out, 1e-320);
 }
 
 TEST(CliUtil, ParseInstantRequiresAFiniteNonNegativeValue) {
@@ -72,7 +81,8 @@ TEST(CliUtil, ParseInstantRequiresAFiniteNonNegativeValue) {
   EXPECT_EQ(out, 0.0);
   EXPECT_EQ(parse_instant("2.5", out), ParseStatus::kOk);
   EXPECT_EQ(out, 2.5);
-  for (const char* bad : {"-5", "nan", "inf", "soon", "", "2@"}) {
+  for (const char* bad :
+       {"-5", "nan", "inf", "soon", "", "2@", "+5", " 5", "0x10"}) {
     EXPECT_EQ(parse_instant(bad, out), ParseStatus::kMalformed) << bad;
   }
   EXPECT_EQ(parse_instant("1e999", out), ParseStatus::kOutOfRange);
@@ -92,6 +102,9 @@ TEST(CliUtil, ParseShardValidatesTheAssignment) {
   EXPECT_EQ(parse_shard("3/", index, count), ParseStatus::kMalformed);
   EXPECT_EQ(parse_shard("a/b", index, count), ParseStatus::kMalformed);
   EXPECT_EQ(parse_shard("3/8x", index, count), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_shard("+1/8", index, count), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_shard("1/ 8", index, count), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_shard("0x1/8", index, count), ParseStatus::kMalformed);
   EXPECT_EQ(parse_shard("99999999999999999999/8", index, count),
             ParseStatus::kOutOfRange);
   EXPECT_EQ(parse_shard("1/99999999999999999999", index, count),

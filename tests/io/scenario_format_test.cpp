@@ -115,6 +115,13 @@ TEST(ScenarioFormat, RejectsMalformedInput) {
   expect_error("scenario\n  iterations 0\n");         // no iterations
   expect_error("scenario\n  link-dead nosuch\n");     // unknown link
   expect_error("scenario\n  frobnicate P1\n");        // unknown directive
+  // Instants must be finite and >= 0: an infinite crash never fires.
+  for (const std::string instant : {"inf", "infinity", "nan", "-1"}) {
+    expect_error("scenario\n  crash P1 " + instant + "\n");
+    expect_error("scenario\n  link-crash bus " + instant + "\n");
+    expect_error("scenario\n  silent P1 " + instant + " 5\n");
+    expect_error("scenario\n  silent P1 1 " + instant + "\n");
+  }
 }
 
 TEST(ScenarioFormat, PropertyRandomPlansOfEveryFaultClassRoundTrip) {

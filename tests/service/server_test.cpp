@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -141,6 +142,26 @@ TEST(CertifyService, MalformedAndFailingRequestsAnswerErrors) {
   EXPECT_EQ(service.stats().errors, 5u);
   // The service keeps serving after errors.
   EXPECT_TRUE(service.handle_line(R"({"type":"status","id":"s"})", sink));
+}
+
+TEST(CertifyService, UnwritableCertificateAnswersAnError) {
+  // /dev/full accepts the open but fails the flush with ENOSPC: a result
+  // record here would announce a certificate that was never written. Only
+  // meaningful where the device exists (Linux CI).
+  std::ifstream probe("/dev/full");
+  if (!probe.good()) GTEST_SKIP() << "/dev/full not available";
+  probe.close();
+  CertifyService service(ServeOptions{});
+  StringSink sink;
+  EXPECT_TRUE(service.handle_line(
+      R"({"type":"submit","id":"full","certificate_out":"/dev/full",)"
+      R"("problem_inline":)" +
+          inline_problem() + "}",
+      sink));
+  const auto records = parse_records(sink.text());
+  EXPECT_NE(find_record(records, "error", "full"), nullptr) << sink.text();
+  EXPECT_EQ(find_record(records, "result", "full"), nullptr) << sink.text();
+  EXPECT_EQ(service.stats().errors, 1u);
 }
 
 TEST(CertifyService, OutOfRangeIntegerFieldsAnswerErrorsAndKeepServing) {
