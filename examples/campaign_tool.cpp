@@ -468,6 +468,12 @@ int one_shot(const Args& args, const workload::OwnedProblem& owned) {
     service::OstreamSink sink(*out);
     const service::StreamShardResult shard_result =
         service::certify_stream(sched, spec, args.shard, sink);
+    // A full disk shows only in the stream state: an unchecked stream
+    // would announce records that never reached the file.
+    if (!args.stream_out.empty() && !file.flush()) {
+      std::fprintf(stderr, "cannot write %s\n", args.stream_out.c_str());
+      return 2;
+    }
     std::fprintf(stderr, "shard %zu/%zu: %zu tasks streamed\n",
                  args.shard.shard_index, args.shard.shard_count,
                  shard_result.tasks_emitted);

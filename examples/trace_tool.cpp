@@ -21,7 +21,6 @@
 //
 // Exit status: 0 = ok, 2 = usage or I/O error.
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -53,12 +52,7 @@ bool emit(const std::string& path, const std::string& content) {
     std::fputs(content.c_str(), stdout);
     return true;
   }
-  std::ofstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  file << content;
+  if (!io::write_file(path, content)) return false;
   std::fprintf(stderr, "wrote %s\n", path.c_str());
   return true;
 }

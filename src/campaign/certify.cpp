@@ -67,10 +67,19 @@ struct Budgets {
   [[nodiscard]] bool exhausted() const {
     return crashes <= 0 && links <= 0 && silences <= 0;
   }
+
+  /// Faults left to inject: the depth of the subtree below.
+  [[nodiscard]] int total() const {
+    return std::max(crashes, 0) + std::max(links, 0) + std::max(silences, 0);
+  }
 };
 
 /// Depth-first exploration of one task's subtree; every instant the parent
-/// prefix is forked, never replayed.
+/// prefix is forked, never replayed. The forks copy into branch states the
+/// explorer owns, one set per tree depth, so a task allocates its states
+/// once and every later fork reuses their storage. Only what derives
+/// candidates keeps a trace: a leaf whose budgets are spent is copied
+/// without its trace prefix and finished in summary mode.
 class Explorer {
  public:
   Explorer(const Simulator& simulator, const CertifySpec& spec,
@@ -103,14 +112,18 @@ class Explorer {
     FailureScenario scenario;
     scenario.failed_at_start = dead;
     scenario.failed_links_at_start = dead_links;
-    Simulator::Branch root = sim_.begin(scenario);
+    // Depth d holds the nodes d faults deep; the root is depth 0's node.
+    levels_.resize(static_cast<std::size_t>(budgets.total()) + 1);
+    Level& root = levels_[0];
+    root.node = sim_.begin(scenario);
     ++out_.forks;
-    const IterationResult root_leaf = sim_.finish(root.fork());
+    root.node.copy_to(root.leaf, /*trace=*/first.valid());
+    sim_.finish(root.leaf, summary_);
     if (!first.valid()) {
-      certify_leaf(root_leaf);
+      certify_leaf(summary_);
       return;
     }
-    explore_children(root, root_leaf, budgets, 0, FaultKey{}, first);
+    explore_children(0, budgets, 0, FaultKey{}, first);
   }
 
  private:
@@ -135,14 +148,25 @@ class Explorer {
                         });
   }
 
+  /// The reused states of one tree depth: the node (the paused branch with
+  /// its faults injected), the leaf (the node's copy run to completion)
+  /// and the cursor (the node's copy advanced instant by instant, forked
+  /// into the next depth's nodes).
+  struct Level {
+    Simulator::Branch node;
+    Simulator::Branch leaf;
+    Simulator::Branch cursor;
+  };
+
   /// Records one leaf run's verdict against the current fault pattern. The
   /// response envelope widens by the run's measured silence_deferral — the
   /// tight allowance its windows earned (0 when no window deferred a send);
   /// the same per-window bound the campaign oracle applies, always <= the
   /// historical longest-window allowance, so every verdict is at least as
   /// strict. Chain constraints are judged from the run's per-op completion
-  /// table.
-  void certify_leaf(const IterationResult& leaf) {
+  /// table. The fault pattern is copied into a CertifyBranch only when the
+  /// report keeps it: a stored counterexample or a collected branch.
+  void certify_leaf(const IterationSummary& leaf) {
     out_.events_simulated += leaf.events_executed;
     ++out_.branches;
     const bool lost = !leaf.all_outputs_produced;
@@ -175,6 +199,11 @@ class Explorer {
     if (!lost && !late) {
       out_.worst_response = std::max(out_.worst_response, response);
     }
+    const bool counterexample = lost || late || chain_late;
+    if (counterexample) ++out_.total_counterexamples;
+    const bool kept = counterexample && out_.counterexamples.size() <
+                                            spec_.max_counterexamples;
+    if (!kept && !spec_.collect_branches) return;
     CertifyBranch branch;
     branch.dead_at_start = dead_;
     branch.dead_links_at_start = dead_links_;
@@ -184,12 +213,7 @@ class Explorer {
     branch.outputs_lost = lost;
     branch.response_time = response;
     branch.violated_constraints = chain_violated_;
-    if (lost || late || chain_late) {
-      ++out_.total_counterexamples;
-      if (out_.counterexamples.size() < spec_.max_counterexamples) {
-        out_.counterexamples.push_back(branch);
-      }
-    }
+    if (kept) out_.counterexamples.push_back(branch);
     if (spec_.collect_branches) out_.collected.push_back(std::move(branch));
   }
 
@@ -381,27 +405,35 @@ class Explorer {
     return kept;
   }
 
-  /// Executes one child subtree: fork, inject, leaf, recursion. The caller
-  /// has already pushed the child's fault onto its stack; `inject` applies
-  /// it to a forked branch.
+  /// Executes one child subtree of a depth-`depth` node: fork its cursor
+  /// into the next depth's node, inject, leaf, recursion. The caller has
+  /// already pushed the child's fault onto its stack; `inject` applies it
+  /// to the forked branch. A child whose budgets are spent derives no
+  /// candidates, so it and its leaf are copied without a trace.
   template <typename Inject>
-  void explore_child(const Simulator::Branch& cursor, const Inject& inject,
-                     Budgets rest, Time c, FaultKey key) {
-    Simulator::Branch child = cursor.fork();
+  void explore_child(std::size_t depth, const Inject& inject, Budgets rest,
+                     Time c, FaultKey key) {
+    Level& child = levels_[depth + 1];
+    const bool traced = !rest.exhausted();
+    levels_[depth].cursor.copy_to(child.node, traced);
     ++out_.forks;
-    inject(child);
+    inject(child.node);
     ++out_.forks;
-    const IterationResult child_leaf = sim_.finish(child.fork());
-    certify_leaf(child_leaf);
-    explore_children(child, child_leaf, rest, c, key, FaultKey{});
+    child.node.copy_to(child.leaf, traced);
+    sim_.finish(child.leaf, summary_);
+    certify_leaf(summary_);
+    explore_children(depth + 1, rest, c, key, FaultKey{});
   }
 
-  void explore_children(const Simulator::Branch& node,
-                        const IterationResult& leaf, Budgets budgets,
-                        Time t0, FaultKey last, FaultKey only) {
+  /// Explores the children of the depth-`depth` node, whose finished leaf
+  /// (traced) is in levels_[depth].leaf.
+  void explore_children(std::size_t depth, Budgets budgets, Time t0,
+                        FaultKey last, FaultKey only) {
     if (budgets.exhausted()) return;
+    Level& level = levels_[depth];
+    const Trace& leaf = level.leaf.trace();
     const std::vector<Time> candidates =
-        representative_instants(leaf.trace, t0, deadlines_);
+        representative_instants(leaf, t0, deadlines_);
     if (candidates.empty()) return;
     const Time beyond = candidates.back() + beyond_tail_;
 
@@ -418,16 +450,16 @@ class Explorer {
       if (key.cls == kClsCrash) {
         const ProcessorId victim{
             static_cast<ProcessorId::underlying_type>(key.id)};
-        plan.instants = kept_crash_instants(proc_acts(leaf.trace, victim),
+        plan.instants = kept_crash_instants(proc_acts(leaf, victim),
                                             candidates, t0, last, key);
       } else if (key.cls == kClsLinkDeath) {
         const LinkId victim{static_cast<LinkId::underlying_type>(key.id)};
-        plan.instants = kept_crash_instants(link_acts(leaf.trace, victim),
+        plan.instants = kept_crash_instants(link_acts(leaf, victim),
                                             candidates, t0, last, key);
       } else {
         const ProcessorId victim{
             static_cast<ProcessorId::underlying_type>(key.id)};
-        plan.sends = send_starts(leaf.trace, victim);
+        plan.sends = send_starts(leaf, victim);
         plan.instants =
             kept_silence_froms(plan.sends, candidates, t0, last, key);
       }
@@ -459,8 +491,10 @@ class Explorer {
     if (victims.empty()) return;
 
     // One cursor per node: the shared prefix is executed once per instant,
-    // each (victim, instant) branch forks it.
-    Simulator::Branch cursor = node.fork();
+    // each (victim, instant) branch forks it. It keeps the trace only for
+    // children that will derive candidates of their own.
+    Simulator::Branch& cursor = level.cursor;
+    level.node.copy_to(cursor, /*trace=*/budgets.total() > 1);
     ++out_.forks;
     std::vector<std::size_t> next(victims.size(), 0);
     for (;;) {
@@ -487,7 +521,7 @@ class Explorer {
           Budgets rest = budgets;
           --rest.crashes;
           explore_child(
-              cursor,
+              depth,
               [&](Simulator::Branch& child) {
                 sim_.inject(child, FailureEvent{victim, c});
               },
@@ -499,7 +533,7 @@ class Explorer {
           Budgets rest = budgets;
           --rest.links;
           explore_child(
-              cursor,
+              depth,
               [&](Simulator::Branch& child) {
                 sim_.inject(child, LinkFailureEvent{victim, c});
               },
@@ -514,7 +548,7 @@ class Explorer {
                silence_tos(victims[v].sends, candidates, c, beyond)) {
             silences_.push_back(SilentWindow{victim, c, to});
             explore_child(
-                cursor,
+                depth,
                 [&](Simulator::Branch& child) {
                   sim_.inject(child, SilentWindow{victim, c, to});
                 },
@@ -536,6 +570,11 @@ class Explorer {
   const std::vector<LatencyProbe>& probes_;
   /// Scratch: names the current leaf violates (certify_leaf only).
   std::vector<std::string> chain_violated_;
+  /// The branch states of each depth, sized once per task (run()): the
+  /// recursion holds references into them.
+  std::vector<Level> levels_;
+  /// Scratch: the digest of the leaf just finished.
+  IterationSummary summary_;
   CertifyTaskPartial& out_;
   std::vector<ProcessorId> dead_;
   std::vector<LinkId> dead_links_;

@@ -10,6 +10,7 @@
 //  * kInsufficientRedundancy — some operation allows fewer than K+1
 //    processors, or the architecture has fewer than K+1 processors;
 //  * kInvalidInput — malformed graphs/tables (missing durations, cycles);
+//  * kNoRoute — the architecture is not connected;
 //  * kDeadlineMissed — a schedule exists but violates problem.deadline.
 #pragma once
 

@@ -948,31 +948,43 @@ class Engine {
   std::vector<char> pin_selected_;
 };
 
+/// Runs the engine on a connected architecture. The engine's routing
+/// table needs a route between every two processors, so a disconnected
+/// one is reported here, before the engine is built.
+Expected<Schedule> run_engine(const Problem& problem, HeuristicKind kind,
+                              SchedulerOptions options) {
+  if (!problem.architecture->is_connected()) {
+    return Error{Error::Code::kNoRoute,
+                 join(problem.architecture->check(), "; ")};
+  }
+  return Engine(problem, kind, std::move(options)).run();
+}
+
 }  // namespace
 
 Expected<Schedule> schedule_base(const Problem& problem,
                                  SchedulerOptions options) {
-  return Engine(problem, HeuristicKind::kBase, std::move(options)).run();
+  return run_engine(problem, HeuristicKind::kBase, std::move(options));
 }
 
 Expected<Schedule> schedule_solution1(const Problem& problem,
                                       SchedulerOptions options) {
-  return Engine(problem, HeuristicKind::kSolution1, std::move(options)).run();
+  return run_engine(problem, HeuristicKind::kSolution1, std::move(options));
 }
 
 Expected<Schedule> schedule_solution2(const Problem& problem,
                                       SchedulerOptions options) {
-  return Engine(problem, HeuristicKind::kSolution2, std::move(options)).run();
+  return run_engine(problem, HeuristicKind::kSolution2, std::move(options));
 }
 
 Expected<Schedule> schedule_hybrid_with_policy(const Problem& problem,
                                                SchedulerOptions options) {
-  return Engine(problem, HeuristicKind::kHybrid, std::move(options)).run();
+  return run_engine(problem, HeuristicKind::kHybrid, std::move(options));
 }
 
 Expected<Schedule> schedule(const Problem& problem, HeuristicKind kind,
                             SchedulerOptions options) {
-  return Engine(problem, kind, std::move(options)).run();
+  return run_engine(problem, kind, std::move(options));
 }
 
 }  // namespace ftsched

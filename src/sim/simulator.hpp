@@ -30,11 +30,12 @@
 //
 // Forking: per-run state lives in a snapshotable sim_detail::SimState, so a
 // shared prefix (typically the failure-free run up to a crash instant) is
-// simulated once, then forked per failure branch — the engine behind the
+// simulated once, then copied per failure branch — the engine behind the
 // exhaustive K-failure certifier (campaign/certify.hpp). A branch advanced
 // to t and given the remaining faults by inject() produces a bit-identical
 // IterationResult to a from-scratch run() of the whole scenario
-// (tests/sim/fork_equivalence_test.cpp pins this).
+// (tests/sim/fork_equivalence_test.cpp pins this), and a trace-free copy
+// of it the same IterationSummary (tests/sim/summary_equiv_test.cpp).
 #pragma once
 
 #include <memory>
@@ -88,10 +89,12 @@ struct IterationResult {
 };
 
 /// The trace-free digest of one iteration: everything the mission runner
-/// (and through it the campaign oracle) consumes, without materializing a
-/// Trace. Produced by Simulator::run_summary; field for field equal to
-/// what the same scenario's IterationResult derives
-/// (tests/sim/summary_equiv_test.cpp pins this).
+/// (and through it the campaign oracle) and the certifier's leaf verdict
+/// consume, without materializing a Trace. Produced by
+/// Simulator::run_summary and by finishing a Branch in place; field for
+/// field equal to what the same scenario's IterationResult derives,
+/// whether the branch was traced, copied without its trace, or run from
+/// scratch (tests/sim/summary_equiv_test.cpp pins this).
 struct IterationSummary {
   bool all_outputs_produced = false;
   Time response_time = kInfinite;
@@ -152,21 +155,40 @@ class Simulator {
                    IterationSummary& out) const;
 
   /// A paused, snapshotable simulation owned by the Simulator that created
-  /// it: the (partially failed) prefix of one iteration. fork() deep-copies
-  /// the run state — flat POD tables, no re-simulation — so a certifier
-  /// explores a tree of failure branches while paying for each shared
-  /// prefix once. Move-only; forked copies are independent.
+  /// it: the (partially failed) prefix of one iteration. copy_to() and
+  /// fork() deep-copy the run state — flat POD tables, no re-simulation —
+  /// so a certifier explores a tree of failure branches while paying for
+  /// each shared prefix once. Move-only; copies are independent.
+  ///
+  /// A branch is traced (it records every event, and trace() holds the
+  /// whole prefix) or in summary mode (it records none and is finished
+  /// into an IterationSummary). A trace-free copy of a traced branch runs
+  /// in summary mode from the copy on.
   class Branch {
    public:
+    /// An empty branch: a target for copy_to(), nothing else. Its storage
+    /// is allocated by the first copy and reused by every later one.
+    Branch();
     Branch(Branch&&) noexcept;
     Branch& operator=(Branch&&) noexcept;
     ~Branch();
 
-    /// Deep copy of the paused state. O(state size); no event is replayed.
-    /// The copy's event counter restarts at zero: work executed after the
-    /// fork is attributed to the fork, the shared prefix to its parent
-    /// (branch-reuse accounting; see IterationResult::events_executed).
+    /// Deep-copies the paused state into `into`, overwriting it and
+    /// reusing its storage: a copy into a branch of the same simulator
+    /// allocates nothing once `into` has held a state this large. With
+    /// `trace` false the copy leaves the trace prefix behind and runs in
+    /// summary mode; a copy of a summary-mode branch is always one. No
+    /// event is replayed. The copy's event counter restarts at zero: work
+    /// executed after the copy is attributed to it, the shared prefix to
+    /// its parent (branch-reuse accounting; see
+    /// IterationResult::events_executed).
+    void copy_to(Branch& into, bool trace = true) const;
+
+    /// A traced copy into a fresh branch (copy_to into an empty one).
     [[nodiscard]] Branch fork() const;
+
+    /// The events recorded so far; empty in summary mode.
+    [[nodiscard]] const Trace& trace() const;
 
     /// Earliest pending event instant; kInfinite when the queue drained.
     [[nodiscard]] Time frontier() const;
@@ -200,8 +222,14 @@ class Simulator {
   void inject(Branch& branch, const LinkFailureEvent& failure) const;
   void inject(Branch& branch, const SilentWindow& window) const;
 
-  /// Runs the branch to completion, consuming it.
+  /// Runs the branch to completion, consuming it. A summary-mode branch's
+  /// result carries an empty trace.
   [[nodiscard]] IterationResult finish(Branch branch) const;
+
+  /// Runs the branch to completion in place and overwrites `out` with its
+  /// digest (reusing `out`'s storage). The branch keeps its state, and a
+  /// traced one its whole trace, until the next copy_to() overwrites it.
+  void finish(Branch& branch, IterationSummary& out) const;
 
   /// The schedule this simulator executes.
   [[nodiscard]] const Schedule& schedule() const noexcept {

@@ -423,6 +423,40 @@ TEST(Certify, ResponseBoundRefutesWhenTooTight) {
                       tight.response_bound));
 }
 
+TEST(Certify, SilenceCounterexamplesReplayAsViolations) {
+  // Under a tight response bound every counterexample of a silence sweep
+  // must violate the oracle when its plan runs from scratch. A window
+  // opening at t = 0 is injected into a branch whose prologue already ran;
+  // it was once charged less silence allowance than the same window gets
+  // from scratch, and 100 of this sweep's 1,867 counterexamples replayed
+  // clean.
+  const OwnedProblem ex = workload::paper_example1();
+  const Schedule schedule = schedule_solution1(ex.problem).value();
+  CertifySpec spec;
+  spec.max_failures = 1;
+  spec.max_silences = 1;
+  spec.response_bound = schedule.makespan();
+  spec.max_counterexamples = 100000;
+  const CertifyReport report = certify(schedule, spec);
+  ASSERT_FALSE(report.certified);
+  ASSERT_EQ(report.counterexamples.size(), report.total_counterexamples);
+
+  const Oracle oracle(schedule,
+                      OracleSpec{.claimed_tolerance = 1,
+                                 .response_bound = spec.response_bound});
+  std::size_t opening_at_zero = 0;
+  for (const CertifyBranch& cex : report.counterexamples) {
+    const MissionPlan plan = counterexample_plan(cex);
+    const Verdict verdict = oracle.judge(plan, run_mission(schedule, plan));
+    EXPECT_FALSE(verdict.ok()) << certify_branch_json(
+        cex, *ex.problem.architecture);
+    for (const SilentWindow& window : cex.silences) {
+      opening_at_zero += window.from == 0 ? 1u : 0u;
+    }
+  }
+  EXPECT_GT(opening_at_zero, 0u);
+}
+
 TEST(Certify, CounterexamplePlanRoundTrips) {
   CertifyBranch branch;
   branch.dead_at_start = {ProcessorId{2}};

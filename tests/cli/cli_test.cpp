@@ -1,4 +1,4 @@
-// The command-line contract of campaign_tool, trace_tool and
+// The command-line contract of campaign_tool, schedule_tool, trace_tool and
 // tradeoff_explorer, checked on the built binaries run as subprocesses: the
 // exit-code table (0 clean or certified, 1 refuted, 2 usage error, 3 bad
 // input), the bytes each output flag writes (compared with the committed
@@ -398,6 +398,43 @@ TEST_F(Cli, BadInputsExitThreeNamingTheCulprit) {
       EXPECT_TRUE(contains(result.err, "out of range")) << result.err;
     }
   }
+}
+
+TEST_F(Cli, DisconnectedArchitectureIsASchedulingFailure) {
+  // Example 1 without its bus: no route joins the three processors. The
+  // routing table used to throw, and schedule_tool died of SIGABRT.
+  std::string example1 =
+      read_file(std::string(FTSCHED_SOURCE_DIR) + "/data/example1.ft");
+  const std::string bus = "  bus can P1 P2 P3\n";
+  ASSERT_NE(example1.find(bus), std::string::npos);
+  example1.erase(example1.find(bus), bus.size());
+  const std::string linkless = path("linkless.ft");
+  std::ofstream(linkless) << example1;
+
+  const Outcome result = run(FTSCHED_SCHEDULE_TOOL, {linkless, "--solution1"});
+  EXPECT_EQ(result.status, 1);
+  EXPECT_TRUE(contains(result.err, "scheduling failed (")) << result.err;
+  EXPECT_TRUE(contains(result.err, "not connected")) << result.err;
+}
+
+TEST_F(Cli, UnwritableOutputsExitTwo) {
+  // /dev/full accepts the open but fails the flush with ENOSPC: reporting
+  // success there would announce an artifact that was never written.
+  if (!std::ifstream("/dev/full").good()) {
+    GTEST_SKIP() << "/dev/full not available";
+  }
+  Outcome result =
+      run(FTSCHED_TRACE_TOOL,
+          {"gantt", "--example1", "--solution1", "-o", "/dev/full"});
+  EXPECT_EQ(result.status, 2);
+  EXPECT_TRUE(contains(result.err, "cannot write /dev/full")) << result.err;
+  EXPECT_FALSE(contains(result.err, "wrote")) << result.err;
+
+  result = campaign({"--example1", "--solution1", "--certify-shard", "0/1",
+                     "--stream-out", "/dev/full"});
+  EXPECT_EQ(result.status, 2);
+  EXPECT_TRUE(contains(result.err, "cannot write /dev/full")) << result.err;
+  EXPECT_FALSE(contains(result.err, "streamed")) << result.err;
 }
 
 TEST_F(Cli, TradeoffExplorerNamesTheBadOperand) {

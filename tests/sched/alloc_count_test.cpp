@@ -12,7 +12,10 @@
 // growth rate and an absolute per-operation budget. It also counts the
 // bytes requested, which bounds what a 1-thread certify() of the smallest
 // paper schedule may allocate: any per-sweep table sized for a deep
-// search, not for the sweep at hand, shows up there first.
+// search, not for the sweep at hand, shows up there first. A deep sweep
+// pins the certifier's per-branch heap traffic: its forks copy into
+// branch states reused across the task, so a branch costs its events,
+// not a fresh state.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -129,8 +132,9 @@ TEST(AllocationCount, ScheduleHeapTrafficGrowsLinearly) {
 /// A 1-thread K=1 certification of the Fig. 17 solution-1 schedule (40
 /// branches) is a fixed-cost measurement: what it requests from operator
 /// new is the engine's per-sweep overhead, dominated by the simulator's
-/// plan and the forked branch states (~0.4 MB). A per-sweep table sized
-/// for deep searches would dwarf that.
+/// plan and each task's branch states (one set per tree depth, reused by
+/// every node of the task). A per-sweep table sized for deep searches
+/// would dwarf that.
 TEST(AllocationCount, SmallCertifySweepStaysUnderOneMebibyte) {
 #ifdef FTSCHED_ALLOC_COUNT_UNAVAILABLE
   GTEST_SKIP() << "sanitizer runtime owns the global allocation operators";
@@ -151,6 +155,41 @@ TEST(AllocationCount, SmallCertifySweepStaysUnderOneMebibyte) {
   EXPECT_TRUE(report.certified);
   EXPECT_LT(bytes, std::size_t{1} << 20) << "certify() requested " << bytes
                                          << " bytes";
+}
+
+/// A 1-thread K=2 + one silent window certification of the Fig. 22
+/// solution-2 schedule: 271,231 branches over 28 tasks. Each task copies
+/// its forks into branch states it allocates once, a leaf whose budgets
+/// are spent runs without a trace, and a branch that is neither kept as
+/// a counterexample nor collected builds no CertifyBranch. What remains
+/// is each candidate-deriving node's instant and victim tables: about 2.2
+/// allocations and 132 bytes per branch when this was written. A fresh
+/// state per fork costs about 42 allocations and 9 KB.
+TEST(AllocationCount, DeepCertifySweepAllocatesAFewTimesPerBranch) {
+#ifdef FTSCHED_ALLOC_COUNT_UNAVAILABLE
+  GTEST_SKIP() << "sanitizer runtime owns the global allocation operators";
+#endif
+  const workload::OwnedProblem ex = workload::paper_example2();
+  const Expected<Schedule> schedule = schedule_solution2(ex.problem);
+  ASSERT_TRUE(schedule.has_value());
+  campaign::CertifySpec spec;
+  spec.max_failures = 2;
+  spec.max_silences = 1;
+  spec.threads = 1;
+
+  g_allocations.store(0);
+  g_bytes.store(0);
+  g_counting.store(true);
+  const campaign::CertifyReport report = campaign::certify(*schedule, spec);
+  g_counting.store(false);
+  const auto branches = static_cast<double>(report.branches);
+  const double allocations =
+      static_cast<double>(g_allocations.load()) / branches;
+  const double bytes = static_cast<double>(g_bytes.load()) / branches;
+
+  EXPECT_EQ(report.branches, 271231u);
+  EXPECT_LT(allocations, 4.0) << "allocations per branch";
+  EXPECT_LT(bytes, 1024.0) << "bytes per branch";
 }
 
 /// A 1-thread campaign of 4,000 seed-42 scenarios on the Fig. 17 schedule

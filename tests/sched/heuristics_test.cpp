@@ -3,6 +3,7 @@
 // sends, and the intra-processor communication rules.
 #include <gtest/gtest.h>
 
+#include "io/problem_format.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/validate.hpp"
 #include "workload/paper_examples.hpp"
@@ -29,6 +30,30 @@ TEST(Heuristics, RestrictedOperationReported) {
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, Error::Code::kInsufficientRedundancy);
   EXPECT_NE(result.error().message.find("I"), std::string::npos);
+}
+
+TEST(Heuristics, DisconnectedArchitectureReportsNoRoute) {
+  // Two processors and no link: no route joins them. Every entry point
+  // reports it instead of throwing from the routing table.
+  const Expected<OwnedProblem> owned = io::read_problem(
+      "algorithm\n  operation I extio-in\n  operation O extio-out\n"
+      "  dependency I O\narchitecture\n  processor P1\n  processor P2\n"
+      "exec\n  I * 1\n  O * 1\nproblem\n  tolerate 1\n");
+  ASSERT_TRUE(owned.has_value()) << owned.error().message;
+  const Problem& problem = owned.value().problem;
+  std::vector<Expected<Schedule>> results;
+  results.push_back(schedule_base(problem));
+  results.push_back(schedule_solution1(problem));
+  results.push_back(schedule_solution2(problem));
+  results.push_back(schedule_hybrid_with_policy(problem, {}));
+  results.push_back(schedule(problem, HeuristicKind::kSolution2));
+  for (const Expected<Schedule>& result : results) {
+    ASSERT_FALSE(result.has_value());
+    EXPECT_EQ(result.error().code, Error::Code::kNoRoute);
+    EXPECT_NE(result.error().message.find("not connected"),
+              std::string::npos)
+        << result.error().message;
+  }
 }
 
 TEST(Heuristics, DeadlineViolationReported) {

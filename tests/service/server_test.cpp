@@ -340,6 +340,39 @@ TEST(ServeLines, PipeModeRoundTrip) {
   EXPECT_EQ(find_record(records, "status", "never"), nullptr);
 }
 
+TEST(ServeLines, DisconnectedProblemAnswersAnErrorAndKeepsServing) {
+  // paper_example1 without its bus: scheduling reports kNoRoute. It used
+  // to throw out of the serve loop, leaving the submit behind it
+  // unanswered.
+  const workload::OwnedProblem ex = workload::paper_example1();
+  std::string linkless;
+  std::string section;
+  std::istringstream text(io::write_problem(ex.problem));
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("  ", 0) != 0) section = line;
+    // The bus line and the comm section's per-link durations go.
+    if (line.rfind("  bus ", 0) == 0) continue;
+    if (section == "comm" && line != section) continue;
+    linkless += line + '\n';
+  }
+  std::stringstream in;
+  in << R"({"type":"submit","id":"cut","problem_inline":)"
+     << obs::json_string(linkless) << "}\n"
+     << R"({"type":"submit","id":"ok","problem_inline":)" << inline_problem()
+     << "}\n";
+  std::stringstream out;
+  EXPECT_EQ(serve_lines(in, out, ServeOptions{}), 0);
+  const auto records = parse_records(out.str());
+  const JsonValue* error = find_record(records, "error", "cut");
+  ASSERT_NE(error, nullptr) << out.str();
+  EXPECT_NE(error->string_or("message", "").find("not connected"),
+            std::string::npos)
+      << out.str();
+  const JsonValue* result = find_record(records, "result", "ok");
+  ASSERT_NE(result, nullptr) << out.str();
+  EXPECT_TRUE(result->bool_or("certified", false));
+}
+
 TEST(ServeLines, StopFlagDrainsBeforeNextRequest) {
   // With the stop flag already set (SIGINT arrived), the loop exits
   // before reading a request.
