@@ -56,12 +56,14 @@
 // and is byte-identical for any --threads.
 //
 // --trace-out FILE records the profiling spans of any one-shot mode, from
-// scheduling on, as Chrome trace-event JSON.
+// scheduling on, or of a whole --serve / --serve-socket session, as Chrome
+// trace-event JSON.
 //
 // Exit status: 0 = campaign clean (replay satisfied the oracle / schedule
 // certified / repair converged), 1 = oracle violations (certification or
-// repair refuted), 2 = usage error, 3 = input file unreadable or malformed
-// (diagnostic names the file and the offending line).
+// repair refuted), 2 = usage error, 3 = input file unreadable, malformed or
+// unschedulable (diagnostic names the file, and the offending line of a
+// malformed one).
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -168,12 +170,12 @@ int usage() {
       "--metrics-out writes the campaign's merged domain metrics as JSON\n"
       "(deterministic for a given seed, any thread count); --trace-out\n"
       "writes the profiling spans of any one-shot mode, scheduling\n"
-      "included, as Chrome trace-event JSON (open in chrome://tracing or\n"
-      "https://ui.perfetto.dev).\n"
+      "included, or of a whole serve session, as Chrome trace-event JSON\n"
+      "(open in chrome://tracing or https://ui.perfetto.dev).\n"
       "\n"
       "exit status: 0 clean/certified/repaired, 1 refuted, 2 usage error,\n"
-      "3 input file unreadable or malformed (diagnostic names the file\n"
-      "and the offending line).\n");
+      "3 input file unreadable, malformed or unschedulable (diagnostic\n"
+      "names the file, and the offending line of a malformed one).\n");
   return 2;
 }
 
@@ -228,10 +230,10 @@ void install_sigint_drain() {
   sigaction(SIGINT, &action, nullptr);
 }
 
-/// Input-file failure (unreadable or malformed): one line naming the file
-/// and — for parse errors — the offending line, distinct exit code 3 so
-/// scripts can tell "bad input" from "schedule refuted" (1) and "bad
-/// usage" (2).
+/// Input-file failure (unreadable, malformed or unschedulable): one line
+/// naming the file and — for parse errors — the offending line, distinct
+/// exit code 3 so scripts can tell "bad input" from "schedule refuted" (1)
+/// and "bad usage" (2).
 int input_error(const std::string& path, const std::string& message) {
   std::fprintf(stderr, "campaign_tool: %s: %s\n", path.c_str(),
                message.c_str());
@@ -426,10 +428,9 @@ void print_shrunk(const Schedule& sched, const campaign::OracleSpec& spec,
 int one_shot(const Args& args, const workload::OwnedProblem& owned) {
   const Expected<Schedule> result = schedule(owned.problem, args.kind);
   if (!result) {
-    std::fprintf(stderr, "scheduling failed (%s): %s\n",
-                 to_string(result.error().code).c_str(),
-                 result.error().message.c_str());
-    return 2;
+    return input_error(args.input, "scheduling failed (" +
+                                       to_string(result.error().code) +
+                                       "): " + result.error().message);
   }
   const Schedule& sched = result.value();
   const ArchitectureGraph& arch = *owned.problem.architecture;
@@ -626,25 +627,29 @@ int one_shot(const Args& args, const workload::OwnedProblem& owned) {
   return 1;
 }
 
+/// Runs certifyd over stdin/stdout or a Unix-domain socket until a
+/// shutdown request, the end of input or a SIGINT drain.
+int serve(const Args& args) {
+  service::ServeOptions serve_options;
+  serve_options.cache_capacity = args.cache_size;
+  serve_options.threads = args.options.threads;
+  serve_options.serve_threads = args.serve_threads;
+  serve_options.stop = &g_stop;
+  install_sigint_drain();
+  if (!args.serve_socket_path.empty()) {
+    return service::serve_socket(args.serve_socket_path, serve_options);
+  }
+  return service::serve_lines(std::cin, std::cout, serve_options);
+}
+
 int run(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, args)) return usage();
 
-  if (args.do_serve) {
-    service::ServeOptions serve_options;
-    serve_options.cache_capacity = args.cache_size;
-    serve_options.threads = args.options.threads;
-    serve_options.serve_threads = args.serve_threads;
-    serve_options.stop = &g_stop;
-    install_sigint_drain();
-    if (!args.serve_socket_path.empty()) {
-      return service::serve_socket(args.serve_socket_path, serve_options);
-    }
-    return service::serve_lines(std::cin, std::cout, serve_options);
-  }
-
   workload::OwnedProblem owned;
-  if (args.example1) {
+  if (args.do_serve) {
+    // certifyd reads its problems from the requests.
+  } else if (args.example1) {
     owned = workload::paper_example1();
   } else if (args.example2) {
     owned = workload::paper_example2();
@@ -660,11 +665,12 @@ int run(int argc, char** argv) {
     return usage();
   }
 
-  // One profiling scope for every one-shot mode: on before scheduling, so
-  // the sched.* spans land beside the mode's own, and written once.
+  // One profiling scope for every mode, written once: on before
+  // scheduling, so the sched.* spans land beside the mode's own, or before
+  // serving, so it spans the whole session.
   obs::Profiler& profiler = obs::Profiler::global();
   if (!args.trace_out.empty()) profiler.enable(true);
-  const int status = one_shot(args, owned);
+  const int status = args.do_serve ? serve(args) : one_shot(args, owned);
   if (args.trace_out.empty()) return status;
   profiler.enable(false);
   const std::string trace = obs::chrome_trace_from_spans(profiler.drain());

@@ -170,11 +170,8 @@ FrontierReport frontier_sweep(const Schedule& schedule,
           cspec.max_silences = s;
           cspec.response_bound = spec.response_bound;
           cspec.threads = spec.threads;
-          // At least one detailed counterexample, so a refuted point
-          // always carries its first refuting branch.
-          cspec.max_counterexamples =
-              std::max<std::size_t>(spec.max_counterexamples, 1);
-          cspec.dedup = spec.dedup;
+          // The frontier keeps only the first refuting branch per point.
+          cspec.max_counterexamples = 1;
           cspec.latency_constraints = spec.latency_constraints;
           CertifyReport certificate = certify(schedule, cspec);
           point.certified = certificate.certified;

@@ -47,11 +47,6 @@ struct FrontierSpec {
   std::vector<LatencyConstraint> latency_constraints = {};
   /// Worker threads per certification; 0 = hardware concurrency.
   unsigned threads = 0;
-  bool dedup = true;
-  /// Counterexample detail cap per certification; the frontier keeps only
-  /// the first refuting branch per point, but the cap is forwarded so the
-  /// underlying certificates stay well-formed.
-  std::size_t max_counterexamples = 1;
 };
 
 /// One lattice point's verdict. Exactly one of three shapes:

@@ -18,6 +18,12 @@ namespace ftsched::campaign {
 
 namespace {
 
+/// Candidate moves proposed, and screened, per round before giving up.
+constexpr std::size_t kMaxCandidates = 24;
+/// ShrinkOptions::max_simulations for each round's counterexample
+/// minimization.
+constexpr std::size_t kShrinkBudget = 4000;
+
 /// The last iteration of `plan` as a single-iteration scenario: crashes and
 /// link deaths of earlier iterations have settled (the survivors know them,
 /// the paper's subsequent-iteration regime), so they become dead-at-start;
@@ -302,7 +308,7 @@ std::vector<RepairMove> propose_moves(
     const Problem& problem, HeuristicKind kind, const Schedule& sched,
     const MissionPlan& plan,
     const std::vector<LatencyConstraint>& violated_chains,
-    const SchedulerOptions& opts, std::size_t cap) {
+    const SchedulerOptions& opts) {
   const AlgorithmGraph& graph = *problem.algorithm;
   const ArchitectureGraph& arch = *problem.architecture;
   const Localizer loc(problem, sched, final_iteration_scenario(plan));
@@ -327,7 +333,7 @@ std::vector<RepairMove> propose_moves(
     out.push_back(move);
   };
   auto push = [&](const RepairMove& move) {
-    if (out.size() < cap) push_force(move);
+    if (out.size() < kMaxCandidates) push_force(move);
   };
   auto pin_count = [&](OperationId op) {
     std::size_t n = 0;
@@ -428,9 +434,9 @@ std::vector<RepairMove> propose_moves(
       const OperationId root = loc.root_blocker(output, host);
       if (!root.valid()) continue;
       attack(root, host);
-      if (out.size() >= cap) break;
+      if (out.size() >= kMaxCandidates) break;
     }
-    if (out.size() >= cap) break;
+    if (out.size() >= kMaxCandidates) break;
   }
   // Compound fallback, always proposed (past the cap if need be): when the
   // counterexample severs all communication toward a host, no single
@@ -555,7 +561,7 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
 
   const CertifySpec& cspec = spec.certify;
 
-  SchedulerOptions opts = spec.scheduler;
+  SchedulerOptions opts;
   HeuristicKind cur_kind = kind;
   Expected<Schedule> cur = ftsched::schedule(problem, cur_kind, opts);
   if (!cur) {
@@ -608,7 +614,7 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
       const Oracle oracle(cur.value(), screen);
       MissionPlan target = counterexample_plan(cert.counterexamples.front());
       ShrinkOptions sopts;
-      sopts.max_simulations = spec.shrink_budget;
+      sopts.max_simulations = kShrinkBudget;
       try {
         const ShrinkResult shrunk =
             shrink(sim, oracle, std::move(target), sopts);
@@ -648,7 +654,7 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
 
     const std::vector<RepairMove> moves =
         propose_moves(problem, cur_kind, cur.value(), bank.back(),
-                      violated_chains, opts, spec.max_candidates);
+                      violated_chains, opts);
     // Screen EVERY proposed move, then accept the surviving candidate
     // with the lowest repaired makespan (ties: earliest proposal) — the
     // first-found survivor could lock in a needlessly slow schedule that

@@ -55,14 +55,6 @@ struct RepairSpec {
   /// Accepted-move budget: at most this many repair rounds after the
   /// initial certification.
   int max_rounds = 32;
-  /// Candidate moves screened per round before giving up.
-  std::size_t max_candidates = 24;
-  /// ShrinkOptions::max_simulations for each round's counterexample
-  /// minimization (0 = unbounded).
-  std::size_t shrink_budget = 4000;
-  /// Base scheduler options; accepted moves append to its constraints /
-  /// active_comm_deps.
-  SchedulerOptions scheduler;
 };
 
 /// One targeted repair move, in the vocabulary of SchedulingConstraints.

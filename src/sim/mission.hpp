@@ -70,14 +70,14 @@ struct MissionIteration {
   std::size_t timeouts = 0;
   std::size_t elections = 0;
   std::size_t transfers = 0;
-  /// See IterationResult::silence_deferral: the tight response allowance
+  /// See IterationSummary::silence_deferral: the tight response allowance
   /// this iteration's silent windows earned (0 when none deferred a send).
   Time silence_deferral = 0;
   /// Genuinely dead processors known when the iteration started.
   std::vector<ProcessorId> known_failed;
   /// Healthy processors wrongly suspected when the iteration started.
   std::vector<ProcessorId> suspected;
-  /// See IterationResult::op_completions: earliest completion per graph
+  /// See IterationSummary::op_completions: earliest completion per graph
   /// operation, kInfinite where none — the chain-latency oracle's input.
   std::vector<Time> op_completions;
 };
@@ -108,12 +108,12 @@ struct MissionResult {
     const std::vector<MissionSilence>& silences = {});
 
 /// Reusable buffers for the batched mission path: one per worker amortizes
-/// every per-mission allocation (the simulator's run state, the per
-/// iteration scenario, the knowledge vectors) across a whole chunk of
+/// every per-mission allocation (the branch every iteration runs in, the
+/// per iteration scenario, the knowledge vectors) across a whole chunk of
 /// missions. Treat as opaque; contents are reset by run_mission. Holds
 /// results of one simulator: never share a scratch across schedules.
 struct MissionScratch {
-  Simulator::Scratch sim;
+  Simulator::Branch sim;
   IterationSummary summary;
   FailureScenario scenario;
   std::vector<ProcessorId> dead;

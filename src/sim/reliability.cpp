@@ -18,6 +18,8 @@ ReliabilityReport analyze_reliability(const Schedule& schedule,
   const std::size_t k =
       static_cast<std::size_t>(schedule.failures_tolerated());
   const Simulator simulator(schedule);
+  Simulator::Branch branch;
+  IterationSummary summary;
 
   ReliabilityReport report;
   report.masked_by_size.assign(n + 1, {0, 0});
@@ -35,11 +37,11 @@ ReliabilityReport analyze_reliability(const Schedule& schedule,
     ++report.masked_by_size[size].second;
     if (size > k && !options.exhaustive_beyond_k) continue;
 
-    const bool masked =
-        size == 0 ||
-        simulator.run(FailureScenario::dead_from_start(subset))
-            .all_outputs_produced;
-    if (!masked) continue;
+    if (size > 0) {
+      simulator.run_summary(FailureScenario::dead_from_start(subset), branch,
+                            summary);
+      if (!summary.all_outputs_produced) continue;
+    }
     ++report.masked_by_size[size].first;
 
     const double weight = std::pow(p, static_cast<double>(size)) *

@@ -188,7 +188,7 @@ struct TimeGuard {
 /// The per-run state of one simulated iteration minus its trace, separated
 /// from the engine so a paused run can be snapshotted (Simulator::Branch)
 /// and copied per failure branch, and so a worker can reuse one state as an
-/// arena across a whole chunk of scenarios (Simulator::Scratch — init()
+/// arena across a whole chunk of scenarios (Simulator::run_summary — init()
 /// resets every table without releasing storage). Per-entity state sits
 /// in one flat record array per kind, indexed like the plan; copying is a
 /// handful of flat vector copies, never a re-simulation and never a
@@ -206,7 +206,7 @@ struct SimCore {
   /// excluding the shared prefix it inherited.
   std::size_t events_dispatched = 0;
   /// Entities the event core examined, counted like events_dispatched
-  /// (IterationResult::entity_visits).
+  /// (IterationSummary::entity_visits).
   std::size_t entity_visits = 0;
   /// Instant of the last fully executed event batch; injected faults must
   /// lie strictly after it.
@@ -229,7 +229,7 @@ struct SimCore {
   /// blocked a send attempt, kInfinite while it never deferred anything.
   /// Drives the tight per-window response allowance (window.to - first
   /// blocked instant, instead of the window's full length) — see
-  /// IterationResult::silence_deferral.
+  /// IterationSummary::silence_deferral.
   std::vector<Time> silent_first_blocked;
   // [dep * procs + proc], dependency-major: a bus delivery's endpoints
   // share a cache line.
@@ -629,31 +629,8 @@ class Engine {
     while (!s_.queue.empty()) step_batch();
   }
 
-  [[nodiscard]] IterationResult finish() {
-    IterationResult result;
-    result.events_executed = s_.events_dispatched;
-    result.entity_visits = s_.entity_visits;
-    result.all_outputs_produced = true;
-    Time response = 0;
-    for (OperationId op : plan_.extio_out) {
-      const Time earliest = s_.op_end[op.index()];
-      if (is_infinite(earliest)) {
-        result.all_outputs_produced = false;
-      } else {
-        response = std::max(response, earliest);
-      }
-    }
-    result.response_time =
-        result.all_outputs_produced ? response : kInfinite;
-    result.silence_deferral = silence_deferral();
-    result.op_completions = s_.op_end;
-    collect_detected(result.detected_failures);
-    result.trace = std::move(s_.trace);
-    return result;
-  }
-
-  /// Trace-free digest of the finished run; `out` is overwritten.
-  void finish_summary(IterationSummary& out) {
+  /// The finished run's digest; `out` is overwritten, reusing its storage.
+  void finish(IterationSummary& out) {
     out.events_executed = s_.events_dispatched;
     out.entity_visits = s_.entity_visits;
     out.timeouts = s_.n_timeouts;
@@ -674,6 +651,14 @@ class Engine {
     out.op_completions.assign(s_.op_end.begin(), s_.op_end.end());
     out.detected_failures.clear();
     collect_detected(out.detected_failures);
+  }
+
+  /// The digest plus the trace, which moves out of the state.
+  [[nodiscard]] IterationResult finish() {
+    IterationResult result;
+    finish(result);
+    result.trace = std::move(s_.trace);
+    return result;
   }
 
   /// Max over windows of (closing edge - first blocked attempt): the tight
@@ -1406,19 +1391,9 @@ Simulator::Branch Simulator::Branch::fork() const {
 
 const Trace& Simulator::Branch::trace() const { return state_->trace; }
 
-Time Simulator::Branch::frontier() const {
-  return state_->queue.empty() ? kInfinite : state_->queue.top().time;
-}
-
 std::size_t Simulator::Branch::executed_events() const {
   return state_->events_dispatched;
 }
-
-Simulator::Scratch::Scratch() = default;
-Simulator::Scratch::Scratch(Scratch&&) noexcept = default;
-Simulator::Scratch& Simulator::Scratch::operator=(Scratch&&) noexcept =
-    default;
-Simulator::Scratch::~Scratch() = default;
 
 Simulator::Simulator(const Schedule& schedule)
     : schedule_(&schedule),
@@ -1437,18 +1412,16 @@ IterationResult Simulator::run(const FailureScenario& scenario) const {
   return engine.finish();
 }
 
-void Simulator::run_summary(const FailureScenario& scenario, Scratch& scratch,
+void Simulator::run_summary(const FailureScenario& scenario, Branch& branch,
                             IterationSummary& out) const {
   FTSCHED_SPAN("sim.run");
-  if (!scratch.state_) {
-    scratch.state_ = std::make_unique<sim_detail::SimState>();
-  }
-  sim_detail::SimState& state = *scratch.state_;
+  if (!branch.state_) branch.state_ = std::make_unique<sim_detail::SimState>();
+  sim_detail::SimState& state = *branch.state_;
   state.summary = true;
   Engine engine(*schedule_, routing_, *plan_, state);
   engine.init(scenario);
   engine.run_all();
-  engine.finish_summary(out);
+  engine.finish(out);
 }
 
 Simulator::Branch Simulator::begin(const FailureScenario& scenario) const {
@@ -1485,7 +1458,7 @@ void Simulator::finish(Branch& branch, IterationSummary& out) const {
   FTSCHED_SPAN("sim.finish");
   Engine engine(*schedule_, routing_, *plan_, *branch.state_);
   engine.run_all();
-  engine.finish_summary(out);
+  engine.finish(out);
 }
 
 }  // namespace ftsched

@@ -49,15 +49,27 @@
 
 namespace ftsched {
 
-struct IterationResult {
-  Trace trace;
+/// The digest of one simulated iteration: everything the mission runner
+/// (and through it the campaign oracle), the certifier's leaf verdict and
+/// the reliability and transient analyses consume. Simulator::run_summary
+/// and finishing a Branch in place produce it without materializing a
+/// Trace; it is field for field the same whether the branch was traced,
+/// copied without its trace, or run from scratch
+/// (tests/sim/summary_equiv_test.cpp pins this).
+struct IterationSummary {
+  /// True when every extio output of the algorithm was executed by at least
+  /// one processor alive at the end of the iteration.
+  bool all_outputs_produced = false;
+  /// max over extio outputs of the earliest completion on a processor alive
+  /// at the end of the iteration; kInfinite when an output is missing.
+  Time response_time = kInfinite;
   /// Events the producing run dispatched itself — NOT counting the shared
-  /// prefix it was forked from (Branch::fork resets the counter). For a
-  /// from-scratch run() this is the whole iteration's event count; for a
+  /// prefix it was forked from (Branch::copy_to resets the counter). For a
+  /// from-scratch run this is the whole iteration's event count; for a
   /// forked branch it is the marginal simulation work the branch cost,
   /// which is exactly what prefix sharing saves.
   std::size_t events_executed = 0;
-  /// Entities the event core examined while producing this result: each
+  /// Entities the event core examined while producing this digest: each
   /// watcher, processor and transfer the same-instant fixpoint visited,
   /// each in-flight frame crash and link-death handling inspected, and
   /// each candidate a wake-up lookup checked (an arriving value's waiters,
@@ -65,12 +77,10 @@ struct IterationResult {
   /// guards). Counted like events_executed (this branch's own work only).
   /// A work count for the Cost.* tests; no artifact reports it.
   std::size_t entity_visits = 0;
-  /// True when every extio output of the algorithm was executed by at least
-  /// one processor alive at the end of the iteration.
-  bool all_outputs_produced = false;
-  /// max over extio outputs of the earliest completion on a processor alive
-  /// at the end of the iteration; kInfinite when an output is missing.
-  Time response_time = kInfinite;
+  /// Trace-event counts: kTimeout / kElection / kTransferStart.
+  std::size_t timeouts = 0;
+  std::size_t elections = 0;
+  std::size_t transfer_starts = 0;
   /// Processors each healthy processor has flagged faulty by iteration end,
   /// merged (feed these into the next iteration's failed_at_start).
   std::vector<ProcessorId> detected_failures;
@@ -88,29 +98,11 @@ struct IterationResult {
   std::vector<Time> op_completions;
 };
 
-/// The trace-free digest of one iteration: everything the mission runner
-/// (and through it the campaign oracle) and the certifier's leaf verdict
-/// consume, without materializing a Trace. Produced by
-/// Simulator::run_summary and by finishing a Branch in place; field for
-/// field equal to what the same scenario's IterationResult derives,
-/// whether the branch was traced, copied without its trace, or run from
-/// scratch (tests/sim/summary_equiv_test.cpp pins this).
-struct IterationSummary {
-  bool all_outputs_produced = false;
-  Time response_time = kInfinite;
-  std::size_t events_executed = 0;
-  /// See IterationResult::entity_visits.
-  std::size_t entity_visits = 0;
-  /// Trace-event counts: kTimeout / kElection / kTransferStart.
-  std::size_t timeouts = 0;
-  std::size_t elections = 0;
-  std::size_t transfer_starts = 0;
-  /// See IterationResult::detected_failures.
-  std::vector<ProcessorId> detected_failures;
-  /// See IterationResult::silence_deferral.
-  Time silence_deferral = 0;
-  /// See IterationResult::op_completions.
-  std::vector<Time> op_completions;
+/// One iteration's digest plus the events it recorded: what run() and
+/// finishing a consumed Branch return. A summary-mode branch leaves the
+/// trace empty.
+struct IterationResult : IterationSummary {
+  Trace trace;
 };
 
 namespace sim_detail {
@@ -130,30 +122,6 @@ class Simulator {
   /// Convenience: failure-free run.
   [[nodiscard]] IterationResult run() const { return run({}); }
 
-  /// Reusable run state for the batched summary path: one Scratch per
-  /// worker amortizes every per-run allocation (state tables, event queue,
-  /// scenario buffers) across a whole campaign chunk — run_summary resets
-  /// the arena without releasing its storage. Default-constructed empty;
-  /// lazily sized on first use. Move-only, cheap to hold.
-  class Scratch {
-   public:
-    Scratch();
-    Scratch(Scratch&&) noexcept;
-    Scratch& operator=(Scratch&&) noexcept;
-    ~Scratch();
-
-   private:
-    friend class Simulator;
-    std::unique_ptr<sim_detail::SimState> state_;
-  };
-
-  /// Simulates one iteration under `scenario` without recording a trace,
-  /// accumulating the digest directly into `out` (cleared first). Reuses
-  /// `scratch`'s storage. Deterministic, and summary-equivalent to run():
-  /// same event sequence, same digest values.
-  void run_summary(const FailureScenario& scenario, Scratch& scratch,
-                   IterationSummary& out) const;
-
   /// A paused, snapshotable simulation owned by the Simulator that created
   /// it: the (partially failed) prefix of one iteration. copy_to() and
   /// fork() deep-copy the run state — flat POD tables, no re-simulation —
@@ -163,11 +131,13 @@ class Simulator {
   /// A branch is traced (it records every event, and trace() holds the
   /// whole prefix) or in summary mode (it records none and is finished
   /// into an IterationSummary). A trace-free copy of a traced branch runs
-  /// in summary mode from the copy on.
+  /// in summary mode from the copy on, and so does a branch run_summary()
+  /// re-armed.
   class Branch {
    public:
-    /// An empty branch: a target for copy_to(), nothing else. Its storage
-    /// is allocated by the first copy and reused by every later one.
+    /// An empty branch: a target for copy_to() or run_summary(), nothing
+    /// else. Its storage is allocated by the first use and reused by every
+    /// later one.
     Branch();
     Branch(Branch&&) noexcept;
     Branch& operator=(Branch&&) noexcept;
@@ -181,7 +151,7 @@ class Simulator {
     /// event is replayed. The copy's event counter restarts at zero: work
     /// executed after the copy is attributed to it, the shared prefix to
     /// its parent (branch-reuse accounting; see
-    /// IterationResult::events_executed).
+    /// IterationSummary::events_executed).
     void copy_to(Branch& into, bool trace = true) const;
 
     /// A traced copy into a fresh branch (copy_to into an empty one).
@@ -189,9 +159,6 @@ class Simulator {
 
     /// The events recorded so far; empty in summary mode.
     [[nodiscard]] const Trace& trace() const;
-
-    /// Earliest pending event instant; kInfinite when the queue drained.
-    [[nodiscard]] Time frontier() const;
 
     /// Events this branch dispatched itself since it was begun or forked.
     [[nodiscard]] std::size_t executed_events() const;
@@ -201,6 +168,20 @@ class Simulator {
     explicit Branch(std::unique_ptr<sim_detail::SimState> state);
     std::unique_ptr<sim_detail::SimState> state_;
   };
+
+  /// Kept for the benchmark probes (ftbench/src/probes.cpp), which still
+  /// name the summary path's run state this way.
+  using Scratch = Branch;
+
+  /// Simulates one iteration under `scenario` without recording a trace,
+  /// overwriting `out` with its digest. `branch` is re-armed in summary
+  /// mode and its storage reused, so one branch per worker amortizes every
+  /// per-run allocation (state tables, event queue, scenario buffers)
+  /// across a whole campaign chunk; any branch will do, and it keeps the
+  /// finished state until its next use. Deterministic, and
+  /// summary-equivalent to run(): same event sequence, same digest.
+  void run_summary(const FailureScenario& scenario, Branch& branch,
+                   IterationSummary& out) const;
 
   /// A paused run with `scenario`'s whole start state applied (dead / dead
   /// links / suspects / silent windows / queued mid-run events) and nothing

@@ -44,24 +44,6 @@ Time Trace::op_end(OperationId op, ProcessorId proc) const {
   return kInfinite;
 }
 
-Time Trace::earliest_op_end(OperationId op) const {
-  Time best = kInfinite;
-  for (const TraceEvent& e : events_) {
-    if (e.kind == TraceEvent::Kind::kOpEnd && e.op == op) {
-      best = std::min(best, e.time);
-    }
-  }
-  return best;
-}
-
-Time Trace::end_time() const {
-  Time end = 0;
-  for (const TraceEvent& e : events_) {
-    end = std::max(end, e.time);
-  }
-  return end;
-}
-
 std::string Trace::to_text(const AlgorithmGraph& graph,
                            const ArchitectureGraph& arch) const {
   std::string out;

@@ -62,12 +62,6 @@ class Trace {
   /// finished in this iteration.
   [[nodiscard]] Time op_end(OperationId op, ProcessorId proc) const;
 
-  /// Earliest completion of any replica of `op` in this iteration.
-  [[nodiscard]] Time earliest_op_end(OperationId op) const;
-
-  /// Latest event time (the iteration's actual span).
-  [[nodiscard]] Time end_time() const;
-
   /// Human-readable listing, one line per event, for diagnostics.
   [[nodiscard]] std::string to_text(
       const class AlgorithmGraph& graph,

@@ -9,6 +9,12 @@ namespace ftsched {
 
 namespace {
 
+/// Cap on accepted flips (each candidate runs the scheduler plus a full
+/// transient analysis).
+constexpr int kMaxFlips = 8;
+/// The search stops once the worst transient stretch falls to this.
+constexpr double kTargetStretch = 1.0;
+
 /// The passive dependency whose watch machinery is the likeliest transient
 /// bottleneck: prefer dependencies whose main producer replica sits on the
 /// worst victim (their chains actually run when it dies), scored by the
@@ -52,7 +58,7 @@ Expected<HybridResult> schedule_hybrid(const Problem& problem,
                                        HybridOptions options) {
   FTSCHED_REQUIRE(options.max_overhead_factor >= 1.0,
                   "max_overhead_factor must be >= 1");
-  SchedulerOptions scheduler = options.scheduler;
+  SchedulerOptions scheduler;
   scheduler.active_comm_deps.assign(problem.algorithm->dependency_count(),
                                     false);
 
@@ -69,12 +75,11 @@ Expected<HybridResult> schedule_hybrid(const Problem& problem,
   // not consume the flip budget; the attempt bound keeps the search linear
   // in the dependency count either way.
   const int max_attempts =
-      static_cast<int>(problem.algorithm->dependency_count()) +
-      options.max_flips;
+      static_cast<int>(problem.algorithm->dependency_count()) + kMaxFlips;
   for (int attempt = 0; attempt < max_attempts &&
-                        static_cast<int>(flipped.size()) < options.max_flips;
+                        static_cast<int>(flipped.size()) < kMaxFlips;
        ++attempt) {
-    if (best.transient.worst_stretch() <= options.target_stretch) break;
+    if (best.transient.worst_stretch() <= kTargetStretch) break;
     const DependencyId candidate =
         pick_flip(best.schedule, best.transient, barred);
     if (!candidate.valid()) break;

@@ -21,13 +21,6 @@ struct HybridOptions {
   /// Failure-free budget: candidate policies whose makespan exceeds
   /// max_overhead_factor x solution-1's makespan are rejected.
   double max_overhead_factor = 1.15;
-  /// Cap on policy-search iterations (each runs the scheduler plus a full
-  /// transient analysis).
-  int max_flips = 8;
-  /// Stop early once the worst transient stretch falls below this.
-  double target_stretch = 1.0;
-  /// Engine knobs applied to every candidate schedule.
-  SchedulerOptions scheduler;
 };
 
 struct HybridResult {

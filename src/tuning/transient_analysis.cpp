@@ -53,29 +53,32 @@ TransientReport analyze_transient(const Schedule& schedule) {
   report.worst_by_victim.assign(procs, 0);
 
   std::vector<Time> worst(procs, 0);
-  auto consider = [&](std::size_t p, const IterationResult& run) {
+  Simulator::Branch branch;
+  IterationSummary run;
+  auto consider = [&](std::size_t p) {
     worst[p] = std::max(worst[p], run.response_time);
-    report.worst_timeouts =
-        std::max(report.worst_timeouts,
-                 run.trace.count(TraceEvent::Kind::kTimeout));
+    report.worst_timeouts = std::max(report.worst_timeouts, run.timeouts);
   };
 
   for (std::size_t p = 0; p < procs; ++p) {
     const ProcessorId victim{static_cast<ProcessorId::underlying_type>(p)};
-    consider(p, simulator.run(FailureScenario::dead_from_start({victim})));
+    simulator.run_summary(FailureScenario::dead_from_start({victim}), branch,
+                          run);
+    consider(p);
   }
 
   // Shared-prefix sweep: one failure-free cursor advanced monotonically;
-  // each (victim, instant) branch forks the paused prefix instead of
-  // replaying [0, instant) from scratch.
+  // each (victim, instant) branch copies the paused prefix, without its
+  // trace, instead of replaying [0, instant) from scratch.
   Simulator::Branch cursor = simulator.begin();
   for (const Time at : instants) {
     simulator.advance_until(cursor, at);
     for (std::size_t p = 0; p < procs; ++p) {
       const ProcessorId victim{static_cast<ProcessorId::underlying_type>(p)};
-      Simulator::Branch branch = cursor.fork();
+      cursor.copy_to(branch, /*trace=*/false);
       simulator.inject(branch, FailureEvent{victim, at});
-      consider(p, simulator.finish(std::move(branch)));
+      simulator.finish(branch, run);
+      consider(p);
     }
   }
 

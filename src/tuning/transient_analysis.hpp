@@ -57,7 +57,8 @@ struct TransientReport {
 
 /// Simulates every single-processor failure of `schedule` at every critical
 /// instant. The failure-free prefix up to each instant is simulated once and
-/// forked per victim (Simulator::Branch), not replayed from scratch.
+/// copied per victim without its trace (Simulator::Branch::copy_to), not
+/// replayed from scratch.
 [[nodiscard]] TransientReport analyze_transient(const Schedule& schedule);
 
 }  // namespace ftsched

@@ -323,6 +323,27 @@ TEST_F(Cli, TraceOutRecordsSchedulingInEveryMode) {
   }
 }
 
+TEST_F(Cli, ServeTraceOutSpansTheSession) {
+  // The serve branch used to return before the profiler was enabled, so
+  // --trace-out never wrote its file.
+  const std::string trace = path("serve.trace.json");
+  const std::string requests =
+      "{\"type\":\"submit\",\"id\":\"a\",\"problem\":\"" +
+      std::string(FTSCHED_SOURCE_DIR) +
+      "/data/example1.ft\"}\n"
+      "{\"type\":\"shutdown\",\"id\":\"z\"}\n";
+  const Outcome served = campaign({"--serve", "--trace-out", trace}, requests);
+  EXPECT_EQ(served.status, 0);
+  EXPECT_TRUE(contains(line_with(served.out, "\"result\",\"id\":\"a\""),
+                       "\"certified\":true"))
+      << served.out;
+  const std::string spans = read_file(trace);
+  EXPECT_TRUE(valid_json(spans)) << spans;
+#if FTSCHED_OBS_ENABLED  // the tools record no spans without it
+  EXPECT_TRUE(contains(spans, "\"name\": \"certify.shard\"")) << spans;
+#endif
+}
+
 TEST_F(Cli, UnknownOptionIsAUsageError) {
   const Outcome result = campaign({"--example1", "--no-such-flag"});
   EXPECT_EQ(result.status, 2);
@@ -415,6 +436,19 @@ TEST_F(Cli, DisconnectedArchitectureIsASchedulingFailure) {
   EXPECT_EQ(result.status, 1);
   EXPECT_TRUE(contains(result.err, "scheduling failed (")) << result.err;
   EXPECT_TRUE(contains(result.err, "not connected")) << result.err;
+
+  // campaign_tool reports an unschedulable problem as bad input, naming the
+  // file, in a campaign and under --certify alike (it exited 2, the usage
+  // error code, without the file name).
+  const std::vector<std::vector<std::string>> modes = {
+      {linkless, "--solution1"}, {linkless, "--solution1", "--certify"}};
+  for (const std::vector<std::string>& args : modes) {
+    const Outcome failed = campaign(args);
+    EXPECT_EQ(failed.status, 3) << args.back();
+    EXPECT_TRUE(contains(failed.err, "campaign_tool: " + linkless +
+                                         ": scheduling failed (no-route): "))
+        << failed.err;
+  }
 }
 
 TEST_F(Cli, UnwritableOutputsExitTwo) {

@@ -1,12 +1,13 @@
 // Summary equivalence of the event core, pinned over scenario sweeps:
 // Simulator::run_summary produces, field for field, the digest a full
 // Simulator::run would derive from its trace (the batched campaign path
-// simulates without materializing traces). So does a paused branch copied
-// with or without its trace, given the scenario's faults and finished in
-// place (the certifier's leaves), and a branch given its silent windows
-// each at its own instant (the certifier's depths). The scenarios pile
-// crashes, window edges and link deaths onto schedule completion instants,
-// so the same-instant batches hold many equal-time events.
+// simulates without materializing traces), and run() returns that digest
+// beside the trace. So does a paused branch copied with or without its
+// trace, given the scenario's faults and finished in place (the
+// certifier's leaves), and a branch given its silent windows each at its
+// own instant (the certifier's depths). The scenarios pile crashes, window
+// edges and link deaths onto schedule completion instants, so the
+// same-instant batches hold many equal-time events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -146,6 +147,7 @@ void check_forked(const Simulator& simulator, const FailureScenario& scenario,
   {
     SCOPED_TRACE("traced fork, finish()");
     expect_equal(digest_of(result), expected);
+    expect_equal(result, expected);  // the digest the result carries
   }
 
   IterationSummary summary;
@@ -170,19 +172,20 @@ void check_forked(const Simulator& simulator, const FailureScenario& scenario,
 
 void check_schedule(const Schedule& schedule, std::uint64_t seed) {
   const Simulator simulator(schedule);
-  Simulator::Scratch scratch;
   IterationSummary summary;
-  // Copy targets reused across scenarios, each switching between traced
-  // and trace-free copies: a copy must overwrite all of a larger or
-  // differently moded earlier state.
+  // Branches reused across scenarios, each serving in turn as run_summary's
+  // arena, a traced copy target and a trace-free one: a run or a copy must
+  // overwrite all of a larger or differently moded earlier state.
   Simulator::Branch targets[2];
   int i = 0;
   for (const FailureScenario& scenario :
        tie_heavy_scenarios(schedule, seed, 24)) {
     SCOPED_TRACE("scenario " + std::to_string(i));
-    simulator.run_summary(scenario, scratch, summary);
-    const IterationSummary digest = digest_of(simulator.run(scenario));
+    simulator.run_summary(scenario, targets[i % 2], summary);
+    const IterationResult result = simulator.run(scenario);
+    const IterationSummary digest = digest_of(result);
     expect_equal(summary, digest);
+    expect_equal(result, digest);  // the digest the result carries
     check_forked(simulator, scenario, digest, targets[i % 2],
                  targets[(i + 1) % 2]);
     ++i;

@@ -27,9 +27,6 @@ TEST(Trace, QueriesOverHandBuiltEvents) {
   EXPECT_DOUBLE_EQ(trace.op_end(OperationId{0}, ProcessorId{0}), 2.0);
   EXPECT_DOUBLE_EQ(trace.op_end(OperationId{0}, ProcessorId{1}), 3.0);
   EXPECT_TRUE(is_infinite(trace.op_end(OperationId{0}, ProcessorId{2})));
-  EXPECT_DOUBLE_EQ(trace.earliest_op_end(OperationId{0}), 2.0);
-  EXPECT_TRUE(is_infinite(trace.earliest_op_end(OperationId{1})));
-  EXPECT_DOUBLE_EQ(trace.end_time(), 3.0);
 }
 
 TEST(Trace, TextListingNamesEntities) {
