@@ -594,12 +594,10 @@ int one_shot(const Args& args, const workload::OwnedProblem& owned) {
         campaign::counterexample_plan(report.counterexamples.front());
     std::printf("\n# counterexample reproducer (%zu events)\n%s",
                 plan.event_count(), io::write_scenario(plan, arch).c_str());
-    // The shrink oracle must judge link faults within the certified budget
-    // as within-contract, or a link counterexample would satisfy it and
-    // the shrinker's precondition (oracle rejects the plan) would fail.
-    campaign::OracleSpec shrink_spec = options.oracle;
-    shrink_spec.claimed_link_tolerance = spec.max_link_failures;
-    print_shrunk(sched, shrink_spec, plan);
+    // Shrink under the certificate's replay oracle: its link budget is
+    // within-contract too, so a link counterexample still fails the oracle,
+    // as the shrinker requires.
+    print_shrunk(sched, campaign::oracle_spec(report), plan);
     return 1;
   }
 

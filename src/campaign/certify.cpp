@@ -1,6 +1,7 @@
 #include "campaign/certify.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -52,27 +53,69 @@ struct FaultKey {
   int id = -1;
 
   [[nodiscard]] bool valid() const { return cls >= 0; }
+  [[nodiscard]] ProcessorId proc() const {
+    return ProcessorId{static_cast<ProcessorId::underlying_type>(id)};
+  }
+  [[nodiscard]] LinkId link() const {
+    return LinkId{static_cast<LinkId::underlying_type>(id)};
+  }
   friend bool operator==(const FaultKey&, const FaultKey&) = default;
   friend bool operator<=(const FaultKey& a, const FaultKey& b) {
     return a.cls < b.cls || (a.cls == b.cls && a.id <= b.id);
   }
 };
 
-/// Remaining per-class fault budgets of a subtree.
+/// Remaining fault budgets of a subtree, indexed by fault class.
 struct Budgets {
-  int crashes = 0;
-  int links = 0;
-  int silences = 0;
-
-  [[nodiscard]] bool exhausted() const {
-    return crashes <= 0 && links <= 0 && silences <= 0;
-  }
+  std::array<int, 3> left{};
 
   /// Faults left to inject: the depth of the subtree below.
-  [[nodiscard]] int total() const {
-    return std::max(crashes, 0) + std::max(links, 0) + std::max(silences, 0);
+  [[nodiscard]] int total() const { return left[0] + left[1] + left[2]; }
+  [[nodiscard]] bool exhausted() const { return total() == 0; }
+
+  /// The budgets left below one more fault of class `cls`.
+  [[nodiscard]] Budgets after(int cls) const {
+    Budgets rest = *this;
+    --rest.left[static_cast<std::size_t>(cls)];
+    return rest;
   }
 };
+
+/// Calls fn(key) for every victim `faults` leaves alive that `budgets`
+/// allows one more fault on, in the canonical class order: crashes, link
+/// deaths, silence openings, each by ascending id. The sweep plan lists
+/// its first victims and the explorer every later one through here.
+template <typename Fn>
+void for_each_victim(const FailureScenario& faults, std::size_t procs,
+                     std::size_t links, const Budgets& budgets, const Fn& fn) {
+  const auto proc_alive = [&](ProcessorId p) {
+    return std::find(faults.failed_at_start.begin(),
+                     faults.failed_at_start.end(),
+                     p) == faults.failed_at_start.end() &&
+           std::none_of(
+               faults.events.begin(), faults.events.end(),
+               [&](const FailureEvent& e) { return e.processor == p; });
+  };
+  const auto link_alive = [&](LinkId l) {
+    return std::find(faults.failed_links_at_start.begin(),
+                     faults.failed_links_at_start.end(),
+                     l) == faults.failed_links_at_start.end() &&
+           std::none_of(
+               faults.link_events.begin(), faults.link_events.end(),
+               [&](const LinkFailureEvent& e) { return e.link == l; });
+  };
+  for (const int cls : {kClsCrash, kClsLinkDeath, kClsSilence}) {
+    if (budgets.left[static_cast<std::size_t>(cls)] == 0) continue;
+    const std::size_t count = cls == kClsLinkDeath ? links : procs;
+    for (std::size_t i = 0; i < count; ++i) {
+      const FaultKey key{cls, static_cast<int>(i)};
+      if (cls == kClsLinkDeath ? link_alive(key.link())
+                               : proc_alive(key.proc())) {
+        fn(key);
+      }
+    }
+  }
+}
 
 /// Depth-first exploration of one task's subtree; every instant the parent
 /// prefix is forked, never replayed. The forks copy into branch states the
@@ -104,18 +147,12 @@ class Explorer {
            const std::vector<LinkId>& dead_links, FaultKey first,
            Budgets budgets) {
     FTSCHED_SPAN("certify.task");
-    dead_ = dead;
-    dead_links_ = dead_links;
-    crashes_.clear();
-    link_crashes_.clear();
-    silences_.clear();
-    FailureScenario scenario;
-    scenario.failed_at_start = dead;
-    scenario.failed_links_at_start = dead_links;
+    faults_.failed_at_start = dead;
+    faults_.failed_links_at_start = dead_links;
     // Depth d holds the nodes d faults deep; the root is depth 0's node.
     levels_.resize(static_cast<std::size_t>(budgets.total()) + 1);
     Level& root = levels_[0];
-    root.node = sim_.begin(scenario);
+    root.node = sim_.begin(faults_);
     ++out_.forks;
     root.node.copy_to(root.leaf, /*trace=*/first.valid());
     sim_.finish(root.leaf, summary_);
@@ -127,27 +164,6 @@ class Explorer {
   }
 
  private:
-  [[nodiscard]] bool proc_alive(ProcessorId p) const {
-    if (std::find(dead_.begin(), dead_.end(), p) != dead_.end()) {
-      return false;
-    }
-    return std::none_of(crashes_.begin(), crashes_.end(),
-                        [&](const FailureEvent& crash) {
-                          return crash.processor == p;
-                        });
-  }
-
-  [[nodiscard]] bool link_alive(LinkId l) const {
-    if (std::find(dead_links_.begin(), dead_links_.end(), l) !=
-        dead_links_.end()) {
-      return false;
-    }
-    return std::none_of(link_crashes_.begin(), link_crashes_.end(),
-                        [&](const LinkFailureEvent& death) {
-                          return death.link == l;
-                        });
-  }
-
   /// The reused states of one tree depth: the node (the paused branch with
   /// its faults injected), the leaf (the node's copy run to completion)
   /// and the cursor (the node's copy advanced instant by instant, forked
@@ -204,15 +220,7 @@ class Explorer {
     const bool kept = counterexample && out_.counterexamples.size() <
                                             spec_.max_counterexamples;
     if (!kept && !spec_.collect_branches) return;
-    CertifyBranch branch;
-    branch.dead_at_start = dead_;
-    branch.dead_links_at_start = dead_links_;
-    branch.crashes = crashes_;
-    branch.link_crashes = link_crashes_;
-    branch.silences = silences_;
-    branch.outputs_lost = lost;
-    branch.response_time = response;
-    branch.violated_constraints = chain_violated_;
+    CertifyBranch branch{faults_, lost, response, chain_violated_};
     if (kept) out_.counterexamples.push_back(branch);
     if (spec_.collect_branches) out_.collected.push_back(std::move(branch));
   }
@@ -225,14 +233,22 @@ class Explorer {
     std::vector<Interval> windows;
   };
 
-  /// A processor's acts: replica completions and the start/end of every
-  /// hop it feeds; windows are the in-flight spans of those hops.
-  [[nodiscard]] VictimActs proc_acts(const Trace& leaf,
-                                     ProcessorId victim) const {
+  /// The acts of a crash-like victim. A processor acts when a replica
+  /// completes on it and when a hop it feeds starts or ends; a link when a
+  /// hop it carries starts or ends. Windows are the in-flight spans of
+  /// those hops. A link carries one frame at a time, so its windows are
+  /// exactly its consecutive start/end pairs. They are kept conservatively:
+  /// a link dead mid-frame loses the frame at any interior instant, but
+  /// keeping the interior samples costs little and never merges two
+  /// behaviours unsoundly.
+  [[nodiscard]] VictimActs victim_acts(const Trace& leaf, FaultKey key) const {
+    const bool link = key.cls == kClsLinkDeath;
     VictimActs out;
     std::vector<std::pair<LinkId, Time>> open;
     for (const TraceEvent& event : leaf.events()) {
-      if (event.proc != victim) continue;
+      if (link ? event.link != key.link() : event.proc != key.proc()) {
+        continue;
+      }
       switch (event.kind) {
         case TraceEvent::Kind::kOpEnd:
           out.acts.push_back(event.time);
@@ -261,36 +277,8 @@ class Explorer {
           break;
       }
     }
-    for (const auto& [link, start] : open) {
-      out.windows.push_back(Interval{start, kInfinite});
-    }
-    std::sort(out.acts.begin(), out.acts.end());
-    return out;
-  }
-
-  /// A link's acts: every transfer start/end it carried. The in-flight
-  /// windows are kept too, conservatively: a link dead mid-frame loses
-  /// the frame at any interior instant, but keeping the interior samples
-  /// costs little and never merges two behaviours unsoundly.
-  [[nodiscard]] VictimActs link_acts(const Trace& leaf, LinkId victim) const {
-    VictimActs out;
-    Time open = kInfinite;
-    for (const TraceEvent& event : leaf.events()) {
-      if (event.link != victim) continue;
-      if (event.kind == TraceEvent::Kind::kTransferStart) {
-        out.acts.push_back(event.time);
-        open = event.time;
-      } else if (event.kind == TraceEvent::Kind::kTransferEnd ||
-                 event.kind == TraceEvent::Kind::kDrop) {
-        out.acts.push_back(event.time);
-        if (!is_infinite(open)) {
-          out.windows.push_back(Interval{open, event.time});
-          open = kInfinite;
-        }
-      }
-    }
-    if (!is_infinite(open)) {
-      out.windows.push_back(Interval{open, kInfinite});
+    for (const auto& hop : open) {
+      out.windows.push_back(Interval{hop.second, kInfinite});
     }
     std::sort(out.acts.begin(), out.acts.end());
     return out;
@@ -406,27 +394,43 @@ class Explorer {
   }
 
   /// Executes one child subtree of a depth-`depth` node: fork its cursor
-  /// into the next depth's node, inject, leaf, recursion. The caller has
-  /// already pushed the child's fault onto its stack; `inject` applies it
-  /// to the forked branch. A child whose budgets are spent derives no
-  /// candidates, so it and its leaf are copied without a trace.
-  template <typename Inject>
-  void explore_child(std::size_t depth, const Inject& inject, Budgets rest,
-                     Time c, FaultKey key) {
+  /// into the next depth's node, push the child's fault (`key` at `c`; a
+  /// window closes at `to`) onto faults_ and inject it, leaf, recursion,
+  /// pop. A child whose budgets are spent derives no candidates, so it and
+  /// its leaf are copied without a trace.
+  void explore_child(std::size_t depth, FaultKey key, Time c, Time to,
+                     Budgets rest) {
     Level& child = levels_[depth + 1];
     const bool traced = !rest.exhausted();
     levels_[depth].cursor.copy_to(child.node, traced);
     ++out_.forks;
-    inject(child.node);
+    if (key.cls == kClsCrash) {
+      sim_.inject(child.node,
+                  faults_.events.emplace_back(FailureEvent{key.proc(), c}));
+    } else if (key.cls == kClsLinkDeath) {
+      sim_.inject(child.node, faults_.link_events.emplace_back(
+                                  LinkFailureEvent{key.link(), c}));
+    } else {
+      sim_.inject(child.node, faults_.silent_windows.emplace_back(
+                                  SilentWindow{key.proc(), c, to}));
+    }
     ++out_.forks;
     child.node.copy_to(child.leaf, traced);
     sim_.finish(child.leaf, summary_);
     certify_leaf(summary_);
     explore_children(depth + 1, rest, c, key, FaultKey{});
+    if (key.cls == kClsCrash) {
+      faults_.events.pop_back();
+    } else if (key.cls == kClsLinkDeath) {
+      faults_.link_events.pop_back();
+    } else {
+      faults_.silent_windows.pop_back();
+    }
   }
 
   /// Explores the children of the depth-`depth` node, whose finished leaf
-  /// (traced) is in levels_[depth].leaf.
+  /// (traced) is in levels_[depth].leaf. `only`, when valid, restricts the
+  /// children to that victim (a task's first fault).
   void explore_children(std::size_t depth, Budgets budgets, Time t0,
                         FaultKey last, FaultKey only) {
     if (budgets.exhausted()) return;
@@ -443,51 +447,20 @@ class Explorer {
       std::vector<Time> sends;  // silence victims only
     };
     std::vector<VictimPlan> victims;
-    auto consider = [&](FaultKey key) {
+    for_each_victim(faults_, procs_, links_, budgets, [&](FaultKey key) {
       if (only.valid() && !(key == only)) return;
       VictimPlan plan;
       plan.key = key;
-      if (key.cls == kClsCrash) {
-        const ProcessorId victim{
-            static_cast<ProcessorId::underlying_type>(key.id)};
-        plan.instants = kept_crash_instants(proc_acts(leaf, victim),
-                                            candidates, t0, last, key);
-      } else if (key.cls == kClsLinkDeath) {
-        const LinkId victim{static_cast<LinkId::underlying_type>(key.id)};
-        plan.instants = kept_crash_instants(link_acts(leaf, victim),
-                                            candidates, t0, last, key);
-      } else {
-        const ProcessorId victim{
-            static_cast<ProcessorId::underlying_type>(key.id)};
-        plan.sends = send_starts(leaf, victim);
+      if (key.cls == kClsSilence) {
+        plan.sends = send_starts(leaf, key.proc());
         plan.instants =
             kept_silence_froms(plan.sends, candidates, t0, last, key);
+      } else {
+        plan.instants = kept_crash_instants(victim_acts(leaf, key),
+                                            candidates, t0, last, key);
       }
       if (!plan.instants.empty()) victims.push_back(std::move(plan));
-    };
-    if (budgets.crashes > 0) {
-      for (std::size_t p = 0; p < procs_; ++p) {
-        const ProcessorId victim{
-            static_cast<ProcessorId::underlying_type>(p)};
-        if (!proc_alive(victim)) continue;
-        consider(FaultKey{kClsCrash, static_cast<int>(p)});
-      }
-    }
-    if (budgets.links > 0) {
-      for (std::size_t l = 0; l < links_; ++l) {
-        const LinkId victim{static_cast<LinkId::underlying_type>(l)};
-        if (!link_alive(victim)) continue;
-        consider(FaultKey{kClsLinkDeath, static_cast<int>(l)});
-      }
-    }
-    if (budgets.silences > 0) {
-      for (std::size_t p = 0; p < procs_; ++p) {
-        const ProcessorId victim{
-            static_cast<ProcessorId::underlying_type>(p)};
-        if (!proc_alive(victim)) continue;
-        consider(FaultKey{kClsSilence, static_cast<int>(p)});
-      }
-    }
+    });
     if (victims.empty()) return;
 
     // One cursor per node: the shared prefix is executed once per instant,
@@ -514,47 +487,14 @@ class Explorer {
         }
         ++next[v];
         const FaultKey key = victims[v].key;
-        if (key.cls == kClsCrash) {
-          const ProcessorId victim{
-              static_cast<ProcessorId::underlying_type>(key.id)};
-          crashes_.push_back(FailureEvent{victim, c});
-          Budgets rest = budgets;
-          --rest.crashes;
-          explore_child(
-              depth,
-              [&](Simulator::Branch& child) {
-                sim_.inject(child, FailureEvent{victim, c});
-              },
-              rest, c, key);
-          crashes_.pop_back();
-        } else if (key.cls == kClsLinkDeath) {
-          const LinkId victim{static_cast<LinkId::underlying_type>(key.id)};
-          link_crashes_.push_back(LinkFailureEvent{victim, c});
-          Budgets rest = budgets;
-          --rest.links;
-          explore_child(
-              depth,
-              [&](Simulator::Branch& child) {
-                sim_.inject(child, LinkFailureEvent{victim, c});
-              },
-              rest, c, key);
-          link_crashes_.pop_back();
-        } else {
-          const ProcessorId victim{
-              static_cast<ProcessorId::underlying_type>(key.id)};
-          Budgets rest = budgets;
-          --rest.silences;
-          for (const Time to :
-               silence_tos(victims[v].sends, candidates, c, beyond)) {
-            silences_.push_back(SilentWindow{victim, c, to});
-            explore_child(
-                depth,
-                [&](Simulator::Branch& child) {
-                  sim_.inject(child, SilentWindow{victim, c, to});
-                },
-                rest, c, key);
-            silences_.pop_back();
-          }
+        const Budgets rest = budgets.after(key.cls);
+        if (key.cls != kClsSilence) {
+          explore_child(depth, key, c, c, rest);
+          continue;
+        }
+        for (const Time to :
+             silence_tos(victims[v].sends, candidates, c, beyond)) {
+          explore_child(depth, key, c, to, rest);
         }
       }
     }
@@ -576,71 +516,39 @@ class Explorer {
   /// Scratch: the digest of the leaf just finished.
   IterationSummary summary_;
   CertifyTaskPartial& out_;
-  std::vector<ProcessorId> dead_;
-  std::vector<LinkId> dead_links_;
-  std::vector<FailureEvent> crashes_;
-  std::vector<LinkFailureEvent> link_crashes_;
-  std::vector<SilentWindow> silences_;
+  /// The current node's fault pattern: the task's dead-at-start subsets,
+  /// then one mid-run fault per depth, pushed and popped by explore_child.
+  FailureScenario faults_;
 };
-
-/// Subsets of {0..count-1} with size 0..max, sizes ascending,
-/// lexicographic within a size — the canonical task order.
-std::vector<std::vector<int>> id_subsets(std::size_t count, int max) {
-  std::vector<std::vector<int>> out;
-  for (int size = 0; size <= max; ++size) {
-    std::vector<int> combo;
-    auto gen = [&](auto&& self, std::size_t from, int left) -> void {
-      if (left == 0) {
-        out.push_back(combo);
-        return;
-      }
-      for (std::size_t p = from; p + static_cast<std::size_t>(left) <= count;
-           ++p) {
-        combo.push_back(static_cast<int>(p));
-        self(self, p + 1, left - 1);
-        combo.pop_back();
-      }
-    };
-    gen(gen, 0, size);
-  }
-  return out;
-}
-
-std::vector<ProcessorId> to_proc_ids(const std::vector<int>& ids) {
-  std::vector<ProcessorId> out;
-  out.reserve(ids.size());
-  for (const int id : ids) {
-    out.push_back(ProcessorId{static_cast<ProcessorId::underlying_type>(id)});
-  }
-  return out;
-}
-
-std::vector<LinkId> to_link_ids(const std::vector<int>& ids) {
-  std::vector<LinkId> out;
-  out.reserve(ids.size());
-  for (const int id : ids) {
-    out.push_back(LinkId{static_cast<LinkId::underlying_type>(id)});
-  }
-  return out;
-}
 
 }  // namespace
 
 MissionPlan counterexample_plan(const CertifyBranch& branch) {
+  const FailureScenario& faults = branch.faults;
   MissionPlan plan;
   plan.iterations = 1;
-  plan.dead_at_start = branch.dead_at_start;
-  plan.dead_links_at_start = branch.dead_links_at_start;
-  for (const FailureEvent& crash : branch.crashes) {
+  plan.dead_at_start = faults.failed_at_start;
+  plan.dead_links_at_start = faults.failed_links_at_start;
+  for (const FailureEvent& crash : faults.events) {
     plan.failures.push_back(MissionFailure{0, crash});
   }
-  for (const LinkFailureEvent& death : branch.link_crashes) {
+  for (const LinkFailureEvent& death : faults.link_events) {
     plan.link_failures.push_back(MissionLinkFailure{0, death});
   }
-  for (const SilentWindow& window : branch.silences) {
+  for (const SilentWindow& window : faults.silent_windows) {
     plan.silences.push_back(MissionSilence{0, window});
   }
   return plan;
+}
+
+OracleSpec oracle_spec(const CertifyReport& report) {
+  OracleSpec spec;
+  spec.claimed_tolerance = report.max_failures;
+  spec.claimed_link_tolerance = report.max_link_failures;
+  spec.response_bound = report.response_bound;
+  spec.check_response = !is_infinite(report.response_bound);
+  spec.latency_constraints = report.latency_constraints;
+  return spec;
 }
 
 namespace {
@@ -676,60 +584,30 @@ SweepPlan build_sweep_plan(const Schedule& schedule, const CertifySpec& spec) {
       std::clamp(spec.max_link_failures, 0, static_cast<int>(links));
   plan.max_silences = std::max(spec.max_silences, 0);
 
-  for (const std::vector<int>& ids : id_subsets(procs, plan.max_failures)) {
-    plan.subsets.push_back(to_proc_ids(ids));
-  }
-  for (const std::vector<int>& ids : id_subsets(links, plan.max_links)) {
-    plan.link_subsets.push_back(to_link_ids(ids));
-  }
+  plan.subsets = id_subsets<ProcessorId>(
+      procs, 0, static_cast<std::size_t>(plan.max_failures));
+  plan.link_subsets = id_subsets<LinkId>(
+      links, 0, static_cast<std::size_t>(plan.max_links));
 
   // Tasks: each (processor subset, link subset) pair's own leaf, plus —
   // when some mid-run budget remains — one subtree per first fault victim
   // in canonical class order, splitting the dominant small-subset
   // subtrees across workers.
+  FailureScenario root;
   for (const std::vector<ProcessorId>& dead : plan.subsets) {
     for (const std::vector<LinkId>& dead_links : plan.link_subsets) {
-      Budgets budgets;
-      budgets.crashes = plan.max_failures - static_cast<int>(dead.size());
-      budgets.links = plan.max_links - static_cast<int>(dead_links.size());
-      budgets.silences = plan.max_silences;
+      const Budgets budgets{
+          {plan.max_failures - static_cast<int>(dead.size()),
+           plan.max_links - static_cast<int>(dead_links.size()),
+           plan.max_silences}};
       plan.tasks.push_back(
           SweepPlan::Task{&dead, &dead_links, FaultKey{}, budgets});
-      if (budgets.exhausted()) continue;
-      auto add_first = [&](int cls, int id) {
+      root.failed_at_start = dead;
+      root.failed_links_at_start = dead_links;
+      for_each_victim(root, procs, links, budgets, [&](FaultKey first) {
         plan.tasks.push_back(
-            SweepPlan::Task{&dead, &dead_links, FaultKey{cls, id}, budgets});
-      };
-      if (budgets.crashes > 0) {
-        for (std::size_t p = 0; p < procs; ++p) {
-          const ProcessorId victim{
-              static_cast<ProcessorId::underlying_type>(p)};
-          if (std::find(dead.begin(), dead.end(), victim) != dead.end()) {
-            continue;
-          }
-          add_first(kClsCrash, static_cast<int>(p));
-        }
-      }
-      if (budgets.links > 0) {
-        for (std::size_t l = 0; l < links; ++l) {
-          const LinkId victim{static_cast<LinkId::underlying_type>(l)};
-          if (std::find(dead_links.begin(), dead_links.end(), victim) !=
-              dead_links.end()) {
-            continue;
-          }
-          add_first(kClsLinkDeath, static_cast<int>(l));
-        }
-      }
-      if (budgets.silences > 0) {
-        for (std::size_t p = 0; p < procs; ++p) {
-          const ProcessorId victim{
-              static_cast<ProcessorId::underlying_type>(p)};
-          if (std::find(dead.begin(), dead.end(), victim) != dead.end()) {
-            continue;
-          }
-          add_first(kClsSilence, static_cast<int>(p));
-        }
-      }
+            SweepPlan::Task{&dead, &dead_links, first, budgets});
+      });
     }
   }
   return plan;
@@ -896,42 +774,45 @@ namespace {
 
 std::string branch_text(const CertifyBranch& branch,
                         const ArchitectureGraph& arch) {
+  const FailureScenario& faults = branch.faults;
   std::string out;
   out += "dead at start: ";
-  if (branch.dead_at_start.empty() && branch.dead_links_at_start.empty()) {
+  if (faults.failed_at_start.empty() &&
+      faults.failed_links_at_start.empty()) {
     out += "-";
   }
-  for (std::size_t i = 0; i < branch.dead_at_start.size(); ++i) {
+  for (std::size_t i = 0; i < faults.failed_at_start.size(); ++i) {
     if (i > 0) out += ",";
-    out += arch.processor(branch.dead_at_start[i]).name;
+    out += arch.processor(faults.failed_at_start[i]).name;
   }
-  for (std::size_t i = 0; i < branch.dead_links_at_start.size(); ++i) {
-    if (i > 0 || !branch.dead_at_start.empty()) out += ",";
-    out += arch.link(branch.dead_links_at_start[i]).name;
+  for (std::size_t i = 0; i < faults.failed_links_at_start.size(); ++i) {
+    if (i > 0 || !faults.failed_at_start.empty()) out += ",";
+    out += arch.link(faults.failed_links_at_start[i]).name;
   }
   out += "; crashes: ";
-  if (branch.crashes.empty() && branch.link_crashes.empty()) out += "-";
-  for (std::size_t i = 0; i < branch.crashes.size(); ++i) {
+  if (faults.events.empty() && faults.link_events.empty()) out += "-";
+  for (std::size_t i = 0; i < faults.events.size(); ++i) {
     if (i > 0) out += ", ";
-    out += arch.processor(branch.crashes[i].processor).name;
+    out += arch.processor(faults.events[i].processor).name;
     out += "@";
-    out += time_to_string(branch.crashes[i].time);
+    out += time_to_string(faults.events[i].time);
   }
-  for (std::size_t i = 0; i < branch.link_crashes.size(); ++i) {
-    if (i > 0 || !branch.crashes.empty()) out += ", ";
-    out += arch.link(branch.link_crashes[i].link).name;
+  for (std::size_t i = 0; i < faults.link_events.size(); ++i) {
+    if (i > 0 || !faults.events.empty()) out += ", ";
+    out += arch.link(faults.link_events[i].link).name;
     out += "@";
-    out += time_to_string(branch.link_crashes[i].time);
+    out += time_to_string(faults.link_events[i].time);
   }
-  if (!branch.silences.empty()) {
+  if (!faults.silent_windows.empty()) {
     out += "; silent: ";
-    for (std::size_t i = 0; i < branch.silences.size(); ++i) {
+    for (std::size_t i = 0; i < faults.silent_windows.size(); ++i) {
+      const SilentWindow& window = faults.silent_windows[i];
       if (i > 0) out += ", ";
-      out += arch.processor(branch.silences[i].processor).name;
+      out += arch.processor(window.processor).name;
       out += "@[";
-      out += time_to_string(branch.silences[i].from);
+      out += time_to_string(window.from);
       out += ",";
-      out += time_to_string(branch.silences[i].to);
+      out += time_to_string(window.to);
       out += ")";
     }
   }
@@ -945,40 +826,44 @@ std::string branch_text(const CertifyBranch& branch,
   return out;
 }
 
-std::string branch_json(const CertifyBranch& branch,
-                        const ArchitectureGraph& arch) {
+}  // namespace
+
+std::string certify_branch_json(const CertifyBranch& branch,
+                                const ArchitectureGraph& arch) {
+  const FailureScenario& faults = branch.faults;
   std::string out = "{\"dead_at_start\": [";
-  for (std::size_t i = 0; i < branch.dead_at_start.size(); ++i) {
+  for (std::size_t i = 0; i < faults.failed_at_start.size(); ++i) {
     if (i > 0) out += ", ";
-    out += obs::json_string(arch.processor(branch.dead_at_start[i]).name);
+    out += obs::json_string(arch.processor(faults.failed_at_start[i]).name);
   }
   out += "], \"dead_links_at_start\": [";
-  for (std::size_t i = 0; i < branch.dead_links_at_start.size(); ++i) {
+  for (std::size_t i = 0; i < faults.failed_links_at_start.size(); ++i) {
     if (i > 0) out += ", ";
-    out += obs::json_string(arch.link(branch.dead_links_at_start[i]).name);
+    out += obs::json_string(arch.link(faults.failed_links_at_start[i]).name);
   }
   out += "], \"crashes\": [";
-  for (std::size_t i = 0; i < branch.crashes.size(); ++i) {
+  for (std::size_t i = 0; i < faults.events.size(); ++i) {
     if (i > 0) out += ", ";
     out += "{\"processor\": " +
-           obs::json_string(arch.processor(branch.crashes[i].processor).name) +
-           ", \"time\": " + obs::json_number(branch.crashes[i].time) + "}";
+           obs::json_string(arch.processor(faults.events[i].processor).name) +
+           ", \"time\": " + obs::json_number(faults.events[i].time) + "}";
   }
   out += "], \"link_crashes\": [";
-  for (std::size_t i = 0; i < branch.link_crashes.size(); ++i) {
+  for (std::size_t i = 0; i < faults.link_events.size(); ++i) {
     if (i > 0) out += ", ";
     out += "{\"link\": " +
-           obs::json_string(arch.link(branch.link_crashes[i].link).name) +
-           ", \"time\": " + obs::json_number(branch.link_crashes[i].time) +
+           obs::json_string(arch.link(faults.link_events[i].link).name) +
+           ", \"time\": " + obs::json_number(faults.link_events[i].time) +
            "}";
   }
   out += "], \"silences\": [";
-  for (std::size_t i = 0; i < branch.silences.size(); ++i) {
+  for (std::size_t i = 0; i < faults.silent_windows.size(); ++i) {
+    const SilentWindow& window = faults.silent_windows[i];
     if (i > 0) out += ", ";
     out += "{\"processor\": " +
-           obs::json_string(arch.processor(branch.silences[i].processor).name) +
-           ", \"from\": " + obs::json_number(branch.silences[i].from) +
-           ", \"to\": " + obs::json_number(branch.silences[i].to) + "}";
+           obs::json_string(arch.processor(window.processor).name) +
+           ", \"from\": " + obs::json_number(window.from) +
+           ", \"to\": " + obs::json_number(window.to) + "}";
   }
   out += "], \"outputs_lost\": ";
   out += branch.outputs_lost ? "true" : "false";
@@ -994,13 +879,6 @@ std::string branch_json(const CertifyBranch& branch,
   }
   out += "}";
   return out;
-}
-
-}  // namespace
-
-std::string certify_branch_json(const CertifyBranch& branch,
-                                const ArchitectureGraph& arch) {
-  return branch_json(branch, arch);
 }
 
 std::string CertifyReport::to_text(const ArchitectureGraph& arch) const {
@@ -1113,7 +991,7 @@ std::string CertifyReport::to_json(const ArchitectureGraph& arch) const {
   out += ",\n  \"counterexamples\": [";
   for (std::size_t i = 0; i < counterexamples.size(); ++i) {
     out += i > 0 ? ",\n    " : "\n    ";
-    out += branch_json(counterexamples[i], arch);
+    out += certify_branch_json(counterexamples[i], arch);
   }
   out += counterexamples.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";

@@ -10,7 +10,7 @@
 //    dead-at-start subset D plus mid-run crashes, at most K distinct
 //    victims in total;
 //  * link deaths (§8 future work, outside the §5.1 contract and therefore
-//    budgeted separately, FailureScenario::total_fault_count semantics): a
+//    budgeted separately, as the oracle's plan_link_faults counts them): a
 //    dead-at-start subset DL plus mid-run link deaths, at most L distinct
 //    links;
 //  * fail-silent windows (§6.1 item 3): at most S windows [from, to), each
@@ -127,16 +127,12 @@ struct CertifySpec {
 };
 
 /// One branch of the fault tree: the complete fault pattern of one
-/// certified (or violating) scenario.
+/// certified (or violating) scenario, and its verdict.
 struct CertifyBranch {
-  std::vector<ProcessorId> dead_at_start;
-  std::vector<LinkId> dead_links_at_start;
-  /// Mid-run crashes, nondecreasing (time, processor id).
-  std::vector<FailureEvent> crashes;
-  /// Mid-run link deaths, nondecreasing (time, link id).
-  std::vector<LinkFailureEvent> link_crashes;
-  /// Fail-silent windows, nondecreasing (opening edge, processor id).
-  std::vector<SilentWindow> silences;
+  /// Dead-at-start processors and links by ascending id; mid-run crashes,
+  /// link deaths and fail-silent windows each nondecreasing in (instant,
+  /// id), the order the sweep injects them in. Never any suspects.
+  FailureScenario faults;
   bool outputs_lost = false;
   Time response_time = kInfinite;
   /// Names of the chain constraints this branch's leaf run violated, spec
@@ -231,6 +227,13 @@ struct CertifyReport {
 /// is a pure function of (schedule, spec), independent of thread count.
 [[nodiscard]] CertifyReport certify(const Schedule& schedule,
                                     const CertifySpec& spec = {});
+
+/// The oracle a counterexample of `report` is judged by when it is
+/// replayed: the certified processor and link budgets as the claimed
+/// tolerances, the certified response bound (checked only when finite, as
+/// the sweep checks it) and the same chain constraints. Repair screens its
+/// candidates under it and `campaign_tool --certify` shrinks under it.
+[[nodiscard]] OracleSpec oracle_spec(const CertifyReport& report);
 
 // ---------------------------------------------------------------------------
 // Sharded execution (certification as a service, src/service).

@@ -91,8 +91,8 @@ struct OracleSpec {
   int claimed_tolerance = -1;
   /// Link-fault budget the schedule is claimed to mask. Link faults sit
   /// outside the paper's §5.1 failure hypothesis, so they are budgeted
-  /// separately from the processor K (FailureScenario::total_fault_count
-  /// semantics); the default 0 keeps any link fault outside the contract.
+  /// separately from the processor K (plan_link_faults counts them); the
+  /// default 0 keeps any link fault outside the contract.
   int claimed_link_tolerance = 0;
   /// Response envelope for within-contract iterations; kInfinite derives
   /// static_response_bound(schedule).

@@ -244,20 +244,6 @@ class Localizer {
   std::vector<bool> dead_links_;
 };
 
-/// The screening oracle judges exactly what the certifier certifies: the
-/// same processor/link budgets as within-contract, the same explicit
-/// response bound (no bound -> no response check, mirroring the certifier's
-/// survival-only sweep).
-OracleSpec screening_spec(const CertifyReport& cert) {
-  OracleSpec spec;
-  spec.claimed_tolerance = cert.max_failures;
-  spec.claimed_link_tolerance = cert.max_link_failures;
-  spec.response_bound = cert.response_bound;
-  spec.check_response = !is_infinite(cert.response_bound);
-  spec.latency_constraints = cert.latency_constraints;
-  return spec;
-}
-
 /// True when `cand` fixes EVERY banked reproducer.
 bool fixes_bank(const Schedule& cand, const std::vector<MissionPlan>& bank,
                 const OracleSpec& spec) {
@@ -607,7 +593,7 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
 
     // Minimize and bank the first counterexample; every later move must
     // keep the whole bank fixed.
-    const OracleSpec screen = screening_spec(cert);
+    const OracleSpec screen = oracle_spec(cert);
     std::vector<LatencyConstraint> violated_chains;
     {
       const Simulator sim(cur.value());

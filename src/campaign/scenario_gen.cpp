@@ -76,10 +76,7 @@ ScenarioGenerator::ScenarioGenerator(const Schedule& schedule,
   spec_.suspect_probability = clamp_probability(spec_.suspect_probability);
   spec_.link_failure_probability =
       clamp_probability(spec_.link_failure_probability);
-  spec_.min_iterations = std::max(spec_.min_iterations, 1);
-  spec_.max_iterations = std::max(spec_.max_iterations, spec_.min_iterations);
-  spec_.over_budget_extra = std::max(spec_.over_budget_extra, 1);
-  spec_.horizon_factor = std::max(spec_.horizon_factor, 0.0);
+  spec_.max_iterations = std::max(spec_.max_iterations, 1);
 
   budget_ = spec_.max_processor_failures >= 0
                 ? spec_.max_processor_failures
@@ -88,7 +85,7 @@ ScenarioGenerator::ScenarioGenerator(const Schedule& schedule,
   budget_ = std::min(budget_, static_cast<int>(procs) - 1);
   budget_ = std::max(budget_, 0);
 
-  horizon_ = spec_.horizon_factor * schedule.makespan();
+  horizon_ = 1.25 * schedule.makespan();
   if (horizon_ <= 0) horizon_ = schedule.makespan();
 }
 
@@ -119,10 +116,8 @@ void ScenarioGenerator::scenario_into(std::size_t index, CampaignScenario& out,
   plan.dead_links_at_start.clear();
   plan.suspected_at_start.clear();
   plan.iterations =
-      spec_.min_iterations +
-      static_cast<int>(draw_below(
-          rng, static_cast<std::uint64_t>(spec_.max_iterations -
-                                          spec_.min_iterations + 1)));
+      1 + static_cast<int>(draw_below(
+              rng, static_cast<std::uint64_t>(spec_.max_iterations)));
   auto draw_iteration = [&] {
     return static_cast<int>(
         draw_below(rng, static_cast<std::uint64_t>(plan.iterations)));
@@ -135,10 +130,7 @@ void ScenarioGenerator::scenario_into(std::size_t index, CampaignScenario& out,
   int faults = static_cast<int>(
       draw_below(rng, static_cast<std::uint64_t>(budget_) + 1));
   if (draw_chance(rng, spec_.over_budget_fraction)) {
-    faults = budget_ + 1 +
-             static_cast<int>(draw_below(
-                 rng, static_cast<std::uint64_t>(spec_.over_budget_extra)));
-    faults = std::min(faults, static_cast<int>(procs) - 1);
+    faults = std::min(budget_ + 1, static_cast<int>(procs) - 1);
   }
   std::vector<std::size_t>& victims = scratch.victims;
   draw_subset(rng, procs, static_cast<std::size_t>(faults), victims);

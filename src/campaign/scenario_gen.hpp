@@ -30,11 +30,10 @@ struct CampaignSpec {
   /// Fault budget of within-contract scenarios: max distinct processor
   /// faults drawn per scenario. -1 derives the schedule's tolerated K.
   int max_processor_failures = -1;
-  /// Fraction of scenarios that deliberately exceed the budget, by
-  /// 1..over_budget_extra extra processor faults (expected-failure
-  /// testing: the oracle only requires that such runs terminate sanely).
+  /// Fraction of scenarios that deliberately exceed the budget, by one
+  /// extra processor fault (expected-failure testing: the oracle only
+  /// requires that such runs terminate sanely).
   double over_budget_fraction = 0.0;
-  int over_budget_extra = 1;
   /// Probability that an injected processor fault is dead-from-start
   /// (the paper's settled "subsequent iteration" regime) rather than a
   /// mid-run crash (the "transient iteration" regime).
@@ -49,13 +48,10 @@ struct CampaignSpec {
   /// failure hypothesis: scenarios with link faults are never
   /// within-contract).
   double link_failure_probability = 0.0;
-  /// Mission length range, drawn uniformly in [min_iterations,
-  /// max_iterations].
-  int min_iterations = 1;
+  /// Mission length, drawn uniformly in [1, max_iterations]. Crash
+  /// instants are drawn from [0, 1.25 * makespan) of the iteration they
+  /// strike — past-makespan instants probe the idle tail.
   int max_iterations = 1;
-  /// Crash instants are drawn from [0, horizon_factor * makespan) of the
-  /// iteration they strike — past-makespan instants probe the idle tail.
-  double horizon_factor = 1.25;
 };
 
 struct CampaignScenario {
@@ -108,7 +104,7 @@ class ScenarioGenerator {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   /// Resolved within-contract fault budget (spec or schedule K).
   [[nodiscard]] int budget() const noexcept { return budget_; }
-  /// Resolved crash-instant horizon (horizon_factor * makespan).
+  /// Resolved crash-instant horizon (1.25 * makespan).
   [[nodiscard]] Time horizon() const noexcept { return horizon_; }
 
  private:

@@ -67,11 +67,7 @@ std::string plan_key_string(const Schedule& schedule,
 std::optional<CachedResult> ResultCache::get(const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
+  if (it == index_.end()) return std::nullopt;
   order_.splice(order_.begin(), order_, it->second);
   return it->second->result;
 }
@@ -96,16 +92,6 @@ void ResultCache::put(const std::string& key, CachedResult value) {
 std::size_t ResultCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return index_.size();
-}
-
-std::uint64_t ResultCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t ResultCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
 }
 
 }  // namespace ftsched::service

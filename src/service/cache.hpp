@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -48,7 +47,7 @@ class ResultCache {
  public:
   explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Bumps the entry to most-recently-used and counts a hit/miss.
+  /// Bumps the entry to most-recently-used.
   [[nodiscard]] std::optional<CachedResult> get(const std::string& key);
 
   /// Inserts or refreshes; evicts the least-recently-used entry beyond
@@ -57,8 +56,6 @@ class ResultCache {
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
 
  private:
   struct Entry {
@@ -71,8 +68,6 @@ class ResultCache {
   /// Front = most recently used.
   std::list<Entry> order_;
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace ftsched::service

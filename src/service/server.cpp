@@ -37,10 +37,6 @@ using obs::json_string;
 const std::vector<double> kLatencyBoundsMs = {1,   5,    10,   50,
                                               100, 500, 1000, 5000};
 
-void count(const char* name, std::uint64_t n = 1) {
-  obs::MetricsRegistry::global().counter(name).add(n);
-}
-
 std::string wire_time_or_null(Time t) {
   return obs::json_number(t);  // non-finite renders as null
 }
@@ -95,29 +91,17 @@ ServiceStats CertifyService::stats() const {
   return stats_;
 }
 
-/// Merges one finished request's counter delta into the shared totals and
-/// mirrors it into the obs registry. One lock, whole delta: the global
-/// counters only ever advance by complete per-request contributions.
+/// Merges one finished request's counter delta into the shared totals.
+/// One lock, whole delta: the totals only ever advance by complete
+/// per-request contributions.
 void CertifyService::merge(const ServiceStats& delta) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.requests += delta.requests;
-    stats_.submits += delta.submits;
-    stats_.cache_hits += delta.cache_hits;
-    stats_.cache_misses += delta.cache_misses;
-    stats_.deadline_exceeded += delta.deadline_exceeded;
-    stats_.errors += delta.errors;
-  }
-  if (delta.requests != 0) count("service.requests", delta.requests);
-  if (delta.submits != 0) count("service.submits", delta.submits);
-  if (delta.cache_hits != 0) count("service.cache_hits", delta.cache_hits);
-  if (delta.cache_misses != 0) {
-    count("service.cache_misses", delta.cache_misses);
-  }
-  if (delta.deadline_exceeded != 0) {
-    count("service.deadline_exceeded", delta.deadline_exceeded);
-  }
-  if (delta.errors != 0) count("service.errors", delta.errors);
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.requests += delta.requests;
+  stats_.submits += delta.submits;
+  stats_.cache_hits += delta.cache_hits;
+  stats_.cache_misses += delta.cache_misses;
+  stats_.deadline_exceeded += delta.deadline_exceeded;
+  stats_.errors += delta.errors;
 }
 
 void CertifyService::emit_error(RecordSink& sink, const std::string& id,
@@ -268,11 +252,7 @@ void CertifyService::handle_submit(const SubmitRequest& submit,
     return false;
   };
 
-  std::optional<CachedResult> hit;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    hit = cache_.get(key);
-  }
+  const std::optional<CachedResult> hit = cache_.get(key);
   if (hit.has_value()) {
     ++delta.cache_hits;
     if (!write_certificate(*hit)) return;
@@ -341,10 +321,7 @@ void CertifyService::handle_submit(const SubmitRequest& submit,
   result.total_counterexamples = report.total_counterexamples;
   result.worst_response = report.worst_response;
   result.certificate_json = report.to_json(arch);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.put(key, result);
-  }
+  cache_.put(key, result);
   if (!write_certificate(result)) return;
   result_record(result, "miss");
 }

@@ -45,10 +45,8 @@ struct ServeOptions {
   unsigned serve_threads = 1;
 };
 
-/// Deterministic service counters (mirrored into the global obs registry
-/// as service.* metrics; status responses read these, not the registry,
-/// so tests see exact values even when other subsystems share the
-/// registry).
+/// Deterministic service counters: status responses report them, and they
+/// are the service's only hit/miss accounting.
 struct ServiceStats {
   std::uint64_t requests = 0;
   std::uint64_t submits = 0;
@@ -68,10 +66,10 @@ class CertifyService {
   /// answer with an error record — returns true and keeps serving.
   ///
   /// Thread-safe: concurrent callers (the socket worker pool) certify in
-  /// parallel; each request accumulates its service.* counters privately
-  /// and merges the whole delta under one lock when it finishes, so the
-  /// totals any later status request observes are a sum of completed
-  /// requests — independent of worker interleaving.
+  /// parallel; each request accumulates its counters privately and merges
+  /// the whole delta under one lock when it finishes, so the totals any
+  /// later status request observes are a sum of completed requests —
+  /// independent of worker interleaving.
   bool handle_line(std::string_view line, RecordSink& sink);
 
   /// Snapshot of the merged counters (by value: the struct is shared with
@@ -88,7 +86,7 @@ class CertifyService {
   void merge(const ServiceStats& delta);
 
   ServeOptions options_;
-  mutable std::mutex mu_;  // guards cache_ and stats_
+  mutable std::mutex mu_;  // guards stats_; cache_ locks itself
   ResultCache cache_;
   ServiceStats stats_;
 };

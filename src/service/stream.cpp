@@ -70,34 +70,36 @@ void OstreamSink::write(std::string_view line) {
 }
 
 std::string write_branch(const campaign::CertifyBranch& branch) {
+  const FailureScenario& faults = branch.faults;
   std::string out = "{\"dead\":[";
-  for (std::size_t i = 0; i < branch.dead_at_start.size(); ++i) {
+  for (std::size_t i = 0; i < faults.failed_at_start.size(); ++i) {
     if (i > 0) out += ',';
-    out += std::to_string(branch.dead_at_start[i].value());
+    out += std::to_string(faults.failed_at_start[i].value());
   }
   out += "],\"dead_links\":[";
-  for (std::size_t i = 0; i < branch.dead_links_at_start.size(); ++i) {
+  for (std::size_t i = 0; i < faults.failed_links_at_start.size(); ++i) {
     if (i > 0) out += ',';
-    out += std::to_string(branch.dead_links_at_start[i].value());
+    out += std::to_string(faults.failed_links_at_start[i].value());
   }
   out += "],\"crashes\":[";
-  for (std::size_t i = 0; i < branch.crashes.size(); ++i) {
+  for (std::size_t i = 0; i < faults.events.size(); ++i) {
     if (i > 0) out += ',';
-    out += "{\"p\":" + std::to_string(branch.crashes[i].processor.value()) +
-           ",\"t\":" + wire_time(branch.crashes[i].time) + "}";
+    out += "{\"p\":" + std::to_string(faults.events[i].processor.value()) +
+           ",\"t\":" + wire_time(faults.events[i].time) + "}";
   }
   out += "],\"link_crashes\":[";
-  for (std::size_t i = 0; i < branch.link_crashes.size(); ++i) {
+  for (std::size_t i = 0; i < faults.link_events.size(); ++i) {
     if (i > 0) out += ',';
-    out += "{\"l\":" + std::to_string(branch.link_crashes[i].link.value()) +
-           ",\"t\":" + wire_time(branch.link_crashes[i].time) + "}";
+    out += "{\"l\":" + std::to_string(faults.link_events[i].link.value()) +
+           ",\"t\":" + wire_time(faults.link_events[i].time) + "}";
   }
   out += "],\"silences\":[";
-  for (std::size_t i = 0; i < branch.silences.size(); ++i) {
+  for (std::size_t i = 0; i < faults.silent_windows.size(); ++i) {
+    const SilentWindow& window = faults.silent_windows[i];
     if (i > 0) out += ',';
-    out += "{\"p\":" + std::to_string(branch.silences[i].processor.value()) +
-           ",\"from\":" + wire_time(branch.silences[i].from) +
-           ",\"to\":" + wire_time(branch.silences[i].to) + "}";
+    out += "{\"p\":" + std::to_string(window.processor.value()) +
+           ",\"from\":" + wire_time(window.from) +
+           ",\"to\":" + wire_time(window.to) + "}";
   }
   out += "],\"lost\":";
   out += branch.outputs_lost ? "true" : "false";
@@ -197,10 +199,11 @@ Expected<campaign::CertifyBranch> parse_branch(const JsonValue& object) {
   campaign::CertifyBranch branch;
   Error error;
   std::int32_t id = 0;
-  if (!append_ids(object.find("dead"), branch.dead_at_start)) {
+  FailureScenario& faults = branch.faults;
+  if (!append_ids(object.find("dead"), faults.failed_at_start)) {
     return bad("dead must be an array of ids");
   }
-  if (!append_ids(object.find("dead_links"), branch.dead_links_at_start)) {
+  if (!append_ids(object.find("dead_links"), faults.failed_links_at_start)) {
     return bad("dead_links must be an array of ids");
   }
   if (const JsonValue* crashes = object.find("crashes")) {
@@ -211,7 +214,7 @@ Expected<campaign::CertifyBranch> parse_branch(const JsonValue& object) {
       FailureEvent event;
       event.processor = ProcessorId(id);
       event.time = read_time(item, "t", 0);
-      branch.crashes.push_back(event);
+      faults.events.push_back(event);
     }
   }
   if (const JsonValue* deaths = object.find("link_crashes")) {
@@ -222,7 +225,7 @@ Expected<campaign::CertifyBranch> parse_branch(const JsonValue& object) {
       LinkFailureEvent event;
       event.link = LinkId(id);
       event.time = read_time(item, "t", 0);
-      branch.link_crashes.push_back(event);
+      faults.link_events.push_back(event);
     }
   }
   if (const JsonValue* silences = object.find("silences")) {
@@ -234,7 +237,7 @@ Expected<campaign::CertifyBranch> parse_branch(const JsonValue& object) {
       window.processor = ProcessorId(id);
       window.from = read_time(item, "from", 0);
       window.to = read_time(item, "to", 0);
-      branch.silences.push_back(window);
+      faults.silent_windows.push_back(window);
     }
   }
   branch.outputs_lost = object.bool_or("lost", false);

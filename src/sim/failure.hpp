@@ -77,41 +77,41 @@ struct FailureScenario {
     scenario.failed_at_start = std::move(processors);
     return scenario;
   }
-
-  /// Number of distinct processors genuinely faulted by this scenario
-  /// (mid-run crashes plus dead-from-start). Processors only: link faults
-  /// are outside the paper's failure hypothesis (§5.1) and are counted
-  /// separately by link_failure_count(). Silent windows and wrong
-  /// suspicions are not failures — the §6.1-item-3 machinery masks them
-  /// for free.
-  [[nodiscard]] std::size_t failure_count() const {
-    std::vector<ProcessorId> procs = failed_at_start;
-    for (const FailureEvent& event : events) procs.push_back(event.processor);
-    std::sort(procs.begin(), procs.end());
-    procs.erase(std::unique(procs.begin(), procs.end()), procs.end());
-    return procs.size();
-  }
-
-  /// Number of distinct links killed by this scenario (mid-run deaths plus
-  /// dead-from-start).
-  [[nodiscard]] std::size_t link_failure_count() const {
-    std::vector<LinkId> links = failed_links_at_start;
-    for (const LinkFailureEvent& event : link_events) links.push_back(event.link);
-    std::sort(links.begin(), links.end());
-    links.erase(std::unique(links.begin(), links.end()), links.end());
-    return links.size();
-  }
-
-  /// Faults of every class: the honest "how much did this scenario inject"
-  /// answer the campaign oracle budgets against.
-  [[nodiscard]] std::size_t total_fault_count() const {
-    return failure_count() + link_failure_count();
-  }
 };
 
-/// All subsets of `processors` with size in [1, max_failures]; used by the
+/// Every subset of the ids 0..count-1 with min..max members, each sorted
+/// ascending; sizes ascending, lexicographic within a size. The
+/// certifier's dead-at-start subsets (its canonical task order) and
+/// failure_subsets share this order.
+template <typename Id>
+[[nodiscard]] std::vector<std::vector<Id>> id_subsets(std::size_t count,
+                                                      std::size_t min,
+                                                      std::size_t max) {
+  std::vector<std::vector<Id>> out;
+  for (std::size_t size = min; size <= std::min(max, count); ++size) {
+    std::vector<std::size_t> at(size);
+    for (std::size_t i = 0; i < size; ++i) at[i] = i;
+    for (;;) {
+      std::vector<Id>& subset = out.emplace_back();
+      for (const std::size_t id : at) {
+        subset.push_back(Id{static_cast<typename Id::underlying_type>(id)});
+      }
+      // Advance the rightmost position that can still move right.
+      std::size_t i = size;
+      while (i > 0 && at[i - 1] == count - size + i - 1) --i;
+      if (i == 0) break;
+      ++at[i - 1];
+      for (; i < size; ++i) at[i] = at[i - 1] + 1;
+    }
+  }
+  return out;
+}
+
+/// All processor subsets with size in [1, max_failures]; used by the
 /// exhaustive fault-tolerance property tests.
-[[nodiscard]] std::vector<std::vector<ProcessorId>> failure_subsets(
-    std::size_t processors, std::size_t max_failures);
+[[nodiscard]] inline std::vector<std::vector<ProcessorId>> failure_subsets(
+    std::size_t processors, std::size_t max_failures) {
+  return id_subsets<ProcessorId>(processors, 1, max_failures);
+}
 
 }  // namespace ftsched

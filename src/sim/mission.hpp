@@ -55,7 +55,7 @@ struct MissionPlan {
 
   /// Total number of injected events of every class (size of the
   /// shrinker's search space, not a fault count — see
-  /// FailureScenario::failure_count for the budget semantics).
+  /// campaign::plan_processor_faults for the budget semantics).
   [[nodiscard]] std::size_t event_count() const noexcept {
     return failures.size() + silences.size() + link_failures.size() +
            dead_at_start.size() + dead_links_at_start.size() +

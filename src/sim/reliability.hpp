@@ -36,12 +36,6 @@ struct ReliabilityReport {
   double lower_bound = 0;
   /// masked/total subset counts per subset size (index = size).
   std::vector<std::pair<std::size_t, std::size_t>> masked_by_size;
-
-  [[nodiscard]] std::size_t masked_subsets() const {
-    std::size_t count = 0;
-    for (const auto& [masked, total] : masked_by_size) count += masked;
-    return count;
-  }
 };
 
 /// Precondition: 0 <= failure_probability <= 1 and the architecture has at

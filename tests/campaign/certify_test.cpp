@@ -21,6 +21,7 @@
 #include "sched/heuristics.hpp"
 #include "sim/mission.hpp"
 #include "sim/simulator.hpp"
+#include "tuning/transient_analysis.hpp"
 #include "workload/paper_examples.hpp"
 #include "workload/random_arch.hpp"
 
@@ -56,14 +57,16 @@ void expect_same_report(const CertifyReport& a, const CertifyReport& b) {
   EXPECT_TRUE(a.metrics == b.metrics);
   ASSERT_EQ(a.counterexamples.size(), b.counterexamples.size());
   for (std::size_t i = 0; i < a.counterexamples.size(); ++i) {
-    EXPECT_EQ(a.counterexamples[i].dead_at_start,
-              b.counterexamples[i].dead_at_start);
-    EXPECT_EQ(a.counterexamples[i].dead_links_at_start,
-              b.counterexamples[i].dead_links_at_start);
-    EXPECT_EQ(a.counterexamples[i].crashes, b.counterexamples[i].crashes);
-    EXPECT_EQ(a.counterexamples[i].link_crashes,
-              b.counterexamples[i].link_crashes);
-    EXPECT_EQ(a.counterexamples[i].silences, b.counterexamples[i].silences);
+    EXPECT_EQ(a.counterexamples[i].faults.failed_at_start,
+              b.counterexamples[i].faults.failed_at_start);
+    EXPECT_EQ(a.counterexamples[i].faults.failed_links_at_start,
+              b.counterexamples[i].faults.failed_links_at_start);
+    EXPECT_EQ(a.counterexamples[i].faults.events,
+              b.counterexamples[i].faults.events);
+    EXPECT_EQ(a.counterexamples[i].faults.link_events,
+              b.counterexamples[i].faults.link_events);
+    EXPECT_EQ(a.counterexamples[i].faults.silent_windows,
+              b.counterexamples[i].faults.silent_windows);
     EXPECT_EQ(a.counterexamples[i].outputs_lost,
               b.counterexamples[i].outputs_lost);
   }
@@ -89,6 +92,56 @@ TEST(Certify, PaperExample2Solution2CertifiesItsClaim) {
   const Schedule schedule = schedule_solution2(ex.problem).value();
   const CertifyReport report = certify(schedule);
   EXPECT_TRUE(report.certified) << report.to_text(*ex.problem.architecture);
+}
+
+TEST(Certify, K1WorstResponseMatchesTheTransientAnalysis) {
+  // Two independent sweeps of every single crash: analyze_transient kills
+  // each processor from the start and at every representative instant of
+  // the fault-free trace; a K=1 certify explores the same faults through
+  // its own candidates, dedup and forks. The certificate also counts the
+  // fault-free branch, which the transient worst leaves out. A refuted
+  // certificate must be a transient sweep that lost outputs.
+  std::vector<OwnedProblem> problems;
+  problems.push_back(workload::paper_example1());
+  problems.push_back(workload::paper_example2());
+  for (const workload::ArchKind arch :
+       {workload::ArchKind::kBus, workload::ArchKind::kFullyConnected,
+        workload::ArchKind::kRing}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      workload::RandomProblemParams params;
+      params.dag.operations = 10;
+      params.processors = 4;
+      params.arch_kind = arch;
+      params.seed = seed;
+      problems.push_back(workload::random_problem(params));
+    }
+  }
+  std::size_t compared = 0;
+  std::size_t refuted = 0;
+  for (const OwnedProblem& ex : problems) {
+    for (const HeuristicKind kind :
+         {HeuristicKind::kSolution1, HeuristicKind::kSolution2}) {
+      const Expected<Schedule> scheduled = schedule(ex.problem, kind);
+      ASSERT_TRUE(scheduled.has_value()) << scheduled.error().message;
+      const TransientReport transient = analyze_transient(scheduled.value());
+      const CertifyReport report =
+          certify(scheduled.value(), {.max_failures = 1, .threads = 1});
+      ++compared;
+      if (report.certified) {
+        EXPECT_EQ(std::max(transient.nominal_response,
+                           transient.worst_response),
+                  report.worst_response)
+            << report.to_text(*ex.problem.architecture);
+      } else {
+        ++refuted;
+        EXPECT_TRUE(is_infinite(transient.worst_response))
+            << report.to_text(*ex.problem.architecture);
+      }
+    }
+  }
+  EXPECT_EQ(compared, 64u);
+  // Both arms are exercised: 14 of the 64 schedules lose outputs.
+  EXPECT_EQ(refuted, 14u);
 }
 
 TEST(Certify, BaseScheduleClaimingK1IsRefuted) {
@@ -145,8 +198,8 @@ TEST(Certify, SingleLinkDeathRefutesPassiveCommRedundancy) {
   const Oracle oracle(schedule, claimed);
   const Simulator simulator(schedule);
   for (const CertifyBranch& cex : report.counterexamples) {
-    EXPECT_TRUE(!cex.dead_links_at_start.empty() ||
-                !cex.link_crashes.empty());
+    EXPECT_TRUE(!cex.faults.failed_links_at_start.empty() ||
+                !cex.faults.link_events.empty());
     const MissionPlan plan = counterexample_plan(cex);
     const Verdict verdict = oracle.judge(plan, run_mission(schedule, plan));
     EXPECT_TRUE(verdict.within_contract);
@@ -187,13 +240,14 @@ TEST(Certify, SilenceBudgetCertifiesWithWidenedEnvelope) {
   std::size_t silence_branches = 0;
   bool crash_plus_silence = false;
   for (const CertifyBranch& branch : report.branches_list) {
-    silence_branches += branch.silences.empty() ? 0u : 1u;
-    for (const SilentWindow& window : branch.silences) {
+    silence_branches += branch.faults.silent_windows.empty() ? 0u : 1u;
+    for (const SilentWindow& window : branch.faults.silent_windows) {
       EXPECT_TRUE(time_lt(window.from, window.to));
     }
     crash_plus_silence |=
-        !branch.silences.empty() &&
-        (!branch.crashes.empty() || !branch.dead_at_start.empty());
+        !branch.faults.silent_windows.empty() &&
+        (!branch.faults.events.empty() ||
+         !branch.faults.failed_at_start.empty());
   }
   EXPECT_GT(silence_branches, 0u);
   EXPECT_TRUE(crash_plus_silence);  // budgets compose, not either/or
@@ -378,7 +432,7 @@ TEST(Certify, RandomK2ProblemCertifiesToDepthTwo) {
   collect.collect_branches = true;
   const CertifyReport branches = certify(scheduled.value(), collect);
   for (const CertifyBranch& branch : branches.branches_list) {
-    depth_two |= branch.crashes.size() == 2;
+    depth_two |= branch.faults.events.size() == 2;
   }
   EXPECT_TRUE(depth_two);
 }
@@ -450,7 +504,7 @@ TEST(Certify, SilenceCounterexamplesReplayAsViolations) {
     const Verdict verdict = oracle.judge(plan, run_mission(schedule, plan));
     EXPECT_FALSE(verdict.ok()) << certify_branch_json(
         cex, *ex.problem.architecture);
-    for (const SilentWindow& window : cex.silences) {
+    for (const SilentWindow& window : cex.faults.silent_windows) {
       opening_at_zero += window.from == 0 ? 1u : 0u;
     }
   }
@@ -459,24 +513,24 @@ TEST(Certify, SilenceCounterexamplesReplayAsViolations) {
 
 TEST(Certify, CounterexamplePlanRoundTrips) {
   CertifyBranch branch;
-  branch.dead_at_start = {ProcessorId{2}};
-  branch.dead_links_at_start = {LinkId{1}};
-  branch.crashes = {FailureEvent{ProcessorId{0}, 3.5}};
-  branch.link_crashes = {LinkFailureEvent{LinkId{0}, 4.25}};
-  branch.silences = {SilentWindow{ProcessorId{1}, 2.0, 5.5}};
+  branch.faults.failed_at_start = {ProcessorId{2}};
+  branch.faults.failed_links_at_start = {LinkId{1}};
+  branch.faults.events = {FailureEvent{ProcessorId{0}, 3.5}};
+  branch.faults.link_events = {LinkFailureEvent{LinkId{0}, 4.25}};
+  branch.faults.silent_windows = {SilentWindow{ProcessorId{1}, 2.0, 5.5}};
   const MissionPlan plan = counterexample_plan(branch);
   EXPECT_EQ(plan.iterations, 1);
-  EXPECT_EQ(plan.dead_at_start, branch.dead_at_start);
-  EXPECT_EQ(plan.dead_links_at_start, branch.dead_links_at_start);
+  EXPECT_EQ(plan.dead_at_start, branch.faults.failed_at_start);
+  EXPECT_EQ(plan.dead_links_at_start, branch.faults.failed_links_at_start);
   ASSERT_EQ(plan.failures.size(), 1u);
   EXPECT_EQ(plan.failures[0].iteration, 0);
-  EXPECT_TRUE(plan.failures[0].event == branch.crashes[0]);
+  EXPECT_TRUE(plan.failures[0].event == branch.faults.events[0]);
   ASSERT_EQ(plan.link_failures.size(), 1u);
   EXPECT_EQ(plan.link_failures[0].iteration, 0);
-  EXPECT_TRUE(plan.link_failures[0].event == branch.link_crashes[0]);
+  EXPECT_TRUE(plan.link_failures[0].event == branch.faults.link_events[0]);
   ASSERT_EQ(plan.silences.size(), 1u);
   EXPECT_EQ(plan.silences[0].iteration, 0);
-  EXPECT_TRUE(plan.silences[0].window == branch.silences[0]);
+  EXPECT_TRUE(plan.silences[0].window == branch.faults.silent_windows[0]);
 }
 
 TEST(Certify, ChainRefutationNamesTheViolatedConstraint) {

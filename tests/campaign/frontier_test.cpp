@@ -64,7 +64,9 @@ TEST(Frontier, Example1Solution1MapsItsCapabilitySurface) {
   EXPECT_GT(refuted.total_counterexamples, 0u);
   const CertifyBranch& cex = refuted.first_counterexample;
   EXPECT_TRUE(cex.outputs_lost);
-  EXPECT_LE(cex.dead_links_at_start.size() + cex.link_crashes.size(), 1u);
+  EXPECT_LE(cex.faults.failed_links_at_start.size() +
+                cex.faults.link_events.size(),
+            1u);
 
   // (1, 1, 0) is dominated by refuted (0, 1, 0): implied, never explored.
   EXPECT_FALSE(at(1, 1, 0).certified);

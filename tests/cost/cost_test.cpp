@@ -239,16 +239,6 @@ TEST(Cost, OneMissionScratchRunsTheCampaignPlans) {
   EXPECT_EQ(scratch.events_simulated, 64'672u);
 }
 
-FailureScenario branch_scenario(const campaign::CertifyBranch& branch) {
-  FailureScenario scenario;
-  scenario.failed_at_start = branch.dead_at_start;
-  scenario.failed_links_at_start = branch.dead_links_at_start;
-  scenario.events = branch.crashes;
-  scenario.link_events = branch.link_crashes;
-  scenario.silent_windows = branch.silences;
-  return scenario;
-}
-
 TEST(Cost, CertifyForksAndDedupBeatReplayingEveryBranch) {
   // Six schedules at their own K: both paper figures, the §5.3 hybrid of
   // Fig. 22's problem, and three random DAGs. The naive enumerator's every
@@ -298,7 +288,7 @@ TEST(Cost, CertifyForksAndDedupBeatReplayingEveryBranch) {
     std::size_t replay_events = 0;
     std::size_t wrong_verdicts = 0;
     for (const campaign::CertifyBranch& branch : naive.branches_list) {
-      simulator.run_summary(branch_scenario(branch), scratch, summary);
+      simulator.run_summary(branch.faults, scratch, summary);
       replay_events += summary.events_executed;
       if (summary.all_outputs_produced == branch.outputs_lost) ++wrong_verdicts;
     }

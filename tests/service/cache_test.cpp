@@ -1,6 +1,6 @@
-// The plan-key result cache: LRU behaviour, hit/miss accounting, the
-// disabled (capacity 0) mode, and plan-key identity — isomorphic plans
-// share a key, budget resolution collapses claim -1 onto the explicit K.
+// The plan-key result cache: LRU behaviour, the disabled (capacity 0)
+// mode, and plan-key identity — isomorphic plans share a key, budget
+// resolution collapses claim -1 onto the explicit K.
 #include <gtest/gtest.h>
 
 #include "sched/heuristics.hpp"
@@ -23,8 +23,6 @@ TEST(ResultCacheTest, MissThenHit) {
   const auto hit = cache.get("a");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->certificate_json, "cert-a");
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -55,7 +53,6 @@ TEST(ResultCacheTest, CapacityZeroDisables) {
   cache.put("a", result_named("a"));
   EXPECT_FALSE(cache.get("a").has_value());
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(PlanKeyTest, StableAndBudgetSensitive) {

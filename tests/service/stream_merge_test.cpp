@@ -106,10 +106,10 @@ TEST(StreamMerge, CounterexamplesSurviveTheWire) {
   const campaign::CertifyReport& report = merged.value();
   ASSERT_EQ(report.counterexamples.size(), reference.counterexamples.size());
   for (std::size_t i = 0; i < report.counterexamples.size(); ++i) {
-    EXPECT_EQ(report.counterexamples[i].dead_at_start,
-              reference.counterexamples[i].dead_at_start);
-    EXPECT_EQ(report.counterexamples[i].crashes,
-              reference.counterexamples[i].crashes);
+    EXPECT_EQ(report.counterexamples[i].faults.failed_at_start,
+              reference.counterexamples[i].faults.failed_at_start);
+    EXPECT_EQ(report.counterexamples[i].faults.events,
+              reference.counterexamples[i].faults.events);
     EXPECT_EQ(report.counterexamples[i].outputs_lost,
               reference.counterexamples[i].outputs_lost);
     // Exact: %.17g round-trips the double bit-for-bit.
@@ -174,9 +174,10 @@ TEST(StreamParse, RecordsRoundTrip) {
   task.branches = 101;
   task.worst_response = 23.680199999999999;
   campaign::CertifyBranch branch;
-  branch.dead_at_start.push_back(ProcessorId(2));
-  branch.crashes.push_back(FailureEvent{ProcessorId(0), 4.5});
-  branch.silences.push_back(SilentWindow{ProcessorId(1), 1.0, 2.5});
+  branch.faults.failed_at_start.push_back(ProcessorId(2));
+  branch.faults.events.push_back(FailureEvent{ProcessorId(0), 4.5});
+  branch.faults.silent_windows.push_back(
+      SilentWindow{ProcessorId(1), 1.0, 2.5});
   branch.outputs_lost = true;
   branch.response_time = kInfinite;
   task.counterexamples.push_back(branch);
@@ -188,9 +189,11 @@ TEST(StreamParse, RecordsRoundTrip) {
   EXPECT_EQ(t.branches, 101u);
   EXPECT_EQ(t.worst_response, 23.680199999999999);
   ASSERT_EQ(t.counterexamples.size(), 1u);
-  EXPECT_EQ(t.counterexamples[0].dead_at_start, branch.dead_at_start);
-  EXPECT_EQ(t.counterexamples[0].crashes, branch.crashes);
-  EXPECT_EQ(t.counterexamples[0].silences, branch.silences);
+  EXPECT_EQ(t.counterexamples[0].faults.failed_at_start,
+            branch.faults.failed_at_start);
+  EXPECT_EQ(t.counterexamples[0].faults.events, branch.faults.events);
+  EXPECT_EQ(t.counterexamples[0].faults.silent_windows,
+            branch.faults.silent_windows);
   EXPECT_TRUE(t.counterexamples[0].outputs_lost);
   EXPECT_EQ(t.counterexamples[0].response_time, kInfinite);
 

@@ -71,18 +71,29 @@ TEST(FailureSubsets, EnumeratesBySize) {
   }
   EXPECT_EQ(failure_subsets(3, 3).size(), 7u);  // 2^3 - 1
   EXPECT_TRUE(failure_subsets(3, 0).empty());
+  // Sizes ascending, lexicographic within a size: the certifier's
+  // dead-at-start task order (id_subsets).
+  const ProcessorId p0{0}, p1{1}, p2{2};
+  EXPECT_EQ(failure_subsets(3, 2),
+            (std::vector<std::vector<ProcessorId>>{
+                {p0}, {p1}, {p2}, {p0, p1}, {p0, p2}, {p1, p2}}));
+  EXPECT_EQ(id_subsets<LinkId>(2, 0, 2),
+            (std::vector<std::vector<LinkId>>{
+                {}, {LinkId{0}}, {LinkId{1}}, {LinkId{0}, LinkId{1}}}));
 }
 
 TEST(FailureScenario, Helpers) {
   const FailureScenario none = FailureScenario::none();
-  EXPECT_EQ(none.failure_count(), 0u);
+  EXPECT_TRUE(none.events.empty() && none.failed_at_start.empty());
   const FailureScenario crash =
       FailureScenario::crash(ProcessorId{1}, 2.5);
-  EXPECT_EQ(crash.failure_count(), 1u);
+  ASSERT_EQ(crash.events.size(), 1u);
+  EXPECT_EQ(crash.events.front().processor, ProcessorId{1});
   EXPECT_DOUBLE_EQ(crash.events.front().time, 2.5);
   const FailureScenario dead =
       FailureScenario::dead_from_start({ProcessorId{0}, ProcessorId{2}});
-  EXPECT_EQ(dead.failure_count(), 2u);
+  EXPECT_EQ(dead.failed_at_start,
+            (std::vector<ProcessorId>{ProcessorId{0}, ProcessorId{2}}));
 }
 
 }  // namespace
