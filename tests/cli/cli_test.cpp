@@ -161,16 +161,39 @@ TEST_F(Cli, CleanCampaignsAndCertifiedClaimsExitZero) {
 }
 
 TEST_F(Cli, MetricsOutIsByteIdenticalAcrossThreadCounts) {
-  const std::string one = path("metrics1.json");
-  const std::string eight = path("metrics8.json");
-  for (const auto& [threads, out] : {std::pair{"1", one}, {"8", eight}}) {
-    EXPECT_EQ(0, status({"--example1", "--solution1", "--seed", "42",
-                         "--scenarios", "5000", "--threads", threads,
-                         "--metrics-out", out}));
+  // A clean campaign; one with link faults, silences, suspicions and the
+  // response-ratio histogram; and a refuted claim that counts violations.
+  struct Case {
+    std::vector<std::string> args;
+    int exit_code;
+    const char* golden;
+  };
+  const std::vector<Case> cases = {
+      {{"--example1", "--solution1", "--seed", "42", "--scenarios", "5000"},
+       0,
+       "example1_solution1.metrics.json"},
+      {{"--example2", "--solution2", "--links", "--silence", "--suspects",
+        "--iterations", "4", "--seed", "7", "--scenarios", "3000"},
+       0,
+       "example2_solution2_links.metrics.json"},
+      {{"--example1", "--base", "--claim-k", "1", "--seed", "3",
+        "--scenarios", "300"},
+       1,
+       "example1_base_claim1.metrics.json"},
+  };
+  const std::string out = path("metrics.json");
+  for (const Case& c : cases) {
+    const std::string expected = golden(c.golden);
+    EXPECT_TRUE(valid_json(expected)) << c.golden;
+    for (const char* threads : {"1", "8"}) {
+      fs::remove(out);  // each run must write its own bytes
+      std::vector<std::string> args = c.args;
+      args.insert(args.end(), {"--threads", threads, "--metrics-out", out});
+      EXPECT_EQ(c.exit_code, status(args)) << c.golden;
+      EXPECT_EQ(read_file(out), expected)
+          << c.golden << ", " << threads << " threads";
+    }
   }
-  const std::string metrics = read_file(one);
-  EXPECT_TRUE(valid_json(metrics));
-  EXPECT_EQ(read_file(eight), metrics);
 }
 
 TEST_F(Cli, CertifyOutWritesTheGoldenCertificates) {
