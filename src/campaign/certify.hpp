@@ -202,7 +202,7 @@ struct CertifyReport {
   /// Every certified branch (only when spec.collect_branches).
   std::vector<CertifyBranch> branches_list;
   /// certify.* counters (branches, forks, instants, counterexamples),
-  /// merged deterministically like the campaign runner's metrics.
+  /// filled once from this report's own fields.
   obs::MetricsSnapshot metrics;
   unsigned threads_used = 1;
   double elapsed_seconds = 0;

@@ -7,7 +7,6 @@
 #include "core/error.hpp"
 #include "graph/algorithm_graph.hpp"
 #include "sched/timeouts.hpp"
-#include "sched/validate.hpp"
 
 namespace ftsched::campaign {
 
@@ -146,10 +145,6 @@ Oracle::Oracle(const Schedule& schedule, OracleSpec spec)
                ? static_response_bound(schedule)
                : spec_.response_bound;
   probes_ = resolve_latency_constraints(schedule, spec_.latency_constraints);
-  static_violations_ = validate(schedule);
-  for (std::string& issue : static_violations_) {
-    issue.insert(0, "static validator: ");
-  }
 }
 
 Verdict Oracle::judge(const MissionPlan& plan,
@@ -237,7 +232,7 @@ Verdict Oracle::judge(const MissionPlan& plan,
       violation(iteration.index,
                 "iteration " + std::to_string(iteration.index) +
                     ": response " + time_to_string(iteration.response_time) +
-                    " exceeds static bound " + time_to_string(allowed));
+                    " exceeds response bound " + time_to_string(allowed));
     }
     if (probes_.empty()) continue;
     // Chain constraints need the per-op completion table; a mission result

@@ -129,10 +129,9 @@ struct Verdict {
 
 class Oracle {
  public:
-  /// The schedule must outlive the oracle. Resolves spec defaults and runs
-  /// the static validator once — a structurally broken schedule poisons
-  /// every scenario, so validator issues surface through
-  /// static_violations(), not per judgement.
+  /// The schedule must outlive the oracle. Resolves spec defaults; the
+  /// static validator is the caller's (run_campaign reports its findings
+  /// once), since a structurally broken schedule poisons every scenario.
   Oracle(const Schedule& schedule, OracleSpec spec = {});
 
   /// Judges `result` (produced by run_mission over `plan`) against the
@@ -141,12 +140,6 @@ class Oracle {
   /// exactly plan.iterations iteration records (harness sanity).
   [[nodiscard]] Verdict judge(const MissionPlan& plan,
                               const MissionResult& result) const;
-
-  /// Schedule-level validator issues, found once at construction.
-  [[nodiscard]] const std::vector<std::string>& static_violations()
-      const noexcept {
-    return static_violations_;
-  }
 
   [[nodiscard]] int claimed_tolerance() const noexcept { return claimed_; }
   [[nodiscard]] int claimed_link_tolerance() const noexcept {
@@ -167,7 +160,6 @@ class Oracle {
   int claimed_links_ = 0;
   Time bound_ = kInfinite;
   std::vector<LatencyProbe> probes_;
-  std::vector<std::string> static_violations_;
 };
 
 }  // namespace ftsched::campaign

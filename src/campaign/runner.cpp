@@ -1,9 +1,9 @@
 #include "campaign/runner.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 #include <string_view>
 #include <utility>
 
@@ -11,6 +11,7 @@
 #include "campaign/work_pool.hpp"
 #include "core/text.hpp"
 #include "obs/span.hpp"
+#include "sched/validate.hpp"
 #include "sim/mission.hpp"
 #include "sim/simulator.hpp"
 
@@ -21,7 +22,7 @@ namespace {
 /// Exact string set specialized for canonical fingerprints: keys live in an
 /// append-only arena next to their FNV-1a hashes, so an insert costs one
 /// open-addressing probe plus an arena append — no per-key node
-/// allocation — and the index-order merge re-inserts a chunk's keys with
+/// allocation — and the index-order fold re-inserts a chunk's keys with
 /// their stored hashes, no re-hash. Equality still compares full key
 /// bytes, so the unique count is exact.
 class FingerprintSet {
@@ -72,23 +73,13 @@ class FingerprintSet {
   std::size_t mask_ = 0;
 };
 
-/// Everything one chunk of scenario indices contributes; merged in index
-/// order so the report is independent of which thread ran which chunk.
-struct Partial {
-  std::size_t within_contract = 0;
-  std::size_t expected_losses = 0;
-  std::size_t total_violations = 0;
-  std::vector<CampaignViolation> violations;
-  /// Canonical fingerprints of this chunk's scenarios; the global union
-  /// gives the unique-coverage count, independent of chunk-to-thread
-  /// assignment.
-  FingerprintSet fingerprints;
-  CampaignCoverage coverage;
-  obs::MetricsSnapshot metrics;
-};
+/// Violating plans kept with full detail in the report. Every violation is
+/// still counted; past the cap only index, seed and details survive (any
+/// index can be regenerated from the seed).
+constexpr std::size_t kMaxRecordedViolations = 32;
 
-/// Response times, relative to the oracle's static bound: everything at or
-/// under 1 honours the envelope, the 2+ overflow bucket is pathological.
+/// Response times, relative to the oracle's response bound: everything at
+/// or under 1 honours the envelope, the 2+ overflow bucket is pathological.
 const std::vector<double>& response_ratio_bounds() {
   static const std::vector<double> bounds = {0.25, 0.5, 0.75, 1.0,
                                              1.25, 1.5,  2.0};
@@ -101,128 +92,81 @@ const std::vector<double>& plan_event_bounds() {
   return bounds;
 }
 
-/// Plain-integer per-chunk metric accumulator. The domain metrics used to
-/// be counted straight into the partial's MetricsSnapshot — ~15 string-map
-/// lookups per scenario, a sizeable slice of the per-scenario budget. The
-/// tally keeps the hot loop lookup-free and is flushed into the snapshot
-/// once per chunk; every chunk's histogram sums accumulate in the same
-/// scenario order as before and chunks still merge in index order, so the
-/// flushed snapshot is bit-identical to per-scenario counting (conditional
-/// keys are only created when their tally is nonzero, matching the old
-/// path's create-on-first-touch).
+obs::HistogramSnapshot blank_histogram(const std::vector<double>& bounds) {
+  obs::HistogramSnapshot histogram;
+  histogram.bounds = bounds;
+  histogram.counts.assign(bounds.size() + 1, 0);
+  return histogram;
+}
+
+void observe(obs::HistogramSnapshot& histogram, double x) {
+  histogram.counts[obs::histogram_bucket(histogram.bounds, x)] += 1;
+  histogram.total += 1;
+  histogram.sum += x;
+}
+
+void fold_histogram(obs::HistogramSnapshot& into,
+                    const obs::HistogramSnapshot& from) {
+  for (std::size_t i = 0; i < into.counts.size(); ++i) {
+    into.counts[i] += from.counts[i];
+  }
+  into.total += from.total;
+  into.sum += from.sum;
+}
+
+/// Everything one chunk of scenario indices contributes, in plain values:
+/// the one place the campaign counts anything. Chunks fold into one tally
+/// in index order, and the report's counts, coverage and metrics are all
+/// read off the folded tally, so none of them depends on which thread ran
+/// which chunk. The histogram sums are floating point: each chunk sums its
+/// scenarios in index order and the fold adds the chunk sums in index
+/// order, so their bits are fixed by the chunk partition alone.
 struct ChunkTally {
   std::uint64_t scenarios = 0;
   std::uint64_t within_contract = 0;
   std::uint64_t expected_losses = 0;
   std::uint64_t violations = 0;
-  std::uint64_t faults_crashes = 0;
-  std::uint64_t faults_dead_at_start = 0;
-  std::uint64_t faults_links = 0;
-  std::uint64_t faults_silences = 0;
-  std::uint64_t faults_suspects = 0;
   std::uint64_t iterations = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t elections = 0;
   std::uint64_t transfers = 0;
   std::uint64_t iterations_outputs_lost = 0;
-  /// response_ratio_bounds() buckets + overflow.
-  std::array<std::uint64_t, 8> response_ratio{};
-  std::uint64_t response_ratio_total = 0;
-  double response_ratio_sum = 0;
-  /// plan_event_bounds() buckets + overflow.
-  std::array<std::uint64_t, 7> plan_events{};
-  std::uint64_t plan_events_total = 0;
-  double plan_events_sum = 0;
+  CampaignCoverage coverage;
+  obs::HistogramSnapshot response_ratio =
+      blank_histogram(response_ratio_bounds());
+  obs::HistogramSnapshot plan_events = blank_histogram(plan_event_bounds());
+  /// This chunk's violating scenarios, ascending index, full detail.
+  std::vector<CampaignViolation> violating;
+  /// Canonical fingerprints of this chunk's scenarios; the union over
+  /// chunks gives the unique-coverage count.
+  FingerprintSet fingerprints;
+
+  void count(const CampaignScenario& scenario, const MissionResult& result,
+             const Verdict& verdict, Time response_bound, Time horizon);
+  /// Adds a later chunk's counts, coverage, histograms and fingerprints;
+  /// its violations are the caller's to record.
+  void fold(const ChunkTally& chunk);
+  /// The campaign.* metrics of these counts.
+  [[nodiscard]] obs::MetricsSnapshot metrics() const;
 };
 
-void count_metrics(const CampaignScenario& scenario,
-                   const MissionResult& result, const Verdict& verdict,
-                   Time response_bound, ChunkTally& tally) {
+void ChunkTally::count(const CampaignScenario& scenario,
+                       const MissionResult& result, const Verdict& verdict,
+                       Time response_bound, Time horizon) {
   const MissionPlan& plan = scenario.plan;
-  tally.scenarios += 1;
-  if (verdict.within_contract) tally.within_contract += 1;
-  if (!verdict.within_contract && verdict.outputs_lost) {
-    tally.expected_losses += 1;
+  scenarios += 1;
+  if (verdict.within_contract) within_contract += 1;
+  if (!verdict.within_contract && verdict.outputs_lost) expected_losses += 1;
+  if (!verdict.ok()) {
+    violations += 1;
+    CampaignViolation violation;
+    violation.index = scenario.index;
+    violation.seed = scenario.seed;
+    violation.plan = plan;
+    violation.details = verdict.violations;
+    violating.push_back(std::move(violation));
   }
-  if (!verdict.ok()) tally.violations += 1;
-  tally.faults_crashes += plan.failures.size();
-  tally.faults_dead_at_start += plan.dead_at_start.size();
-  tally.faults_links +=
-      plan.link_failures.size() + plan.dead_links_at_start.size();
-  tally.faults_silences += plan.silences.size();
-  tally.faults_suspects += plan.suspected_at_start.size();
-  tally.iterations += result.iterations.size();
-  for (const MissionIteration& iteration : result.iterations) {
-    tally.timeouts += iteration.timeouts;
-    tally.elections += iteration.elections;
-    tally.transfers += iteration.transfers;
-    if (is_infinite(iteration.response_time)) {
-      tally.iterations_outputs_lost += 1;
-    } else if (response_bound > 0) {
-      const double ratio = iteration.response_time / response_bound;
-      tally.response_ratio[obs::histogram_bucket(response_ratio_bounds(),
-                                                 ratio)] += 1;
-      tally.response_ratio_total += 1;
-      tally.response_ratio_sum += ratio;
-    }
-  }
-  const double events = static_cast<double>(plan.event_count());
-  tally.plan_events[obs::histogram_bucket(plan_event_bounds(), events)] += 1;
-  tally.plan_events_total += 1;
-  tally.plan_events_sum += events;
-}
 
-void flush_histogram(obs::MetricsSnapshot& metrics, const std::string& name,
-                     const std::vector<double>& bounds,
-                     const std::uint64_t* counts, std::size_t n_counts,
-                     std::uint64_t total, double sum) {
-  obs::HistogramSnapshot histogram;
-  histogram.bounds = bounds;
-  histogram.counts.assign(counts, counts + n_counts);
-  histogram.total = total;
-  histogram.sum = sum;
-  metrics.histograms.emplace(name, std::move(histogram));
-}
-
-void flush_tally(const ChunkTally& tally, obs::MetricsSnapshot& metrics) {
-  metrics.add_counter("campaign.scenarios", tally.scenarios);
-  if (tally.within_contract > 0) {
-    metrics.add_counter("campaign.within_contract", tally.within_contract);
-  }
-  if (tally.expected_losses > 0) {
-    metrics.add_counter("campaign.expected_losses", tally.expected_losses);
-  }
-  if (tally.violations > 0) {
-    metrics.add_counter("campaign.violations", tally.violations);
-  }
-  metrics.add_counter("campaign.faults.crashes", tally.faults_crashes);
-  metrics.add_counter("campaign.faults.dead_at_start",
-                      tally.faults_dead_at_start);
-  metrics.add_counter("campaign.faults.links", tally.faults_links);
-  metrics.add_counter("campaign.faults.silences", tally.faults_silences);
-  metrics.add_counter("campaign.faults.suspects", tally.faults_suspects);
-  metrics.add_counter("campaign.iterations", tally.iterations);
-  metrics.add_counter("campaign.timeouts", tally.timeouts);
-  metrics.add_counter("campaign.elections", tally.elections);
-  metrics.add_counter("campaign.transfers", tally.transfers);
-  if (tally.iterations_outputs_lost > 0) {
-    metrics.add_counter("campaign.iterations_outputs_lost",
-                        tally.iterations_outputs_lost);
-  }
-  if (tally.response_ratio_total > 0) {
-    flush_histogram(metrics, "campaign.response_ratio",
-                    response_ratio_bounds(), tally.response_ratio.data(),
-                    tally.response_ratio.size(), tally.response_ratio_total,
-                    tally.response_ratio_sum);
-  }
-  flush_histogram(metrics, "campaign.plan_events", plan_event_bounds(),
-                  tally.plan_events.data(), tally.plan_events.size(),
-                  tally.plan_events_total, tally.plan_events_sum);
-}
-
-void count_coverage(const CampaignScenario& scenario, Time horizon,
-                    CampaignCoverage& coverage) {
-  const MissionPlan& plan = scenario.plan;
   for (const ProcessorId proc : plan.dead_at_start) {
     coverage.processor_faults[proc.index()] += 1;
     coverage.dead_at_start_events += 1;
@@ -246,6 +190,71 @@ void count_coverage(const CampaignScenario& scenario, Time horizon,
   coverage.silence_events += plan.silences.size();
   coverage.suspect_events += plan.suspected_at_start.size();
   if (plan.iterations > 1) coverage.multi_iteration_missions += 1;
+
+  iterations += result.iterations.size();
+  for (const MissionIteration& iteration : result.iterations) {
+    timeouts += iteration.timeouts;
+    elections += iteration.elections;
+    transfers += iteration.transfers;
+    if (is_infinite(iteration.response_time)) {
+      iterations_outputs_lost += 1;
+    } else if (response_bound > 0) {
+      observe(response_ratio, iteration.response_time / response_bound);
+    }
+  }
+  observe(plan_events, static_cast<double>(plan.event_count()));
+}
+
+void ChunkTally::fold(const ChunkTally& chunk) {
+  scenarios += chunk.scenarios;
+  within_contract += chunk.within_contract;
+  expected_losses += chunk.expected_losses;
+  violations += chunk.violations;
+  iterations += chunk.iterations;
+  timeouts += chunk.timeouts;
+  elections += chunk.elections;
+  transfers += chunk.transfers;
+  iterations_outputs_lost += chunk.iterations_outputs_lost;
+  coverage.merge(chunk.coverage);
+  fold_histogram(response_ratio, chunk.response_ratio);
+  fold_histogram(plan_events, chunk.plan_events);
+  for (std::size_t i = 0; i < chunk.fingerprints.size(); ++i) {
+    fingerprints.insert(chunk.fingerprints.hash_at(i),
+                        chunk.fingerprints.key_at(i));
+  }
+}
+
+obs::MetricsSnapshot ChunkTally::metrics() const {
+  obs::MetricsSnapshot metrics;
+  // Verdict and loss counters, like the response-ratio histogram, appear
+  // only once something was counted.
+  auto add_nonzero = [&](const char* name, std::uint64_t n) {
+    if (n > 0) metrics.add_counter(name, n);
+  };
+  metrics.add_counter("campaign.scenarios", scenarios);
+  add_nonzero("campaign.within_contract", within_contract);
+  add_nonzero("campaign.expected_losses", expected_losses);
+  add_nonzero("campaign.violations", violations);
+  metrics.add_counter("campaign.faults.crashes", coverage.crash_events);
+  metrics.add_counter("campaign.faults.dead_at_start",
+                      coverage.dead_at_start_events);
+  metrics.add_counter("campaign.faults.links",
+                      std::accumulate(coverage.link_faults.begin(),
+                                      coverage.link_faults.end(),
+                                      std::uint64_t{0}));
+  metrics.add_counter("campaign.faults.silences", coverage.silence_events);
+  metrics.add_counter("campaign.faults.suspects", coverage.suspect_events);
+  metrics.add_counter("campaign.iterations", iterations);
+  metrics.add_counter("campaign.timeouts", timeouts);
+  metrics.add_counter("campaign.elections", elections);
+  metrics.add_counter("campaign.transfers", transfers);
+  add_nonzero("campaign.iterations_outputs_lost", iterations_outputs_lost);
+  metrics.add_counter("campaign.unique_scenarios", fingerprints.size());
+  if (response_ratio.total > 0) {
+    metrics.histograms.emplace("campaign.response_ratio", response_ratio);
+  }
+  metrics.histograms.emplace("campaign.plan_events", plan_events);
+  return metrics;
 }
 
 /// One participant's working set: sampler/fingerprint/mission buffers that
@@ -298,100 +307,70 @@ CampaignReport run_campaign(const Schedule& schedule,
   report.horizon = generator.horizon();
   report.scenarios_run = options.scenarios;
 
-  auto blank_coverage = [&] {
-    CampaignCoverage coverage;
-    coverage.processor_faults.assign(arch.processor_count(), 0);
-    coverage.link_faults.assign(arch.link_count(), 0);
-    coverage.crash_time_buckets.assign(kCrashTimeBuckets, 0);
-    return coverage;
-  };
-  report.coverage = blank_coverage();
-
   // A structurally invalid schedule poisons every scenario; surface the
   // validator findings once, as a violation at the front of the list.
-  if (!oracle.static_violations().empty()) {
+  std::size_t static_violations = 0;
+  if (std::vector<std::string> findings = validate(schedule);
+      !findings.empty()) {
+    for (std::string& finding : findings) {
+      finding.insert(0, "static validator: ");
+    }
     CampaignViolation violation;
     violation.index = 0;
     violation.seed = options.seed;
-    violation.details = oracle.static_violations();
+    violation.details = std::move(findings);
     report.violations.push_back(std::move(violation));
-    report.total_violations += 1;
+    static_violations = 1;
   }
 
-  const unsigned threads = resolve_threads(options.threads);
-  report.threads_used = threads;
-  if (options.scenarios == 0) {
-    report.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    return report;
-  }
+  auto blank_tally = [&] {
+    ChunkTally tally;
+    tally.coverage.processor_faults.assign(arch.processor_count(), 0);
+    tally.coverage.link_faults.assign(arch.link_count(), 0);
+    tally.coverage.crash_time_buckets.assign(kCrashTimeBuckets, 0);
+    return tally;
+  };
 
   // Chunky tasks amortize the runtime's per-task cost; several chunks per
   // participant balance uneven chunks. The partition is deliberately
-  // independent of the thread count: per-chunk metrics carry floating-point
-  // histogram sums, and addition order — fixed by (partition, index-order
-  // merge), not by which thread ran what — must not change with --threads
-  // for the merged snapshot to stay bit-identical.
+  // independent of the thread count: the tally's floating-point histogram
+  // sums are added in (partition, index-order fold) order, which must not
+  // change with --threads for the metrics to stay bit-identical.
+  const unsigned threads = resolve_threads(options.threads);
+  report.threads_used = threads;
   const std::size_t chunk = std::max<std::size_t>(1, options.scenarios / 64);
   const std::size_t chunks = (options.scenarios + chunk - 1) / chunk;
   std::vector<ChunkScratch> scratch(std::min<std::size_t>(threads, chunks));
 
   auto evaluate = [&](unsigned slot, std::size_t c) {
     FTSCHED_SPAN("campaign.chunk");
-    Partial partial;
-    partial.coverage = blank_coverage();
-    ChunkTally tally;
+    ChunkTally tally = blank_tally();
     ChunkScratch& chunk_scratch = scratch[slot];
     CampaignScenario& scenario = chunk_scratch.scenario;
     const std::size_t end = std::min(options.scenarios, (c + 1) * chunk);
     for (std::size_t i = c * chunk; i < end; ++i) {
       generator.scenario_into(i, scenario, chunk_scratch.gen);
-      count_coverage(scenario, generator.horizon(), partial.coverage);
       canonical_fingerprint_into(scenario.plan, chunk_scratch.canon,
                                  chunk_scratch.key);
-      partial.fingerprints.insert(fingerprint_hash(chunk_scratch.key),
-                                  chunk_scratch.key);
+      tally.fingerprints.insert(fingerprint_hash(chunk_scratch.key),
+                                chunk_scratch.key);
       const MissionResult result =
           run_mission(simulator, scenario.plan, chunk_scratch.mission);
       const Verdict verdict = oracle.judge(scenario.plan, result);
-      count_metrics(scenario, result, verdict, oracle.response_bound(),
-                    tally);
-      if (verdict.within_contract) partial.within_contract += 1;
-      if (!verdict.within_contract && verdict.outputs_lost) {
-        partial.expected_losses += 1;
-      }
-      if (!verdict.ok()) {
-        partial.total_violations += 1;
-        CampaignViolation violation;
-        violation.index = scenario.index;
-        violation.seed = scenario.seed;
-        violation.plan = scenario.plan;
-        violation.details = verdict.violations;
-        partial.violations.push_back(std::move(violation));
-      }
+      tally.count(scenario, result, verdict, oracle.response_bound(),
+                  generator.horizon());
     }
-    flush_tally(tally, partial.metrics);
-    return partial;
+    return tally;
   };
 
-  // Chunks merge as they are emitted, in index order: identical report
-  // for any thread count.
-  FingerprintSet fingerprints;
-  auto merge = [&](Partial&& partial) {
+  // Chunks fold as they are emitted, in index order: identical report for
+  // any thread count.
+  ChunkTally total = blank_tally();
+  auto fold = [&](ChunkTally&& tally) {
     FTSCHED_SPAN("campaign.merge");
-    report.within_contract += partial.within_contract;
-    report.expected_losses += partial.expected_losses;
-    report.total_violations += partial.total_violations;
-    for (std::size_t i = 0; i < partial.fingerprints.size(); ++i) {
-      fingerprints.insert(partial.fingerprints.hash_at(i),
-                          partial.fingerprints.key_at(i));
-    }
-    report.coverage.merge(partial.coverage);
-    report.metrics.merge(partial.metrics);
-    for (CampaignViolation& violation : partial.violations) {
-      if (report.violations.size() < options.max_recorded_violations) {
+    total.fold(tally);
+    for (CampaignViolation& violation : tally.violating) {
+      if (report.violations.size() < kMaxRecordedViolations) {
         report.violations.push_back(std::move(violation));
       } else {
         CampaignViolation stub;
@@ -402,12 +381,19 @@ CampaignReport run_campaign(const Schedule& schedule,
       }
     }
   };
-  ordered_for(threads, chunks, evaluate, merge);
+  ordered_for(threads, chunks, evaluate, fold);
 
-  report.unique_scenarios = fingerprints.size();
+  report.within_contract = total.within_contract;
+  report.expected_losses = total.expected_losses;
+  report.total_violations = static_violations + total.violations;
+  report.unique_scenarios = total.fingerprints.size();
   report.duplicate_scenarios = report.scenarios_run - report.unique_scenarios;
-  report.metrics.add_counter("campaign.unique_scenarios",
-                             report.unique_scenarios);
+  // An empty campaign exports no metrics at all. Read them off the tally
+  // before its coverage moves into the report.
+  if (options.scenarios > 0) {
+    report.metrics = total.metrics();
+  }
+  report.coverage = std::move(total.coverage);
 
   report.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

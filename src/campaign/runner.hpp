@@ -6,7 +6,7 @@
 // Determinism contract: the report is a pure function of
 // (schedule, options) — independent of thread count and scheduling order.
 // Scenarios are drawn by random access (ScenarioGenerator::scenario(i) is
-// pure), and each chunk's partial is merged as ordered_for emits it, in
+// pure), and each chunk's tally is folded as ordered_for emits it, in
 // chunk-index order.
 #pragma once
 
@@ -28,10 +28,6 @@ struct CampaignOptions {
   std::uint64_t seed = 0;
   CampaignSpec spec;
   OracleSpec oracle;
-  /// Violating plans kept with full detail in the report (every violation
-  /// is still counted; past the cap only index/seed survive — any index
-  /// can be regenerated from the seed).
-  std::size_t max_recorded_violations = 32;
 };
 
 /// Crash-instant histogram resolution over [0, horizon).
@@ -57,7 +53,8 @@ struct CampaignCoverage {
 struct CampaignViolation {
   std::size_t index = 0;
   std::uint64_t seed = 0;
-  /// The violating plan; empty (default) past max_recorded_violations.
+  /// The violating plan; empty (default) past the report's first 32
+  /// violations, which alone keep their plans.
   MissionPlan plan;
   std::vector<std::string> details;
 };
@@ -84,11 +81,11 @@ struct CampaignReport {
   CampaignCoverage coverage;
   /// Domain metrics of the whole campaign (verdict counters, injected
   /// faults per class, per-iteration timeout/election/transfer counts,
-  /// response-time-vs-bound histogram). Accumulated per worker chunk and
-  /// merged in index order, so — like every other report field — it is a
-  /// pure function of (schedule, options), bit-identical for any thread
-  /// count. Deliberately excludes wall-clock data (that lives in
-  /// elapsed_seconds and the profiling spans). Export with
+  /// response-time-vs-bound histogram). Read off the same folded chunk
+  /// tally as the counts and coverage above, so — like every other report
+  /// field — it is a pure function of (schedule, options), bit-identical
+  /// for any thread count. Deliberately excludes wall-clock data (that
+  /// lives in elapsed_seconds and the profiling spans). Export with
   /// metrics.to_json() / campaign_tool --metrics-out.
   obs::MetricsSnapshot metrics;
   /// Resolved oracle envelope, for the report header.

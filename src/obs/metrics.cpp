@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/error.hpp"
 #include "obs/json_util.hpp"
 
 namespace ftsched::obs {
@@ -19,72 +18,8 @@ std::size_t histogram_bucket(const std::vector<double>& bounds, double x) {
       std::lower_bound(bounds.begin(), bounds.end(), x) - bounds.begin());
 }
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)),
-      counts_(new std::atomic<std::uint64_t>[bounds_.size() + 1]) {
-  for (std::size_t i = 0; i + 1 < bounds_.size(); ++i) {
-    FTSCHED_REQUIRE(bounds_[i] < bounds_[i + 1],
-                    "histogram bounds must be strictly ascending");
-  }
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i] = 0;
-}
-
-void Histogram::observe(double x) noexcept {
-  counts_[histogram_bucket(bounds_, x)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-  total_.fetch_add(1, std::memory_order_relaxed);
-  double sum = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(sum, sum + x,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-std::vector<std::uint64_t> Histogram::counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
 void MetricsSnapshot::add_counter(const std::string& name, std::uint64_t n) {
   counters[name] += n;
-}
-
-void MetricsSnapshot::set_gauge(const std::string& name, double v) {
-  gauges[name] = v;
-}
-
-void MetricsSnapshot::observe(const std::string& name,
-                              const std::vector<double>& bounds, double x) {
-  HistogramSnapshot& hist = histograms[name];
-  if (hist.counts.empty()) {
-    hist.bounds = bounds;
-    hist.counts.assign(bounds.size() + 1, 0);
-  }
-  hist.counts[histogram_bucket(hist.bounds, x)] += 1;
-  hist.total += 1;
-  hist.sum += x;
-}
-
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, value] : other.gauges) {
-    auto [it, inserted] = gauges.emplace(name, value);
-    if (!inserted) it->second = std::max(it->second, value);
-  }
-  for (const auto& [name, hist] : other.histograms) {
-    auto [it, inserted] = histograms.emplace(name, hist);
-    if (inserted) continue;
-    HistogramSnapshot& into = it->second;
-    FTSCHED_REQUIRE(into.bounds == hist.bounds,
-                    "cannot merge histograms with different bounds: " + name);
-    for (std::size_t i = 0; i < into.counts.size(); ++i) {
-      into.counts[i] += hist.counts[i];
-    }
-    into.total += hist.total;
-    into.sum += hist.sum;
-  }
 }
 
 std::string MetricsSnapshot::to_json() const {
@@ -96,14 +31,7 @@ std::string MetricsSnapshot::to_json() const {
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out += first ? "\n" : ",\n";
-    out += "    " + json_string(name) + ": " + json_number(value);
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
+  out += "  \"gauges\": {},\n";
   out += "  \"histograms\": {";
   first = true;
   for (const auto& [name, hist] : histograms) {
@@ -125,60 +53,6 @@ std::string MetricsSnapshot::to_json() const {
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const std::vector<double>& bounds) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(bounds);
-  return *slot;
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  MetricsSnapshot snap;
-  for (const auto& [name, counter] : counters_) {
-    snap.counters.emplace(name, counter->value());
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges.emplace(name, gauge->value());
-  }
-  for (const auto& [name, hist] : histograms_) {
-    HistogramSnapshot h;
-    h.bounds = hist->bounds();
-    h.counts = hist->counts();
-    h.total = hist->total();
-    h.sum = hist->sum();
-    snap.histograms.emplace(name, std::move(h));
-  }
-  return snap;
-}
-
-void MetricsRegistry::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 }  // namespace ftsched::obs

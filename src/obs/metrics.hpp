@@ -1,31 +1,18 @@
-// Metrics registry: lock-cheap counters, gauges, and fixed-bucket
-// histograms, with deterministic snapshot/merge and a stable JSON export.
-//
-// Two usage shapes, matching the two kinds of telemetry in ftsched:
-//
-//  * MetricsRegistry — shared, thread-safe instruments. Lookup by name
-//    takes a mutex; the returned reference is stable for the registry's
-//    lifetime, so hot paths resolve once and then update with relaxed
-//    atomics. The profiling spans (obs/span.hpp) feed per-span-name
-//    duration histograms of the global() registry.
-//
-//  * MetricsSnapshot — a plain value. Every worker of the fault-injection
-//    campaign accumulates one privately (no sharing, no atomics) and the
-//    runner merges them in chunk-index order, so the merged metrics are a
-//    pure function of (schedule, options) — independent of thread count,
-//    exactly like the campaign report itself.
+// Metrics as plain values: a run fills one MetricsSnapshot from the counts
+// it already keeps (the campaign's folded per-chunk tally, a certify or
+// repair report's fields) and exports it as stable JSON. There is no
+// process-wide registry and nothing here is shared between threads, so an
+// export is a pure function of its run's inputs — byte-identical for any
+// thread count. Wall-clock timing lives in the profiling spans
+// (obs/span.hpp), never in these values.
 //
 // Histograms use fixed upper-bound buckets with Prometheus "le" semantics:
 // bucket i counts observations x with x <= bounds[i] (first matching
-// bucket); an implicit +inf bucket catches the rest. Merging requires
-// identical bounds.
+// bucket); an implicit +inf bucket catches the rest.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,59 +23,6 @@ namespace ftsched::obs {
 /// NaN compares false against everything and lands in the overflow bucket.
 [[nodiscard]] std::size_t histogram_bucket(const std::vector<double>& bounds,
                                            double x);
-
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> value_{0};
-};
-
-class Histogram {
- public:
-  /// `bounds` are strictly ascending upper bounds; an implicit +inf
-  /// overflow bucket is always appended.
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double x) noexcept;
-
-  [[nodiscard]] const std::vector<double>& bounds() const noexcept {
-    return bounds_;
-  }
-  /// Per-bucket counts, bounds().size() + 1 entries (last = overflow).
-  [[nodiscard]] std::vector<std::uint64_t> counts() const;
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    return total_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
-  std::atomic<std::uint64_t> total_{0};
-  std::atomic<double> sum_{0};
-};
 
 struct HistogramSnapshot {
   std::vector<double> bounds;
@@ -101,57 +35,21 @@ struct HistogramSnapshot {
                          const HistogramSnapshot&) = default;
 };
 
-/// A frozen, mergeable copy of a registry's state — and, standalone, the
-/// campaign workers' private accumulator (see header comment).
+/// One run's metrics, written once from the run's own counts.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
-  /// Accumulator interface (single-threaded use).
   void add_counter(const std::string& name, std::uint64_t n = 1);
-  void set_gauge(const std::string& name, double v);
-  /// Observes into the named histogram, creating it with `bounds` on first
-  /// use. Later calls reuse the existing bounds.
-  void observe(const std::string& name, const std::vector<double>& bounds,
-               double x);
-
-  /// Counters add, gauges keep the maximum, histograms add bucket-wise
-  /// (identical bounds required). Merging is commutative and associative,
-  /// so any merge order yields the same snapshot.
-  void merge(const MetricsSnapshot& other);
 
   /// Stable JSON: objects keyed by metric name in lexicographic order
   /// (std::map iteration), so two equal snapshots render byte-identically.
+  /// The "gauges" object is always empty; it keeps the exported documents'
+  /// shape.
   [[nodiscard]] std::string to_json() const;
 
   friend bool operator==(const MetricsSnapshot&,
                          const MetricsSnapshot&) = default;
-};
-
-class MetricsRegistry {
- public:
-  /// The process-wide registry the span instrumentation feeds.
-  [[nodiscard]] static MetricsRegistry& global();
-
-  /// Finds or creates. References stay valid for the registry's lifetime
-  /// (metrics are never removed, only reset()).
-  [[nodiscard]] Counter& counter(const std::string& name);
-  [[nodiscard]] Gauge& gauge(const std::string& name);
-  /// First call fixes the bucket bounds; later calls ignore `bounds`.
-  [[nodiscard]] Histogram& histogram(const std::string& name,
-                                     const std::vector<double>& bounds);
-
-  [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  /// Drops every metric (tool start-up, test isolation).
-  void reset();
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace ftsched::obs

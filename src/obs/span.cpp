@@ -2,24 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string>
-
-#include "obs/metrics.hpp"
 
 namespace ftsched::obs {
-
-namespace {
-
-/// Duration buckets for the per-span-name histograms, microseconds:
-/// 1µs .. 1s in decades, matching the spread between one simulator run
-/// (tens of µs) and a whole campaign (seconds).
-const std::vector<double>& span_bounds_us() {
-  static const std::vector<double> bounds = {1,    10,     100,    1000,
-                                             10000, 100000, 1000000};
-  return bounds;
-}
-
-}  // namespace
 
 std::int64_t now_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -46,13 +30,8 @@ Profiler::ThreadBuffer& Profiler::local_buffer() {
 void Profiler::record(const char* name, std::int64_t start_ns,
                       std::int64_t end_ns) {
   ThreadBuffer& buffer = local_buffer();
-  {
-    const std::lock_guard<std::mutex> lock(buffer.mutex);
-    buffer.spans.push_back(SpanRecord{name, buffer.index, start_ns, end_ns});
-  }
-  MetricsRegistry::global()
-      .histogram(std::string("span.") + name, span_bounds_us())
-      .observe(static_cast<double>(end_ns - start_ns) / 1000.0);
+  const std::lock_guard<std::mutex> lock(buffer.mutex);
+  buffer.spans.push_back(SpanRecord{name, buffer.index, start_ns, end_ns});
 }
 
 std::vector<SpanRecord> Profiler::drain() {

@@ -13,9 +13,7 @@
 //  * compiled in, profiler disabled (the default at runtime): one relaxed
 //    atomic load per span.
 //  * profiler enabled: two steady_clock reads plus an append to a
-//    thread-local buffer; on span end the duration also feeds the
-//    "span.<name>" histogram of MetricsRegistry::global(), so aggregate
-//    timing survives even when the raw span log is discarded.
+//    thread-local buffer, which --trace-out drains into a Chrome trace.
 //
 // Span records carry a dense per-profiler thread index (registration
 // order), which becomes the Chrome-trace tid — one timeline row per worker
@@ -64,9 +62,7 @@ class Profiler {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Appends a finished span to the calling thread's buffer and observes
-  /// its duration (microseconds) into the "span.<name>" histogram of the
-  /// global metrics registry.
+  /// Appends a finished span to the calling thread's buffer.
   void record(const char* name, std::int64_t start_ns, std::int64_t end_ns);
 
   /// All spans recorded so far, grouped by thread index (chronological

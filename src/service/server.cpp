@@ -24,7 +24,6 @@
 #include "io/cli_util.hpp"
 #include "io/problem_format.hpp"
 #include "obs/json_util.hpp"
-#include "obs/metrics.hpp"
 #include "sched/heuristics.hpp"
 #include "service/json.hpp"
 
@@ -32,10 +31,6 @@ namespace ftsched::service {
 namespace {
 
 using obs::json_string;
-
-/// Bucket bounds for the per-request certification latency histogram.
-const std::vector<double> kLatencyBoundsMs = {1,   5,    10,   50,
-                                              100, 500, 1000, 5000};
 
 std::string wire_time_or_null(Time t) {
   return obs::json_number(t);  // non-finite renders as null
@@ -299,11 +294,6 @@ void CertifyService::handle_submit(const SubmitRequest& submit,
         merger.add(std::move(partial));
       },
       expired);
-  const auto elapsed = std::chrono::duration<double, std::milli>(
-      std::chrono::steady_clock::now() - start);
-  obs::MetricsRegistry::global()
-      .histogram("service.shard_latency_ms", kLatencyBoundsMs)
-      .observe(elapsed.count());
 
   if (!completed) {
     ++delta.deadline_exceeded;

@@ -7,12 +7,11 @@
 namespace ftsched {
 
 ReliabilityReport analyze_reliability(const Schedule& schedule,
-                                      double failure_probability,
-                                      ReliabilityOptions options) {
+                                      double failure_probability) {
   FTSCHED_REQUIRE(failure_probability >= 0 && failure_probability <= 1,
                   "failure probability must lie in [0, 1]");
   const std::size_t n = schedule.problem().architecture->processor_count();
-  FTSCHED_REQUIRE(n <= options.max_processors && n < 64,
+  FTSCHED_REQUIRE(n <= 16,
                   "architecture too large for exhaustive reliability "
                   "analysis");
   const std::size_t k =
@@ -35,7 +34,6 @@ ReliabilityReport analyze_reliability(const Schedule& schedule,
     }
     const std::size_t size = subset.size();
     ++report.masked_by_size[size].second;
-    if (size > k && !options.exhaustive_beyond_k) continue;
 
     if (size > 0) {
       simulator.run_summary(FailureScenario::dead_from_start(subset), branch,

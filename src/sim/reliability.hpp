@@ -19,18 +19,8 @@
 
 namespace ftsched {
 
-struct ReliabilityOptions {
-  /// Also simulate subsets larger than K (exact analysis). When false,
-  /// those subsets are assumed lost, yielding the guaranteed lower bound
-  /// only (cheaper: O(n^K) instead of O(2^n) simulations).
-  bool exhaustive_beyond_k = true;
-  /// Refuse architectures beyond this size (2^n simulations).
-  std::size_t max_processors = 16;
-};
-
 struct ReliabilityReport {
-  /// P(all outputs produced) with the exhaustive analysis (equals
-  /// `lower_bound` when exhaustive_beyond_k is off).
+  /// P(all outputs produced), over every failure subset.
   double iteration_reliability = 0;
   /// Guaranteed bound: only subsets verified masked up to size K count.
   double lower_bound = 0;
@@ -39,9 +29,8 @@ struct ReliabilityReport {
 };
 
 /// Precondition: 0 <= failure_probability <= 1 and the architecture has at
-/// most options.max_processors processors.
+/// most 16 processors (the analysis runs 2^n simulations).
 [[nodiscard]] ReliabilityReport analyze_reliability(
-    const Schedule& schedule, double failure_probability,
-    ReliabilityOptions options = {});
+    const Schedule& schedule, double failure_probability);
 
 }  // namespace ftsched

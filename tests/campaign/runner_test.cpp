@@ -130,22 +130,49 @@ TEST(CampaignRunner, UnderReplicatedClaimIsCaught) {
 }
 
 TEST(CampaignRunner, ViolationCapKeepsCountingPastTheCap) {
+  // campaign_tool --example1 --base --claim-k 1 --scenarios 300 --seed 3.
   const workload::OwnedProblem ex = workload::paper_example1();
   const Schedule schedule = schedule_base(ex.problem).value();
-  CampaignOptions options = rich_options(300, 3);
+  CampaignOptions options;
+  options.scenarios = 300;
+  options.seed = 3;
+  options.threads = 1;
+  options.spec.max_iterations = 3;
+  options.spec.over_budget_fraction = 0.15;
+  options.spec.silence_probability = 0.10;
+  options.spec.suspect_probability = 0.10;
   options.oracle.claimed_tolerance = 1;
   options.spec.max_processor_failures = 1;
-  options.max_recorded_violations = 2;
   const CampaignReport report = run_campaign(schedule, options);
-  EXPECT_GT(report.total_violations, 2u);
-  ASSERT_GT(report.violations.size(), 2u);
-  // Past the cap only index/seed survive.
-  EXPECT_GT(report.violations[0].plan.event_count(), 0u);
-  EXPECT_EQ(report.violations[2].plan.event_count(), 0u);
+  EXPECT_EQ(report.total_violations, 115u);
+  ASSERT_EQ(report.violations.size(), report.total_violations);
+  // The first 32 keep their plans; past the cap only index, seed and
+  // details survive.
+  EXPECT_GT(report.violations[31].plan.event_count(), 0u);
+  EXPECT_EQ(report.violations[32].plan.event_count(), 0u);
+  EXPECT_FALSE(report.violations[32].details.empty());
   // Ascending scenario index throughout.
   for (std::size_t i = 1; i < report.violations.size(); ++i) {
     EXPECT_LT(report.violations[i - 1].index, report.violations[i].index);
   }
+}
+
+TEST(CampaignRunner, StaticValidatorFindingsLeadTheViolations) {
+  // A deadline tightened after scheduling leaves a schedule the validator
+  // rejects: the campaign reports that once, ahead of any scenario.
+  workload::OwnedProblem ex = workload::paper_example1();
+  const Schedule schedule = schedule_solution1(ex.problem).value();
+  ex.problem.deadline = schedule.makespan() / 2;
+  const CampaignReport report = run_campaign(schedule, rich_options(50, 1));
+  EXPECT_EQ(report.total_violations, 1u);
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].plan.event_count(), 0u);
+  ASSERT_FALSE(report.violations[0].details.empty());
+  EXPECT_EQ(report.violations[0].details[0].rfind("static validator: ", 0),
+            0u)
+      << report.violations[0].details[0];
+  // The scenario counters count scenarios only.
+  EXPECT_FALSE(report.metrics.counters.contains("campaign.violations"));
 }
 
 TEST(CampaignRunner, CoverageTouchesEveryProcessor) {

@@ -1,5 +1,5 @@
-// The campaign's merged metrics are a pure function of (schedule, options):
-// per-worker MetricsSnapshot accumulators merged in chunk-index order, no
+// The campaign's metrics are a pure function of (schedule, options): read
+// once off the per-chunk tallies folded in chunk-index order, with no
 // wall-clock content — so any thread count yields byte-identical JSON.
 #include <gtest/gtest.h>
 

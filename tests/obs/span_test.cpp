@@ -1,14 +1,11 @@
-// Profiling spans: the enable gate, thread-grouped draining, and the
-// span.<name> duration histograms. The profiler and metrics registry are
-// process-wide singletons, so every test starts from a clean slate and
-// leaves the profiler disabled.
+// Profiling spans: the enable gate and thread-grouped draining. The
+// profiler is a process-wide singleton, so every test starts from a clean
+// slate and leaves the profiler disabled.
 #include "obs/span.hpp"
 
 #include <gtest/gtest.h>
 
 #include <thread>
-
-#include "obs/metrics.hpp"
 
 namespace ftsched::obs {
 namespace {
@@ -18,12 +15,10 @@ class SpanTest : public ::testing::Test {
   void SetUp() override {
     Profiler::global().enable(false);
     Profiler::global().clear();
-    MetricsRegistry::global().reset();
   }
   void TearDown() override {
     Profiler::global().enable(false);
     Profiler::global().clear();
-    MetricsRegistry::global().reset();
   }
 };
 
@@ -33,8 +28,6 @@ TEST_F(SpanTest, DisabledProfilerRecordsNothing) {
   }
   FTSCHED_SPAN("test.disabled_macro");
   EXPECT_TRUE(Profiler::global().drain().empty());
-  EXPECT_TRUE(
-      MetricsRegistry::global().snapshot().histograms.empty());
 }
 
 TEST_F(SpanTest, EnabledSpanIsRecordedWithOrderedTimestamps) {
@@ -49,21 +42,6 @@ TEST_F(SpanTest, EnabledSpanIsRecordedWithOrderedTimestamps) {
   EXPECT_STREQ(spans[0].name, "test.enabled");
   EXPECT_LE(spans[0].start_ns, spans[0].end_ns);
   EXPECT_GE(spans[0].duration_ns(), 0);
-}
-
-TEST_F(SpanTest, SpanDurationFeedsGlobalHistogram) {
-  Profiler::global().enable(true);
-  {
-    ScopedSpan span("test.hist");
-  }
-  {
-    ScopedSpan span("test.hist");
-  }
-  Profiler::global().enable(false);
-
-  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
-  ASSERT_TRUE(snap.histograms.contains("span.test.hist"));
-  EXPECT_EQ(snap.histograms.at("span.test.hist").total, 2u);
 }
 
 TEST_F(SpanTest, DrainClearsTheBuffers) {

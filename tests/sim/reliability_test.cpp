@@ -5,6 +5,7 @@
 
 #include "sched/heuristics.hpp"
 #include "workload/paper_examples.hpp"
+#include "workload/random_arch.hpp"
 
 namespace ftsched {
 namespace {
@@ -55,25 +56,18 @@ TEST(Reliability, MaskedBySizeMatchesKGuarantee) {
   EXPECT_EQ(report.masked_by_size[3].first, 0u);
 }
 
-TEST(Reliability, CheapBoundModeSkipsLargeSubsets) {
-  const OwnedProblem ex = workload::paper_example1();
-  const Schedule schedule = schedule_solution1(ex.problem).value();
-  ReliabilityOptions cheap;
-  cheap.exhaustive_beyond_k = false;
-  const ReliabilityReport bound = analyze_reliability(schedule, 0.2, cheap);
-  const ReliabilityReport exact = analyze_reliability(schedule, 0.2);
-  EXPECT_DOUBLE_EQ(bound.iteration_reliability, bound.lower_bound);
-  EXPECT_LE(bound.iteration_reliability, exact.iteration_reliability);
-}
-
 TEST(Reliability, RejectsBadInput) {
   const OwnedProblem ex = workload::paper_example1();
   const Schedule schedule = schedule_solution1(ex.problem).value();
   EXPECT_THROW(analyze_reliability(schedule, -0.1), std::invalid_argument);
   EXPECT_THROW(analyze_reliability(schedule, 1.1), std::invalid_argument);
-  ReliabilityOptions tiny;
-  tiny.max_processors = 2;
-  EXPECT_THROW(analyze_reliability(schedule, 0.1, tiny),
+  // 2^17 subsets: past the 16-processor cap, refused before any simulation.
+  workload::RandomProblemParams params;
+  params.dag.operations = 4;
+  params.processors = 17;
+  const OwnedProblem wide = workload::random_problem(params);
+  const Schedule wide_schedule = schedule_solution1(wide.problem).value();
+  EXPECT_THROW(analyze_reliability(wide_schedule, 0.1),
                std::invalid_argument);
 }
 
