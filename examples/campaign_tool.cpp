@@ -165,8 +165,11 @@ int usage() {
       "an LRU result cache of --cache-size plans (0 disables) and drain\n"
       "gracefully on SIGINT. --serve-threads N serves up to N socket\n"
       "connections concurrently (default 1, sequential) against the one\n"
-      "shared cache; service.* metrics merge per request, so totals are\n"
-      "independent of how connections interleave.\n"
+      "shared cache. A status request reports requests, submits,\n"
+      "cache_hits, cache_misses, cache_entries, cache_capacity,\n"
+      "deadline_exceeded and errors; each request adds its counts when\n"
+      "it finishes, so the totals are independent of how connections\n"
+      "interleave.\n"
       "--metrics-out writes the campaign's merged domain metrics as JSON\n"
       "(deterministic for a given seed, any thread count); --trace-out\n"
       "writes the profiling spans of any one-shot mode, scheduling\n"

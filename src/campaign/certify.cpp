@@ -14,7 +14,7 @@
 #include "obs/span.hpp"
 #include "sched/timeouts.hpp"
 #include "sim/simulator.hpp"
-#include "tuning/transient_analysis.hpp"
+#include "sim/trace.hpp"
 
 namespace ftsched::campaign {
 
@@ -24,10 +24,7 @@ namespace {
 /// can cross, flipping a receiver's timeout decision. Only the
 /// timeout-driven schedules have any.
 std::vector<Time> static_deadlines(const Schedule& schedule) {
-  if (schedule.kind() != HeuristicKind::kSolution1 &&
-      schedule.kind() != HeuristicKind::kHybrid) {
-    return {};
-  }
+  if (!has_watch_chains(schedule.kind())) return {};
   const RoutingTable routing(*schedule.problem().architecture);
   const TimeoutTable timeouts(schedule, routing);
   std::vector<Time> out;
@@ -539,6 +536,25 @@ MissionPlan counterexample_plan(const CertifyBranch& branch) {
     plan.silences.push_back(MissionSilence{0, window});
   }
   return plan;
+}
+
+FailureScenario counterexample_faults(const MissionPlan& plan) {
+  FTSCHED_REQUIRE(plan.iterations == 1,
+                  "counterexample_faults needs a single-iteration plan");
+  FailureScenario faults;
+  faults.failed_at_start = plan.dead_at_start;
+  faults.failed_links_at_start = plan.dead_links_at_start;
+  faults.suspected_at_start = plan.suspected_at_start;
+  for (const MissionFailure& crash : plan.failures) {
+    faults.events.push_back(crash.event);
+  }
+  for (const MissionLinkFailure& death : plan.link_failures) {
+    faults.link_events.push_back(death.event);
+  }
+  for (const MissionSilence& silence : plan.silences) {
+    faults.silent_windows.push_back(silence.window);
+  }
+  return faults;
 }
 
 OracleSpec oracle_spec(const CertifyReport& report) {

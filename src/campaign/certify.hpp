@@ -32,15 +32,15 @@
 // consecutive dates (one sample per open interval), and the static
 // watch-chain deadlines (absent from a failure-free trace, yet crossing
 // one flips a receiver's timeout decision) are exhaustive for the
-// branch's continuum of fault times — transient_analysis's argument,
-// applied recursively. A silent window's closing edge additionally gets
-// one past-the-end candidate (silent for the rest of the iteration). Two
-// caveats are inherited from the event-dated model: within an open
-// interval where the victim feeds an in-flight hop, the crash instant
-// shifts the link-free time continuously; and a window's closing edge is
-// where blocked sends resume, so it shifts downstream behaviour
-// continuously. Outcomes at the samples bound, but do not enumerate,
-// those continua (see DESIGN.md).
+// branch's continuum of fault times — representative_instants' argument
+// (sim/trace.hpp), applied recursively. A silent window's closing edge
+// additionally gets one past-the-end candidate (silent for the rest of the
+// iteration). Two caveats are inherited from the event-dated model: within
+// an open interval where the victim feeds an in-flight hop, the crash
+// instant shifts the link-free time continuously; and a window's closing
+// edge is where blocked sends resume, so it shifts downstream behaviour
+// continuously. Outcomes at the samples bound, but do not enumerate, those
+// continua (see DESIGN.md).
 //
 // Per-victim dedup. Candidate instant c is merged into the previously kept
 // instant k0 for a victim when the fault at c is provably identical to the
@@ -143,6 +143,12 @@ struct CertifyBranch {
 
 /// The branch as a single-iteration mission plan (shrinker / io input).
 [[nodiscard]] MissionPlan counterexample_plan(const CertifyBranch& branch);
+
+/// The inverse of counterexample_plan: the fault pattern a single-iteration
+/// plan runs. Every plan the certifier produces, and every shrink of one
+/// (shrinking only cuts iterations), has one iteration; a plan with more
+/// throws std::invalid_argument.
+[[nodiscard]] FailureScenario counterexample_faults(const MissionPlan& plan);
 
 /// The branch rendered exactly as CertifyReport::to_json renders its
 /// counterexamples (names via `arch`, stable field order) — shared with the

@@ -135,7 +135,8 @@ struct FrontierReport {
 /// (workload::paper_example1/2): the A -> E compute spine and the I -> O
 /// whole mission. Bounds are loose enough that both published solutions
 /// satisfy them under their design budgets — tighten a bound to
-/// manufacture a labeled refutation (the CI multi-constraint smoke).
+/// manufacture a labeled refutation (as
+/// Cli.ChainRefutationNamesTheViolatedChain does).
 [[nodiscard]] std::vector<LatencyConstraint> paper_chain_constraints();
 
 }  // namespace ftsched::campaign

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 #include "arch/architecture_graph.hpp"
 #include "arch/routing.hpp"
@@ -24,82 +25,57 @@ constexpr std::size_t kMaxCandidates = 24;
 /// minimization.
 constexpr std::size_t kShrinkBudget = 4000;
 
-/// The last iteration of `plan` as a single-iteration scenario: crashes and
-/// link deaths of earlier iterations have settled (the survivors know them,
-/// the paper's subsequent-iteration regime), so they become dead-at-start;
-/// only the final iteration's own faults stay mid-run.
-FailureScenario final_iteration_scenario(const MissionPlan& plan) {
-  const int last = plan.iterations - 1;
-  FailureScenario scen;
-  scen.failed_at_start = plan.dead_at_start;
-  scen.failed_links_at_start = plan.dead_links_at_start;
-  scen.suspected_at_start = plan.suspected_at_start;
-  for (const MissionFailure& failure : plan.failures) {
-    if (failure.iteration < last) {
-      scen.failed_at_start.push_back(failure.event.processor);
-    } else {
-      scen.events.push_back(failure.event);
+/// The whole precedence ancestry of `roots` (themselves included), in BFS
+/// order from the roots.
+std::vector<OperationId> ancestry(const AlgorithmGraph& graph,
+                                  const std::vector<OperationId>& roots) {
+  std::vector<char> seen(graph.operation_count(), 0);
+  std::vector<OperationId> order;
+  auto visit = [&](OperationId op) {
+    if (!seen[op.index()]) {
+      seen[op.index()] = 1;
+      order.push_back(op);
+    }
+  };
+  for (const OperationId op : roots) visit(op);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (const DependencyId d : graph.precedence_in_ref(order[i])) {
+      visit(graph.dependency(d).src);
     }
   }
-  for (const MissionLinkFailure& failure : plan.link_failures) {
-    if (failure.iteration < last) {
-      scen.failed_links_at_start.push_back(failure.event.link);
-    } else {
-      scen.link_events.push_back(failure.event);
-    }
-  }
-  for (const MissionSilence& silence : plan.silences) {
-    if (silence.iteration == last) {
-      scen.silent_windows.push_back(silence.window);
-    }
-  }
-  std::sort(scen.failed_at_start.begin(), scen.failed_at_start.end());
-  scen.failed_at_start.erase(
-      std::unique(scen.failed_at_start.begin(), scen.failed_at_start.end()),
-      scen.failed_at_start.end());
-  std::sort(scen.failed_links_at_start.begin(),
-            scen.failed_links_at_start.end());
-  scen.failed_links_at_start.erase(
-      std::unique(scen.failed_links_at_start.begin(),
-                  scen.failed_links_at_start.end()),
-      scen.failed_links_at_start.end());
-  return scen;
+  return order;
 }
 
-/// Localization of a counterexample: simulate its final iteration once and
-/// answer which output was lost, which surviving host should have served
-/// it, and which ancestor's value never reached that host.
+/// Localization of a counterexample: run its one iteration once and answer
+/// which output was lost, which surviving host should have served it, and
+/// which ancestor's value never reached that host.
 class Localizer {
  public:
-  Localizer(const Problem& problem, const Schedule& sched,
-            const FailureScenario& scen)
-      : problem_(&problem), sched_(&sched) {
-    const Simulator sim(sched);
-    leaf_ = sim.run(scen);
-    dead_.assign(problem.architecture->processor_count(), false);
-    for (const ProcessorId p : scen.failed_at_start) dead_[p.index()] = true;
-    for (const FailureEvent& e : scen.events) dead_[e.processor.index()] = true;
-    dead_links_.assign(problem.architecture->link_count(), false);
-    for (const LinkId l : scen.failed_links_at_start) {
-      dead_links_[l.index()] = true;
+  Localizer(const Simulator& sim, const FailureScenario& faults)
+      : problem_(&sim.schedule().problem()),
+        sched_(&sim.schedule()),
+        leaf_(sim.run(faults)) {
+    dead_.assign(problem_->architecture->processor_count(), false);
+    for (const ProcessorId p : faults.failed_at_start) dead_[p.index()] = true;
+    for (const FailureEvent& e : faults.events) {
+      dead_[e.processor.index()] = true;
     }
-    for (const LinkFailureEvent& e : scen.link_events) {
-      dead_links_[e.link.index()] = true;
+    dead_links_ = faults.failed_links_at_start;
+    for (const LinkFailureEvent& e : faults.link_events) {
+      dead_links_.push_back(e.link);
     }
+    std::sort(dead_links_.begin(), dead_links_.end());
+    dead_links_.erase(std::unique(dead_links_.begin(), dead_links_.end()),
+                      dead_links_.end());
   }
 
   [[nodiscard]] bool proc_dead(ProcessorId p) const {
     return dead_[p.index()];
   }
 
-  [[nodiscard]] std::vector<LinkId> dead_link_ids() const {
-    std::vector<LinkId> out;
-    for (std::size_t l = 0; l < dead_links_.size(); ++l) {
-      if (dead_links_[l]) {
-        out.push_back(LinkId{static_cast<LinkId::underlying_type>(l)});
-      }
-    }
-    return out;
+  /// The links the counterexample kills, ascending id.
+  [[nodiscard]] const std::vector<LinkId>& dead_links() const {
+    return dead_links_;
   }
 
   /// Extio outputs no surviving processor completed.
@@ -121,69 +97,25 @@ class Localizer {
     return out;
   }
 
-  /// Surviving hosts that could serve `outputs`, most promising first:
-  /// hosts able to execute the outputs' WHOLE precedence ancestry (they
-  /// can be made self-sufficient by pins alone) before partially capable
-  /// ones, ascending id within a class.
+  /// Surviving hosts, most promising first: hosts able to execute every op
+  /// of `chain` (some outputs' whole ancestry — pins alone can make them
+  /// self-sufficient) before partially capable ones, ascending id within a
+  /// class.
   [[nodiscard]] std::vector<ProcessorId> candidate_hosts(
-      const std::vector<OperationId>& outputs) const {
-    const std::vector<OperationId> chain = ancestry(outputs);
-    std::vector<std::pair<int, ProcessorId>> ranked;
+      const std::vector<OperationId>& chain) const {
+    std::vector<ProcessorId> hosts;  // capable ones first
+    std::vector<ProcessorId> partial;
     for (std::size_t p = 0; p < dead_.size(); ++p) {
       if (dead_[p]) continue;
       const ProcessorId proc{static_cast<ProcessorId::underlying_type>(p)};
-      bool capable = true;
-      for (const OperationId op : chain) {
-        if (!problem_->exec->allowed(op, proc)) {
-          capable = false;
-          break;
-        }
-      }
-      ranked.emplace_back(capable ? 0 : 1, proc);
+      const bool all = std::all_of(
+          chain.begin(), chain.end(), [&](OperationId op) {
+            return problem_->exec->allowed(op, proc);
+          });
+      (all ? hosts : partial).push_back(proc);
     }
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    std::vector<ProcessorId> out;
-    out.reserve(ranked.size());
-    for (const auto& [rank, proc] : ranked) out.push_back(proc);
-    return out;
-  }
-
-  /// The outputs' whole precedence ancestry (including themselves) — the
-  /// pin set that makes a host self-sufficient for them. The FULL closure,
-  /// not just the trace's missing values: re-scheduling shifts placements,
-  /// so an op whose value incidentally reached the host in the failing run
-  /// may migrate away and re-break the chain. Ascending id, deterministic.
-  [[nodiscard]] std::vector<OperationId> full_chain(
-      const std::vector<OperationId>& outputs) const {
-    std::vector<OperationId> chain = ancestry(outputs);
-    std::sort(chain.begin(), chain.end());
-    return chain;
-  }
-
-  /// True when `op`'s value was available on `p` during the reproduced
-  /// iteration: a replica completed there, or a transfer of one of `op`'s
-  /// out-dependencies was delivered there.
-  [[nodiscard]] bool value_at(OperationId op, ProcessorId p) const {
-    if (!is_infinite(leaf_.trace.op_end(op, p))) return true;
-    for (const TraceEvent& event : leaf_.trace.events()) {
-      if (event.kind != TraceEvent::Kind::kTransferEnd || event.peer != p ||
-          !event.dep.valid()) {
-        continue;
-      }
-      if (problem_->algorithm->dependency(event.dep).src == op) return true;
-    }
-    return false;
-  }
-
-  /// The whole precedence ancestry of one chain sink (including itself),
-  /// BFS order from the sink — the op set a violated latency constraint is
-  /// localized to.
-  [[nodiscard]] std::vector<OperationId> chain_ancestry(
-      OperationId sink) const {
-    return ancestry({sink});
+    hosts.insert(hosts.end(), partial.begin(), partial.end());
+    return hosts;
   }
 
   /// The deepest ancestor of `op` whose value never reached `p`: descend
@@ -199,27 +131,19 @@ class Localizer {
   }
 
  private:
-  [[nodiscard]] std::vector<OperationId> ancestry(
-      const std::vector<OperationId>& roots) const {
-    std::vector<char> seen(problem_->algorithm->operation_count(), 0);
-    std::vector<OperationId> queue;
-    for (const OperationId op : roots) {
-      if (!seen[op.index()]) {
-        seen[op.index()] = 1;
-        queue.push_back(op);
+  /// True when `op`'s value was available on `p` during the reproduced
+  /// iteration: a replica completed there, or a transfer of one of `op`'s
+  /// out-dependencies was delivered there.
+  [[nodiscard]] bool value_at(OperationId op, ProcessorId p) const {
+    if (!is_infinite(leaf_.trace.op_end(op, p))) return true;
+    for (const TraceEvent& event : leaf_.trace.events()) {
+      if (event.kind == TraceEvent::Kind::kTransferEnd && event.peer == p &&
+          event.dep.valid() &&
+          problem_->algorithm->dependency(event.dep).src == op) {
+        return true;
       }
     }
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      for (const DependencyId d :
-           problem_->algorithm->precedence_in_ref(queue[i])) {
-        const OperationId src = problem_->algorithm->dependency(d).src;
-        if (!seen[src.index()]) {
-          seen[src.index()] = 1;
-          queue.push_back(src);
-        }
-      }
-    }
-    return queue;
+    return false;
   }
 
   [[nodiscard]] OperationId blocker_walk(OperationId op, ProcessorId p,
@@ -241,7 +165,7 @@ class Localizer {
   const Schedule* sched_;
   IterationResult leaf_;
   std::vector<bool> dead_;
-  std::vector<bool> dead_links_;
+  std::vector<LinkId> dead_links_;
 };
 
 /// True when `cand` fixes EVERY banked reproducer.
@@ -285,172 +209,146 @@ void apply_move(const RepairMove& move, const Problem& problem,
   }
 }
 
-/// Ordered candidate moves against one shrunk counterexample. Per
+/// True when `list` holds `item`.
+template <typename T>
+bool contains(const std::vector<T>& list, const T& item) {
+  return std::find(list.begin(), list.end(), item) != list.end();
+}
+
+/// Ordered candidate moves against one shrunk counterexample, whose faults
+/// `faults` are run on `sim` (the refuted schedule's simulator). Per
 /// (lost output, candidate host) the root blocker is attacked with, in
 /// order: route repairs off dead links (cheapest — nothing moves),
 /// widening passive chains into active transfers, pinning the blocker onto
 /// the starved host, and evicting the blocker from the killed processors.
 std::vector<RepairMove> propose_moves(
-    const Problem& problem, HeuristicKind kind, const Schedule& sched,
-    const MissionPlan& plan,
+    const Simulator& sim, const FailureScenario& faults,
     const std::vector<LatencyConstraint>& violated_chains,
-    const SchedulerOptions& opts) {
+    const SchedulingConstraints& given) {
+  using Kind = RepairMove::Kind;
+  const Schedule& sched = sim.schedule();
+  const Problem& problem = sched.problem();
   const AlgorithmGraph& graph = *problem.algorithm;
-  const ArchitectureGraph& arch = *problem.architecture;
-  const Localizer loc(problem, sched, final_iteration_scenario(plan));
-  const RoutingTable routing(arch);
-  const std::vector<LinkId> dead_links = loc.dead_link_ids();
+  const Localizer loc(sim, faults);
+  const RoutingTable routing(*problem.architecture);
   const std::size_t replicas =
-      kind == HeuristicKind::kBase
+      sched.kind() == HeuristicKind::kBase
           ? 1
           : static_cast<std::size_t>(problem.replication_factor());
-  const bool has_timeouts = kind == HeuristicKind::kSolution1 ||
-                            kind == HeuristicKind::kHybrid;
 
   std::vector<RepairMove> out;
   auto push_force = [&](const RepairMove& move) {
-    for (const RepairMove& have : out) {
-      if (have.kind == move.kind && have.op == move.op &&
-          have.proc == move.proc && have.dep == move.dep &&
-          have.link == move.link && have.ops == move.ops) {
-        return;
-      }
-    }
-    out.push_back(move);
+    if (!contains(out, move)) out.push_back(move);
   };
   auto push = [&](const RepairMove& move) {
     if (out.size() < kMaxCandidates) push_force(move);
   };
-  auto pin_count = [&](OperationId op) {
-    std::size_t n = 0;
-    for (const SchedulingConstraints::Pin& pin : opts.constraints.pinned) {
-      if (pin.op == op) ++n;
-    }
-    return n;
-  };
   auto pinned = [&](OperationId op, ProcessorId p) {
-    for (const SchedulingConstraints::Pin& pin : opts.constraints.pinned) {
-      if (pin.op == op && pin.proc == p) return true;
-    }
-    return false;
+    return contains(given.pinned, SchedulingConstraints::Pin{op, p});
   };
   auto forbidden = [&](OperationId op, ProcessorId p) {
-    for (const SchedulingConstraints::Forbid& f : opts.constraints.forbidden) {
-      if (f.op == op && f.proc == p) return true;
-    }
-    return false;
+    return contains(given.forbidden, SchedulingConstraints::Forbid{op, p});
   };
-  auto banned = [&](DependencyId dep, LinkId link) {
-    for (const SchedulingConstraints::ForbidLink& f :
-         opts.constraints.forbidden_links) {
-      if (f.dep == dep && f.link == link) return true;
-    }
-    return false;
+  // A new pin of `op` onto `p`: allowed there, not forbidden there by an
+  // earlier move, and `op` pinned fewer times than it is replicated. Every
+  // existing pin passed this test, so a pinned op is allowed where it is.
+  auto pinnable = [&](OperationId op, ProcessorId p) {
+    const auto pins = std::count_if(
+        given.pinned.begin(), given.pinned.end(),
+        [&](const SchedulingConstraints::Pin& pin) { return pin.op == op; });
+    return problem.exec->allowed(op, p) && !forbidden(op, p) &&
+           static_cast<std::size_t>(pins) < replicas;
   };
 
-  auto attack = [&](OperationId root, ProcessorId host) {
-    // Route a blocked input off a dead link — only when an avoiding route
-    // exists, otherwise the ban would silently fall back to the same route.
-    for (const DependencyId d : graph.precedence_in_ref(root)) {
-      for (const LinkId l : dead_links) {
-        if (banned(d, l)) continue;
-        for (const ScheduledComm* comm : sched.comms_of(d)) {
-          bool crosses = false;
-          for (const CommSegment& seg : comm->segments) {
-            if (seg.link == l) {
-              crosses = true;
-              break;
-            }
-          }
-          if (!crosses) continue;
-          std::vector<bool> ban(arch.link_count(), false);
-          ban[l.index()] = true;
-          if (routing.route_avoiding(comm->from, comm->to, ban)) {
-            RepairMove move;
-            move.kind = RepairMove::Kind::kForbidRoute;
-            move.dep = d;
-            move.link = l;
-            push(move);
-          }
-          break;
-        }
-      }
-    }
+  auto activate = [&](DependencyId d) {
     // Widen a passive timeout/election chain into actively replicated
     // transfers: every producer replica then sends, so no single silent or
-    // crashed main starves the chain.
-    if (has_timeouts) {
-      for (const DependencyId d : graph.precedence_in_ref(root)) {
-        if (!sched.uses_active_comms(d)) {
-          RepairMove move;
-          move.kind = RepairMove::Kind::kActivateComm;
-          move.dep = d;
-          push(move);
-        }
-      }
+    // crashed main starves the chain, and recovery stops waiting on
+    // timeouts.
+    if (has_watch_chains(sched.kind()) && !sched.uses_active_comms(d)) {
+      push(RepairMove{.kind = Kind::kActivateComm, .dep = d});
     }
-    // Re-place a replica of the blocker on the starved surviving host.
-    if (problem.exec->allowed(root, host) &&
-        sched.replica_on(root, host) == nullptr && !pinned(root, host) &&
-        !forbidden(root, host) && pin_count(root) < replicas) {
-      RepairMove move;
-      move.kind = RepairMove::Kind::kPinReplica;
-      move.op = root;
-      move.proc = host;
-      push(move);
+  };
+  auto pin_replica = [&](OperationId op, ProcessorId host) {
+    // Re-place a replica of `op` on the surviving host.
+    if (sched.replica_on(op, host) == nullptr && !pinned(op, host) &&
+        pinnable(op, host)) {
+      push(RepairMove{.kind = Kind::kPinReplica, .op = op, .proc = host});
     }
-    // Evict the blocker's replicas from the processors this counterexample
-    // kills.
-    for (const ScheduledOperation* replica : sched.replicas_view(root)) {
-      if (loc.proc_dead(replica->processor) &&
-          !forbidden(root, replica->processor) &&
-          !pinned(root, replica->processor)) {
-        RepairMove move;
-        move.kind = RepairMove::Kind::kForbidPlacement;
-        move.op = root;
-        move.proc = replica->processor;
-        push(move);
+  };
+  auto reroute = [&](DependencyId d, LinkId l) {
+    // Route `d` off dead link `l` when a transfer of it crosses `l` — only
+    // when an avoiding route exists, otherwise the ban would silently fall
+    // back to the same route.
+    if (contains(given.forbidden_links,
+                 SchedulingConstraints::ForbidLink{d, l})) {
+      return;
+    }
+    for (const ScheduledComm* comm : sched.comms_of(d)) {
+      if (std::none_of(comm->segments.begin(), comm->segments.end(),
+                       [&](const CommSegment& seg) { return seg.link == l; })) {
+        continue;
       }
+      std::vector<bool> ban(problem.architecture->link_count(), false);
+      ban[l.index()] = true;
+      if (routing.route_avoiding(comm->from, comm->to, ban)) {
+        push(RepairMove{.kind = Kind::kForbidRoute, .dep = d, .link = l});
+      }
+      return;
     }
   };
 
   const std::vector<OperationId> lost = loc.lost_outputs();
-  for (const OperationId output : lost) {
-    for (const ProcessorId host : loc.candidate_hosts({output})) {
-      const OperationId root = loc.root_blocker(output, host);
-      if (!root.valid()) continue;
-      attack(root, host);
+  if (!lost.empty()) {
+    for (const OperationId output : lost) {
+      for (const ProcessorId host :
+           loc.candidate_hosts(ancestry(graph, {output}))) {
+        const OperationId root = loc.root_blocker(output, host);
+        if (!root.valid()) continue;
+        for (const DependencyId d : graph.precedence_in_ref(root)) {
+          for (const LinkId l : loc.dead_links()) reroute(d, l);
+        }
+        for (const DependencyId d : graph.precedence_in_ref(root)) {
+          activate(d);
+        }
+        pin_replica(root, host);
+        // Evict the blocker's replicas from the processors the
+        // counterexample kills.
+        for (const ScheduledOperation* replica : sched.replicas_view(root)) {
+          const ProcessorId p = replica->processor;
+          if (loc.proc_dead(p) && !forbidden(root, p) && !pinned(root, p)) {
+            push(RepairMove{
+                .kind = Kind::kForbidPlacement, .op = root, .proc = p});
+          }
+        }
+        if (out.size() >= kMaxCandidates) break;
+      }
       if (out.size() >= kMaxCandidates) break;
     }
-    if (out.size() >= kMaxCandidates) break;
-  }
-  // Compound fallback, always proposed (past the cap if need be): when the
-  // counterexample severs all communication toward a host, no single
-  // re-placement restores an output — the host needs the violated outputs'
-  // whole missing ancestry pinned locally.
-  if (!lost.empty()) {
-    const std::vector<OperationId> chain = loc.full_chain(lost);
-    for (const ProcessorId host : loc.candidate_hosts(lost)) {
-      RepairMove move;
-      move.kind = RepairMove::Kind::kPinChain;
-      move.op = lost.front();
-      move.proc = host;
+    // Compound fallback, always proposed (past the cap if need be): when
+    // the counterexample severs all communication toward a host, no single
+    // re-placement restores an output — the host needs the lost outputs'
+    // whole ancestry pinned locally. The FULL closure, not just the trace's
+    // missing values: re-scheduling shifts placements, so an op whose value
+    // incidentally reached the host in the failing run may migrate away and
+    // re-break the chain. Ascending id, deterministic.
+    std::vector<OperationId> chain = ancestry(graph, lost);
+    std::sort(chain.begin(), chain.end());
+    for (const ProcessorId host : loc.candidate_hosts(chain)) {
+      RepairMove move{
+          .kind = Kind::kPinChain, .op = lost.front(), .proc = host};
       bool feasible = true;
       for (const OperationId op : chain) {
-        if (!problem.exec->allowed(op, host)) {
-          feasible = false;
-          break;
-        }
         if (pinned(op, host)) continue;
-        if (forbidden(op, host) || pin_count(op) >= replicas) {
+        if (!pinnable(op, host)) {
           feasible = false;
           break;
         }
         move.ops.push_back(op);
       }
-      if (!feasible || move.ops.empty()) continue;
-      push_force(move);
+      if (feasible && !move.ops.empty()) push_force(move);
     }
+    return out;
   }
   // A chain-latency violation serves every output, so there is no starved
   // host to localize through root blockers; the levers live on the violated
@@ -459,52 +357,25 @@ std::vector<RepairMove> propose_moves(
   // transfers (recovery latency is dominated by timeout waits), then
   // co-locate the sink with a surviving replica of the chain's source
   // (removing the cross-processor hops between the chain's endpoints).
-  if (lost.empty() && !violated_chains.empty()) {
-    for (const LatencyConstraint& c : violated_chains) {
-      const OperationId sink = graph.find_operation(c.sink_op);
-      const OperationId source = graph.find_operation(c.source_op);
-      if (!sink.valid()) continue;
-      if (has_timeouts) {
-        for (const OperationId op : loc.chain_ancestry(sink)) {
-          for (const DependencyId d : graph.precedence_in_ref(op)) {
-            if (!sched.uses_active_comms(d)) {
-              RepairMove move;
-              move.kind = RepairMove::Kind::kActivateComm;
-              move.dep = d;
-              push(move);
-            }
-          }
-        }
-      }
-      if (!source.valid()) continue;
-      for (const ScheduledOperation* replica : sched.replicas_view(source)) {
-        const ProcessorId host = replica->processor;
-        if (loc.proc_dead(host)) continue;
-        if (problem.exec->allowed(sink, host) &&
-            sched.replica_on(sink, host) == nullptr &&
-            !pinned(sink, host) && !forbidden(sink, host) &&
-            pin_count(sink) < replicas) {
-          RepairMove move;
-          move.kind = RepairMove::Kind::kPinReplica;
-          move.op = sink;
-          move.proc = host;
-          push(move);
-        }
+  for (const LatencyConstraint& c : violated_chains) {
+    const OperationId sink = graph.find_operation(c.sink_op);
+    if (!sink.valid()) continue;
+    for (const OperationId op : ancestry(graph, {sink})) {
+      for (const DependencyId d : graph.precedence_in_ref(op)) activate(d);
+    }
+    const OperationId source = graph.find_operation(c.source_op);
+    if (!source.valid()) continue;
+    for (const ScheduledOperation* replica : sched.replicas_view(source)) {
+      if (!loc.proc_dead(replica->processor)) {
+        pin_replica(sink, replica->processor);
       }
     }
   }
-  if (lost.empty() && out.empty() && has_timeouts) {
-    // Pure response violation (and the fallback when no chain-local move
-    // was available): the only remaining lever that shortens recovery is
-    // trading timeout chains for active transfers.
-    for (const Dependency& dep : graph.dependencies()) {
-      if (!sched.uses_active_comms(dep.id)) {
-        RepairMove move;
-        move.kind = RepairMove::Kind::kActivateComm;
-        move.dep = dep.id;
-        push(move);
-      }
-    }
+  // Pure response violation (and the fallback when no chain-local move was
+  // available): the only remaining lever that shortens recovery is trading
+  // timeout chains for active transfers.
+  if (out.empty()) {
+    for (const Dependency& dep : graph.dependencies()) activate(dep.id);
   }
   return out;
 }
@@ -545,8 +416,6 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
   RepairReport rep;
   rep.kind = kind;
 
-  const CertifySpec& cspec = spec.certify;
-
   SchedulerOptions opts;
   HeuristicKind cur_kind = kind;
   Expected<Schedule> cur = ftsched::schedule(problem, cur_kind, opts);
@@ -560,87 +429,69 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
   std::unordered_set<std::uint64_t> seen{schedule_hash(cur.value())};
   std::vector<MissionPlan> bank;
   std::size_t moves_tried = 0;
-  std::size_t moves_accepted = 0;
-  bool pending_has_move = false;
-  RepairMove pending_move;
-  std::size_t pending_tried = 0;
-  std::size_t pending_surviving = 0;
+  // The accepted move and its screening counts, recorded on the round
+  // that certifies the schedule the move produced.
+  RepairRound next;
 
   for (int round = 0;; ++round) {
-    const CertifyReport cert = certify(cur.value(), cspec);
-    RepairRound r;
+    const CertifyReport cert = certify(cur.value(), spec.certify);
+    RepairRound& r = rep.rounds.emplace_back(std::exchange(next, {}));
     r.round = round;
-    r.has_move = pending_has_move;
-    r.move = pending_move;
-    r.candidates_tried = pending_tried;
-    r.candidates_surviving = pending_surviving;
     r.schedule_key = schedule_hash(cur.value());
     r.makespan = cur.value().makespan();
     r.certified = cert.certified;
     r.branches = cert.branches;
     r.total_counterexamples = cert.total_counterexamples;
     r.events_simulated = cert.events_simulated;
-    pending_has_move = false;
-    pending_tried = 0;
-    pending_surviving = 0;
-
     if (cert.certified) {
-      rep.rounds.push_back(std::move(r));
       rep.certified = true;
       rep.certificate = cert;
       break;
     }
 
     // Minimize and bank the first counterexample; every later move must
-    // keep the whole bank fixed.
+    // keep the whole bank fixed. One simulator of the refuted schedule
+    // serves the shrink and the localization.
     const OracleSpec screen = oracle_spec(cert);
-    std::vector<LatencyConstraint> violated_chains;
+    std::vector<RepairMove> moves;
     {
       const Simulator sim(cur.value());
       const Oracle oracle(cur.value(), screen);
-      MissionPlan target = counterexample_plan(cert.counterexamples.front());
-      ShrinkOptions sopts;
-      sopts.max_simulations = kShrinkBudget;
+      ShrinkResult shrunk;
       try {
-        const ShrinkResult shrunk =
-            shrink(sim, oracle, std::move(target), sopts);
-        r.counterexample = shrunk.plan;
-        r.shrink_simulations = shrunk.simulations;
-        r.shrink_budget_exhausted = shrunk.budget_exhausted;
+        shrunk = shrink(sim, oracle,
+                        counterexample_plan(cert.counterexamples.front()),
+                        ShrinkOptions{.max_simulations = kShrinkBudget});
       } catch (const std::invalid_argument&) {
         // The mission oracle and the certifier disagree on this branch
         // (should not happen — they enforce the same contract); keep the
         // unshrunk plan as the round's reproducer.
-        r.counterexample =
-            counterexample_plan(cert.counterexamples.front());
+        shrunk.plan = counterexample_plan(cert.counterexamples.front());
       }
-      bank.push_back(r.counterexample);
-      // Which chain constraints the banked reproducer violates — the
-      // localization propose_moves targets instead of the global
-      // activate-everything fallback.
-      if (!screen.latency_constraints.empty()) {
-        const Verdict verdict = oracle.judge(
-            r.counterexample, run_mission(sim, r.counterexample));
-        for (const std::string& name : verdict.violated_constraints) {
-          for (const LatencyConstraint& c : screen.latency_constraints) {
-            if (c.name == name) violated_chains.push_back(c);
-          }
+      r.counterexample = shrunk.plan;
+      r.shrink_simulations = shrunk.simulations;
+      r.shrink_budget_exhausted = shrunk.budget_exhausted;
+      bank.push_back(std::move(shrunk.plan));
+
+      if (round >= spec.max_rounds) {
+        rep.rounds_exhausted = true;
+        rep.certificate = cert;
+        rep.failure = "round budget exhausted after " +
+                      std::to_string(round) + " moves";
+        break;
+      }
+      // The chain constraints the reproducer violates: the localization
+      // propose_moves targets instead of the global activate-everything
+      // fallback.
+      std::vector<LatencyConstraint> violated_chains;
+      for (const std::string& name : shrunk.violated_constraints) {
+        for (const LatencyConstraint& c : screen.latency_constraints) {
+          if (c.name == name) violated_chains.push_back(c);
         }
       }
+      moves = propose_moves(sim, counterexample_faults(bank.back()),
+                            violated_chains, opts.constraints);
     }
-    rep.rounds.push_back(std::move(r));
-
-    if (round >= spec.max_rounds) {
-      rep.rounds_exhausted = true;
-      rep.certificate = cert;
-      rep.failure =
-          "round budget exhausted after " + std::to_string(round) + " moves";
-      break;
-    }
-
-    const std::vector<RepairMove> moves =
-        propose_moves(problem, cur_kind, cur.value(), bank.back(),
-                      violated_chains, opts);
     // Screen EVERY proposed move, then accept the surviving candidate
     // with the lowest repaired makespan (ties: earliest proposal) — the
     // first-found survivor could lock in a needlessly slow schedule that
@@ -655,8 +506,6 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
     std::vector<Time> survivor_makespans;
     std::unordered_set<std::uint64_t> survivor_keys;
     for (const RepairMove& move : moves) {
-      ++pending_tried;
-      ++moves_tried;
       HeuristicKind next_kind = cur_kind;
       SchedulerOptions next_opts = opts;
       apply_move(move, problem, next_kind, next_opts);
@@ -680,17 +529,10 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
       survivors.push_back(Candidate{move, std::move(cand).value(),
                                     next_kind, std::move(next_opts)});
     }
-    pending_surviving = survivors.size();
-    if (!survivors.empty()) {
-      Candidate& chosen = survivors[preferred_candidate(survivor_makespans)];
-      seen.insert(schedule_hash(chosen.schedule));
-      cur = std::move(chosen.schedule);
-      cur_kind = chosen.kind;
-      opts = std::move(chosen.opts);
-      pending_has_move = true;
-      pending_move = chosen.move;
-      ++moves_accepted;
-    } else {
+    moves_tried += moves.size();
+    if (survivors.empty()) {
+      // This round's tried candidates appear only in repair.moves_tried:
+      // no later round records them.
       rep.moves_exhausted = true;
       rep.certificate = cert;
       rep.failure =
@@ -698,6 +540,15 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
           "counterexample";
       break;
     }
+    Candidate& chosen = survivors[preferred_candidate(survivor_makespans)];
+    seen.insert(schedule_hash(chosen.schedule));
+    cur = std::move(chosen.schedule);
+    cur_kind = chosen.kind;
+    opts = std::move(chosen.opts);
+    next = RepairRound{.has_move = true,
+                       .move = chosen.move,
+                       .candidates_tried = moves.size(),
+                       .candidates_surviving = survivors.size()};
   }
 
   rep.kind = cur_kind;
@@ -706,7 +557,7 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
   rep.schedule = std::move(cur).value();
   rep.metrics.add_counter("repair.rounds", rep.rounds.size());
   rep.metrics.add_counter("repair.moves_tried", moves_tried);
-  rep.metrics.add_counter("repair.moves_accepted", moves_accepted);
+  rep.metrics.add_counter("repair.moves_accepted", rep.rounds.size() - 1);
   rep.metrics.add_counter("repair.certified", rep.certified ? 1 : 0);
   return rep;
 }

@@ -7,12 +7,17 @@
 //     (campaign/certify.hpp);
 //  2. shrinks the first counterexample to a 1-minimal reproducer
 //     (campaign/shrink.hpp, budgeted) and banks it — every banked
-//     reproducer must stay fixed by all later moves;
-//  3. localizes the violated output: re-simulates the reproducer's final
-//     iteration and walks the output's precedence ancestry on each
-//     surviving candidate host, down to the ROOT BLOCKER — the deepest
-//     ancestor whose value never reached that host (no replica completed
-//     there, no transfer delivered there);
+//     reproducer must stay fixed by all later moves. A certifier branch is
+//     a one-iteration plan and shrinking only cuts iterations, so every
+//     banked reproducer has exactly one iteration;
+//  3. localizes the violated output: re-simulates the reproducer's
+//     iteration (on the simulator the shrink used) and walks the output's
+//     precedence ancestry on each surviving candidate host, down to the
+//     ROOT BLOCKER — the deepest ancestor whose value never reached that
+//     host (no replica completed there, no transfer delivered there). A
+//     reproducer that loses no output but violates chain constraints (the
+//     shrinker's final verdict names them) is attacked on those chains,
+//     and a pure response violation by activating every passive chain;
 //  4. proposes targeted moves against the root blocker, expressed as
 //     scheduling constraints (sched/options.hpp SchedulingConstraints) so
 //     the ordinary deterministic list scheduler replays them:
@@ -25,10 +30,13 @@
 //         host (Pin);
 //       * evict the blocker's replicas from the processors the
 //         counterexample kills (Forbid);
-//  5. accepts the first move whose re-scheduled result is new (by
-//     schedule_hash — revisits are cycles, rejected) and fixes EVERY
-//     banked reproducer under the mission oracle; certification of the
-//     accepted schedule starts the next round.
+//       * pin the lost outputs' whole ancestry onto one surviving host
+//         (the compound pin-chain move, proposed past the candidate cap);
+//  5. re-schedules every proposed move and keeps those whose result is
+//     new (by schedule_hash — revisits are cycles, rejected) and fixes
+//     EVERY banked reproducer under the mission oracle; the survivor with
+//     the lowest makespan is accepted (preferred_candidate), and
+//     certification of the accepted schedule starts the next round.
 //
 // The loop ends certified, or refuted with the final shrunk counterexample
 // when the move set or the round budget is exhausted. Every artifact
@@ -78,11 +86,13 @@ struct RepairMove {
     kPinChain,
   };
   Kind kind = Kind::kPinReplica;
-  OperationId op;    // kPinReplica / kForbidPlacement
-  ProcessorId proc;  // kPinReplica / kForbidPlacement / kPinChain
-  DependencyId dep;  // kForbidRoute / kActivateComm
-  LinkId link;       // kForbidRoute
-  std::vector<OperationId> ops;  // kPinChain: all ops pinned onto proc
+  OperationId op = {};    // kPinReplica / kForbidPlacement
+  ProcessorId proc = {};  // kPinReplica / kForbidPlacement / kPinChain
+  DependencyId dep = {};  // kForbidRoute / kActivateComm
+  LinkId link = {};       // kForbidRoute
+  std::vector<OperationId> ops = {};  // kPinChain: all ops pinned onto proc
+
+  friend bool operator==(const RepairMove&, const RepairMove&) = default;
 };
 
 [[nodiscard]] std::string to_string(RepairMove::Kind kind);
@@ -108,7 +118,7 @@ struct RepairRound {
   std::size_t total_counterexamples = 0;
   std::size_t events_simulated = 0;
   /// The round's shrunk counterexample (empty plan when certified).
-  MissionPlan counterexample;
+  MissionPlan counterexample = {};
   std::size_t shrink_simulations = 0;
   bool shrink_budget_exhausted = false;
 };

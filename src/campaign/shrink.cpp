@@ -115,9 +115,7 @@ class Shrinker {
     iterations_ = plan.iterations;
     events_ = flatten(plan);
 
-    Verdict verdict = judge(rebuild(iterations_, events_));
-    result.simulations = simulations_;
-    FTSCHED_REQUIRE(!verdict.ok(),
+    FTSCHED_REQUIRE(!judge(rebuild(iterations_, events_)).ok(),
                     "shrink needs a violating plan to minimize");
 
     ddmin();
@@ -130,7 +128,9 @@ class Shrinker {
     }
 
     result.plan = rebuild(iterations_, events_);
-    result.violations = judge(result.plan).violations;
+    Verdict verdict = judge(result.plan);
+    result.violations = std::move(verdict.violations);
+    result.violated_constraints = std::move(verdict.violated_constraints);
     result.final_events = events_.size();
     result.simulations = simulations_;
     result.budget_exhausted = exhausted_;

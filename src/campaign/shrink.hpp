@@ -49,6 +49,9 @@ struct ShrinkResult {
   MissionPlan plan;
   /// Oracle violations of the minimized plan.
   std::vector<std::string> violations;
+  /// Names of the latency constraints the minimized plan violates, from
+  /// the same judgement as `violations` (Verdict::violated_constraints).
+  std::vector<std::string> violated_constraints;
   std::size_t initial_events = 0;
   std::size_t final_events = 0;
   /// Mission simulations spent shrinking.

@@ -17,8 +17,7 @@ Executive generate_executive(const Schedule& schedule) {
   // Receives are guarded by watch chains wherever time-redundant comms are
   // in play (solution 1, and the hybrid's passive dependencies — the
   // TimeoutTable holds no chains for actively replicated ones).
-  const bool watched = schedule.kind() == HeuristicKind::kSolution1 ||
-                       schedule.kind() == HeuristicKind::kHybrid;
+  const bool watched = has_watch_chains(schedule.kind());
 
   Executive executive;
   executive.kind = schedule.kind();

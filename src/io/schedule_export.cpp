@@ -1,21 +1,11 @@
 #include "io/schedule_export.hpp"
 
+#include "obs/json_util.hpp"
 #include "sched/metrics.hpp"
 
 namespace ftsched::io {
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
+using obs::json_escape;
 
 std::string to_json(const Schedule& schedule) {
   const Problem& problem = schedule.problem();

@@ -64,8 +64,7 @@ class Engine {
     init_state();
     if (auto error = main_loop()) return *error;
     schedule_mem_inputs();
-    if (kind_ == HeuristicKind::kSolution1 ||
-        kind_ == HeuristicKind::kHybrid) {
+    if (has_watch_chains(kind_)) {
       schedule_liveness_comms();
       add_passive_comms();
     }

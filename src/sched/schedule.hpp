@@ -45,6 +45,13 @@ enum class HeuristicKind {
 
 [[nodiscard]] std::string to_string(HeuristicKind kind);
 
+/// True for the heuristics whose schedules carry watch chains, solution 1
+/// and the hybrid: backups guard their passive (time-redundant)
+/// communications with timeouts and elections.
+[[nodiscard]] constexpr bool has_watch_chains(HeuristicKind kind) noexcept {
+  return kind == HeuristicKind::kSolution1 || kind == HeuristicKind::kHybrid;
+}
+
 /// One replica of one operation placed on one processor.
 struct ScheduledOperation {
   OperationId op;

@@ -369,8 +369,7 @@ std::unique_ptr<const SimPlan> build_plan(const Schedule& schedule,
 
   // Watch chains (solution 1 and the hybrid's passive dependencies; the
   // TimeoutTable already excludes actively replicated ones).
-  if (schedule.kind() == HeuristicKind::kSolution1 ||
-      schedule.kind() == HeuristicKind::kHybrid) {
+  if (has_watch_chains(schedule.kind())) {
     for (const TimeoutChain& chain : timeouts.chains()) {
       WatcherRec watcher;
       watcher.dep = chain.dep;

@@ -65,4 +65,34 @@ std::string Trace::to_text(const AlgorithmGraph& graph,
   return out;
 }
 
+std::vector<Time> representative_instants(
+    const Trace& trace, Time min_time, const std::vector<Time>& extra_dates) {
+  std::vector<Time> dates;
+  dates.reserve(trace.events().size() + extra_dates.size() + 1);
+  for (const TraceEvent& event : trace.events()) {
+    dates.push_back(event.time);
+  }
+  for (const Time date : extra_dates) {
+    if (!is_infinite(date)) dates.push_back(date);
+  }
+  std::sort(dates.begin(), dates.end());
+  dates.erase(std::unique(dates.begin(), dates.end(),
+                          [](Time a, Time b) { return time_eq(a, b); }),
+              dates.end());
+
+  std::vector<Time> instants{min_time};
+  for (std::size_t i = 0; i < dates.size(); ++i) {
+    if (time_ge(dates[i], min_time)) instants.push_back(dates[i]);
+    if (i + 1 < dates.size()) {
+      const Time mid = (dates[i] + dates[i + 1]) / 2;
+      if (time_ge(mid, min_time)) instants.push_back(mid);
+    }
+  }
+  std::sort(instants.begin(), instants.end());
+  instants.erase(std::unique(instants.begin(), instants.end(),
+                             [](Time a, Time b) { return time_eq(a, b); }),
+                 instants.end());
+  return instants;
+}
+
 }  // namespace ftsched

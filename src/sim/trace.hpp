@@ -71,4 +71,19 @@ class Trace {
   std::vector<TraceEvent> events_;
 };
 
+/// Representative crash instants of a run with the given trace: `min_time`,
+/// every event date and every finite `extra_dates` entry, and the midpoints
+/// between consecutive distinct dates, restricted to instants >= min_time
+/// and deduplicated up to kTimeEpsilon, sorted ascending. A crash strictly
+/// between two dates behaves like any other crash in that open interval
+/// (nothing changes hands in between), so this finite set covers the
+/// continuum of crash times — the quantization argument behind both the
+/// transient analyzer (tuning/transient_analysis.hpp) and the exhaustive
+/// certifier (campaign/certify.hpp). The certifier passes the static
+/// watch-chain deadlines as `extra_dates`: they do not appear in a
+/// failure-free trace, yet a crash on either side of one changes whether a
+/// receiver times out.
+[[nodiscard]] std::vector<Time> representative_instants(
+    const Trace& trace, Time min_time, const std::vector<Time>& extra_dates);
+
 }  // namespace ftsched

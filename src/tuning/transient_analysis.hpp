@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sched/schedule.hpp"
-#include "sim/trace.hpp"
 
 namespace ftsched {
 
@@ -36,24 +35,6 @@ struct TransientReport {
                : 0.0;
   }
 };
-
-/// Representative crash instants of a run with the given trace: `min_time`,
-/// every event date, and the midpoints between consecutive distinct dates,
-/// restricted to instants >= min_time and deduplicated up to kTimeEpsilon,
-/// sorted ascending. A crash strictly between two events behaves like any
-/// other crash in that open interval (nothing changes hands in between), so
-/// this finite set covers the continuum of crash times — the quantization
-/// argument behind both this analyzer and the exhaustive certifier
-/// (campaign/certify.hpp).
-[[nodiscard]] std::vector<Time> representative_instants(const Trace& trace,
-                                                        Time min_time = 0);
-
-/// Same, with extra critical dates merged in before the midpoints are
-/// taken. The certifier passes the static watch-chain deadlines: they do
-/// not appear in a failure-free trace, yet a crash on either side of one
-/// changes whether a receiver times out.
-[[nodiscard]] std::vector<Time> representative_instants(
-    const Trace& trace, Time min_time, const std::vector<Time>& extra_dates);
 
 /// Simulates every single-processor failure of `schedule` at every critical
 /// instant. The failure-free prefix up to each instant is simulated once and

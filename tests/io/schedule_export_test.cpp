@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../obs/json_check.hpp"
+#include "io/problem_format.hpp"
 #include "sched/heuristics.hpp"
 #include "workload/paper_examples.hpp"
 
@@ -24,6 +26,25 @@ TEST(ScheduleExport, JsonContainsEveryPlacement) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+TEST(ScheduleExport, JsonEscapesControlCharactersInNames) {
+  // read_problem takes any non-blank bytes as a name; the export must stay
+  // valid JSON whatever they are.
+  const std::string name = "B\x01" "x";
+  const auto parsed = io::read_problem(
+      "algorithm\n  operation I extio-in\n  operation " + name +
+      "\n  operation O extio-out\n  dependency I " + name +
+      "\n  dependency " + name + " O\narchitecture\n  processor P1\n"
+      "  processor P2\n  bus can P1 P2\nexec\n  I * 1\n  " + name +
+      " * 2\n  O * 1\ncomm\n  I->" + name + " * 0.5\n  " + name +
+      "->O * 0.5\n");
+  ASSERT_TRUE(parsed) << parsed.error().message;
+  const Schedule schedule = schedule_solution1(parsed.value().problem).value();
+  const std::string json = io::to_json(schedule);
+
+  EXPECT_TRUE(testing::valid_json(json)) << json;
+  EXPECT_NE(json.find("\"op\": \"B\\u0001x\""), std::string::npos) << json;
 }
 
 TEST(ScheduleExport, CsvRowsMatchScheduleContents) {
