@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 
 #include "arch/architecture_graph.hpp"
 #include "campaign/work_pool.hpp"
@@ -114,62 +115,143 @@ void for_each_victim(const FailureScenario& faults, std::size_t procs,
   }
 }
 
-/// Depth-first exploration of one task's subtree; every instant the parent
+/// One child of a node: a fault of `key`'s class on its victim at `at`; a
+/// silent window closes at `to` (`to` is `at` for a crash or link death).
+struct Child {
+  FaultKey key;
+  Time at = 0;
+  Time to = 0;
+};
+
+/// What a divided root does once and each of its child tasks repeats
+/// uncounted: its begin and cursor forks and its depth-0 instant counts.
+/// Its first child carries them, so every count is the undivided tree's.
+struct RootCharge {
+  std::size_t forks = 0;
+  std::size_t instants_kept = 0;
+  std::size_t instants_merged = 0;
+};
+
+/// The fully resolved sweep: budgets clamped, subsets materialized, tasks
+/// enumerated in the canonical global order every shard agrees on. A pure
+/// function of (schedule, spec).
+struct SweepPlan {
+  CertifyBudgets budgets;
+  std::vector<std::vector<ProcessorId>> subsets;
+  std::vector<std::vector<LinkId>> link_subsets;
+  struct Task {
+    const std::vector<ProcessorId>* dead;
+    const std::vector<LinkId>* dead_links;
+    FaultKey first;  // invalid = leaf-only
+    Budgets budgets;
+    /// The one child of first's root a divided root's task explores; an
+    /// invalid key means the task is first's whole subtree.
+    Child child = {};
+    RootCharge charge = {};
+  };
+  std::vector<Task> tasks;
+};
+
+/// What every task of one sweep reads, built once per sweep.
+struct SweepEngine {
+  explicit SweepEngine(const Schedule& schedule)
+      : simulator(schedule), deadlines(static_deadlines(schedule)) {}
+
+  const Simulator simulator;
+  const std::vector<Time> deadlines;
+};
+
+/// Depth-first exploration of a task's subtree; every instant the parent
 /// prefix is forked, never replayed. The forks copy into branch states the
-/// explorer owns, one set per tree depth, so a task allocates its states
-/// once and every later fork reuses their storage. Only what derives
-/// candidates keeps a trace: a leaf whose budgets are spent is copied
-/// without its trace prefix and finished in summary mode.
+/// explorer owns, one set per tree depth. Each ordered_for participant
+/// runs all its tasks on one explorer, so the states are allocated once
+/// per participant and every later fork reuses their storage. Only what
+/// derives candidates keeps a trace: a leaf whose budgets are spent is
+/// copied without its trace prefix and finished in summary mode.
 class Explorer {
  public:
-  Explorer(const Simulator& simulator, const CertifySpec& spec,
-           const std::vector<Time>& deadlines, std::size_t procs,
-           std::size_t links, const std::vector<LatencyProbe>& probes,
-           CertifyTaskPartial& out)
-      : sim_(simulator),
+  Explorer(const SweepEngine& engine, const CertifySpec& spec,
+           const std::vector<LatencyProbe>& probes)
+      : sim_(engine.simulator),
         spec_(spec),
-        deadlines_(deadlines),
-        procs_(procs),
-        links_(links),
-        beyond_tail_(simulator.schedule().makespan() + 1),
-        probes_(probes),
-        out_(out) {
-    out_.worst_chain_latency.assign(probes_.size(), 0);
-  }
+        deadlines_(engine.deadlines),
+        procs_(sim_.schedule().problem().architecture->processor_count()),
+        links_(sim_.schedule().problem().architecture->link_count()),
+        beyond_tail_(sim_.schedule().makespan() + 1),
+        probes_(probes) {}
 
-  /// Runs one task: the dead-at-start subsets' own leaf when `first` is
-  /// invalid, otherwise the subtree of fault sequences starting with a
+  /// Runs one task into `out`: the dead-at-start subsets' own leaf when
+  /// task.first is invalid, one child of a divided root when task.child
+  /// is set, otherwise the subtree of fault sequences starting with a
   /// fault of `first`'s class on `first`'s victim.
-  void run(const std::vector<ProcessorId>& dead,
-           const std::vector<LinkId>& dead_links, FaultKey first,
-           Budgets budgets) {
+  void run(const SweepPlan::Task& task, CertifyTaskPartial& out) {
     FTSCHED_SPAN("certify.task");
-    faults_.failed_at_start = dead;
-    faults_.failed_links_at_start = dead_links;
-    // Depth d holds the nodes d faults deep; the root is depth 0's node.
-    levels_.resize(static_cast<std::size_t>(budgets.total()) + 1);
-    Level& root = levels_[0];
-    root.node = sim_.begin(faults_);
-    ++out_.forks;
-    root.node.copy_to(root.leaf, /*trace=*/first.valid());
-    sim_.finish(root.leaf, summary_);
-    if (!first.valid()) {
+    out_ = &out;
+    out.worst_chain_latency.assign(probes_.size(), 0);
+    out.forks += task.charge.forks;
+    out.instants_kept += task.charge.instants_kept;
+    out.instants_merged += task.charge.instants_merged;
+    if (task.child.key.valid()) {
+      // The root's begin and cursor copy repeat here uncounted; the
+      // cursor goes straight to the child's instant.
+      begin_root(task);
+      Level& root = levels_[0];
+      root.node.copy_to(root.cursor, /*trace=*/task.budgets.total() > 1);
+      sim_.advance_until(root.cursor, task.child.at);
+      explore_child(0, task.child, task.budgets.after(task.child.key.cls));
+      return;
+    }
+    start_root(task);
+    if (!task.first.valid()) {
       certify_leaf(summary_);
       return;
     }
-    explore_children(0, budgets, 0, FaultKey{}, first);
+    explore_children(0, task.budgets, 0, FaultKey{}, task.first);
+  }
+
+  /// The children of `task`'s root in the order run() walks them, valid
+  /// until the explorer's next use; `out` counts the root's begin fork
+  /// and its depth-0 instants.
+  const std::vector<Child>& root_children(const SweepPlan::Task& task,
+                                          CertifyTaskPartial& out) {
+    out_ = &out;
+    start_root(task);
+    list_children(0, task.budgets, 0, FaultKey{}, task.first);
+    return levels_[0].children;
   }
 
  private:
   /// The reused states of one tree depth: the node (the paused branch with
-  /// its faults injected), the leaf (the node's copy run to completion)
-  /// and the cursor (the node's copy advanced instant by instant, forked
-  /// into the next depth's nodes).
+  /// its faults injected), the leaf (the node's copy run to completion),
+  /// the cursor (the node's copy advanced instant by instant, forked into
+  /// the next depth's nodes) and the node's children.
   struct Level {
     Simulator::Branch node;
     Simulator::Branch leaf;
     Simulator::Branch cursor;
+    std::vector<Child> children;
   };
+
+  /// Sets faults_ to the task's dead-at-start subsets, grows levels_ to
+  /// the task's depth and begins the root node, uncounted.
+  void begin_root(const SweepPlan::Task& task) {
+    faults_.failed_at_start = *task.dead;
+    faults_.failed_links_at_start = *task.dead_links;
+    // Depth d holds the nodes d faults deep; the root is depth 0's node.
+    const auto depths = static_cast<std::size_t>(task.budgets.total()) + 1;
+    if (levels_.size() < depths) levels_.resize(depths);
+    levels_[0].node = sim_.begin(faults_);
+  }
+
+  /// Begins the root (one fork) and finishes its leaf into summary_,
+  /// traced when the task derives candidates from it.
+  void start_root(const SweepPlan::Task& task) {
+    begin_root(task);
+    ++out_->forks;
+    Level& root = levels_[0];
+    root.node.copy_to(root.leaf, /*trace=*/task.first.valid());
+    sim_.finish(root.leaf, summary_);
+  }
 
   /// Records one leaf run's verdict against the current fault pattern. The
   /// response envelope widens by the run's measured silence_deferral — the
@@ -180,8 +262,9 @@ class Explorer {
   /// table. The fault pattern is copied into a CertifyBranch only when the
   /// report keeps it: a stored counterexample or a collected branch.
   void certify_leaf(const IterationSummary& leaf) {
-    out_.events_simulated += leaf.events_executed;
-    ++out_.branches;
+    CertifyTaskPartial& out = *out_;
+    out.events_simulated += leaf.events_executed;
+    ++out.branches;
     const bool lost = !leaf.all_outputs_produced;
     const Time response = leaf.response_time;
     const Time deferral = leaf.silence_deferral;
@@ -201,8 +284,8 @@ class Explorer {
                     spec_.latency_constraints[i].bound + deferral)) {
           chain_violated_.push_back(spec_.latency_constraints[i].name);
         } else {
-          out_.worst_chain_latency[i] =
-              std::max(out_.worst_chain_latency[i], latency);
+          out.worst_chain_latency[i] =
+              std::max(out.worst_chain_latency[i], latency);
         }
       }
     }
@@ -210,16 +293,16 @@ class Explorer {
     // Late branches are counterexamples, not the certified envelope, so
     // they stay out of worst_response.
     if (!lost && !late) {
-      out_.worst_response = std::max(out_.worst_response, response);
+      out.worst_response = std::max(out.worst_response, response);
     }
     const bool counterexample = lost || late || chain_late;
-    if (counterexample) ++out_.total_counterexamples;
-    const bool kept = counterexample && out_.counterexamples.size() <
-                                            spec_.max_counterexamples;
+    if (counterexample) ++out.total_counterexamples;
+    const bool kept = counterexample && out.counterexamples.size() <
+                                           spec_.max_counterexamples;
     if (!kept && !spec_.collect_branches) return;
     CertifyBranch branch{faults_, lost, response, chain_violated_};
-    if (kept) out_.counterexamples.push_back(branch);
-    if (spec_.collect_branches) out_.collected.push_back(std::move(branch));
+    if (kept) out.counterexamples.push_back(branch);
+    if (spec_.collect_branches) out.collected.push_back(std::move(branch));
   }
 
   /// Externally visible action dates of one victim, plus the in-flight
@@ -326,10 +409,10 @@ class Explorer {
       if (acted || mid_transfer) {
         kept.push_back(c);
       } else {
-        ++out_.instants_merged;
+        ++out_->instants_merged;
       }
     }
-    out_.instants_kept += kept.size();
+    out_->instants_kept += kept.size();
     return kept;
   }
 
@@ -354,7 +437,7 @@ class Explorer {
       if (lo != sends.end() && time_lt(*lo, c)) {
         kept.push_back(c);
       } else {
-        ++out_.instants_merged;
+        ++out_->instants_merged;
       }
     }
     return kept;
@@ -377,7 +460,7 @@ class Explorer {
       const bool blocks =
           first_blocked != sends.end() && time_lt(*first_blocked, to);
       if (spec_.dedup && !blocks) {
-        ++out_.instants_merged;
+        ++out_->instants_merged;
         return;
       }
       kept.push_back(to);
@@ -386,36 +469,36 @@ class Explorer {
       if (time_gt(to, from)) consider(to);
     }
     consider(beyond);
-    out_.instants_kept += kept.size();
+    out_->instants_kept += kept.size();
     return kept;
   }
 
   /// Executes one child subtree of a depth-`depth` node: fork its cursor
-  /// into the next depth's node, push the child's fault (`key` at `c`; a
-  /// window closes at `to`) onto faults_ and inject it, leaf, recursion,
-  /// pop. A child whose budgets are spent derives no candidates, so it and
-  /// its leaf are copied without a trace.
-  void explore_child(std::size_t depth, FaultKey key, Time c, Time to,
-                     Budgets rest) {
-    Level& child = levels_[depth + 1];
+  /// into the next depth's node, push the child's fault onto faults_ and
+  /// inject it, leaf, recursion, pop. A child whose budgets are spent
+  /// derives no candidates, so it and its leaf are copied without a trace.
+  void explore_child(std::size_t depth, const Child& child, Budgets rest) {
+    Level& below = levels_[depth + 1];
     const bool traced = !rest.exhausted();
-    levels_[depth].cursor.copy_to(child.node, traced);
-    ++out_.forks;
+    levels_[depth].cursor.copy_to(below.node, traced);
+    ++out_->forks;
+    const FaultKey key = child.key;
     if (key.cls == kClsCrash) {
-      sim_.inject(child.node,
-                  faults_.events.emplace_back(FailureEvent{key.proc(), c}));
+      sim_.inject(below.node, faults_.events.emplace_back(
+                                  FailureEvent{key.proc(), child.at}));
     } else if (key.cls == kClsLinkDeath) {
-      sim_.inject(child.node, faults_.link_events.emplace_back(
-                                  LinkFailureEvent{key.link(), c}));
+      sim_.inject(below.node, faults_.link_events.emplace_back(
+                                  LinkFailureEvent{key.link(), child.at}));
     } else {
-      sim_.inject(child.node, faults_.silent_windows.emplace_back(
-                                  SilentWindow{key.proc(), c, to}));
+      sim_.inject(below.node,
+                  faults_.silent_windows.emplace_back(
+                      SilentWindow{key.proc(), child.at, child.to}));
     }
-    ++out_.forks;
-    child.node.copy_to(child.leaf, traced);
-    sim_.finish(child.leaf, summary_);
+    ++out_->forks;
+    below.node.copy_to(below.leaf, traced);
+    sim_.finish(below.leaf, summary_);
     certify_leaf(summary_);
-    explore_children(depth + 1, rest, c, key, FaultKey{});
+    explore_children(depth + 1, rest, child.at, key, FaultKey{});
     if (key.cls == kClsCrash) {
       faults_.events.pop_back();
     } else if (key.cls == kClsLinkDeath) {
@@ -425,17 +508,31 @@ class Explorer {
     }
   }
 
-  /// Explores the children of the depth-`depth` node, whose finished leaf
-  /// (traced) is in levels_[depth].leaf. `only`, when valid, restricts the
-  /// children to that victim (a task's first fault).
+  /// Explores the children of the depth-`depth` node: lists them, then
+  /// walks the list.
   void explore_children(std::size_t depth, Budgets budgets, Time t0,
                         FaultKey last, FaultKey only) {
-    if (budgets.exhausted()) return;
+    if (list_children(depth, budgets, t0, last, only)) {
+      walk_children(depth, budgets);
+    }
+  }
+
+  /// Lists the children of the depth-`depth` node, whose finished leaf
+  /// (traced) is in levels_[depth].leaf, into levels_[depth].children in
+  /// walk order: by instant, then victim, then closing edge. `only`, when
+  /// valid, restricts them to that victim (a task's first fault). Every
+  /// candidate kept or merged is counted here. True when some victim kept
+  /// an instant: the walk then forks a cursor, even if every window of a
+  /// silence victim was pruned.
+  bool list_children(std::size_t depth, Budgets budgets, Time t0,
+                     FaultKey last, FaultKey only) {
     Level& level = levels_[depth];
+    level.children.clear();
+    if (budgets.exhausted()) return false;
     const Trace& leaf = level.leaf.trace();
     const std::vector<Time> candidates =
         representative_instants(leaf, t0, deadlines_);
-    if (candidates.empty()) return;
+    if (candidates.empty()) return false;
     const Time beyond = candidates.back() + beyond_tail_;
 
     struct VictimPlan {
@@ -458,17 +555,11 @@ class Explorer {
       }
       if (!plan.instants.empty()) victims.push_back(std::move(plan));
     });
-    if (victims.empty()) return;
+    if (victims.empty()) return false;
 
-    // One cursor per node: the shared prefix is executed once per instant,
-    // each (victim, instant) branch forks it. It keeps the trace only for
-    // children that will derive candidates of their own.
-    Simulator::Branch& cursor = level.cursor;
-    level.node.copy_to(cursor, /*trace=*/budgets.total() > 1);
-    ++out_.forks;
     std::vector<std::size_t> next(victims.size(), 0);
     for (;;) {
-      // Earliest un-dispatched instant across the victims.
+      // Earliest unlisted instant across the victims.
       Time c = kInfinite;
       for (std::size_t v = 0; v < victims.size(); ++v) {
         if (next[v] < victims[v].instants.size()) {
@@ -476,7 +567,6 @@ class Explorer {
         }
       }
       if (is_infinite(c)) break;
-      sim_.advance_until(cursor, c);
       for (std::size_t v = 0; v < victims.size(); ++v) {
         if (next[v] >= victims[v].instants.size() ||
             victims[v].instants[next[v]] != c) {
@@ -484,16 +574,33 @@ class Explorer {
         }
         ++next[v];
         const FaultKey key = victims[v].key;
-        const Budgets rest = budgets.after(key.cls);
         if (key.cls != kClsSilence) {
-          explore_child(depth, key, c, c, rest);
+          level.children.push_back(Child{key, c, c});
           continue;
         }
         for (const Time to :
              silence_tos(victims[v].sends, candidates, c, beyond)) {
-          explore_child(depth, key, c, to, rest);
+          level.children.push_back(Child{key, c, to});
         }
       }
+    }
+    return true;
+  }
+
+  /// Walks the listed children of the depth-`depth` node. One cursor per
+  /// node: the shared prefix is executed once per instant, each child
+  /// forks it. It keeps the trace only for children that will derive
+  /// candidates of their own.
+  void walk_children(std::size_t depth, Budgets budgets) {
+    Level& level = levels_[depth];
+    level.node.copy_to(level.cursor, /*trace=*/budgets.total() > 1);
+    ++out_->forks;
+    for (std::size_t i = 0; i < level.children.size(); ++i) {
+      const Child& child = level.children[i];
+      if (i == 0 || child.at != level.children[i - 1].at) {
+        sim_.advance_until(level.cursor, child.at);
+      }
+      explore_child(depth, child, budgets.after(child.key.cls));
     }
   }
 
@@ -507,16 +614,56 @@ class Explorer {
   const std::vector<LatencyProbe>& probes_;
   /// Scratch: names the current leaf violates (certify_leaf only).
   std::vector<std::string> chain_violated_;
-  /// The branch states of each depth, sized once per task (run()): the
-  /// recursion holds references into them.
+  /// The branch states of each depth, grown to the deepest task run so
+  /// far (begin_root): the recursion holds references into them.
   std::vector<Level> levels_;
   /// Scratch: the digest of the leaf just finished.
   IterationSummary summary_;
-  CertifyTaskPartial& out_;
+  /// The running task's partial.
+  CertifyTaskPartial* out_ = nullptr;
   /// The current node's fault pattern: the task's dead-at-start subsets,
   /// then one mid-run fault per depth, pushed and popped by explore_child.
   FailureScenario faults_;
 };
+
+/// Whether a task is cut per child of its root: its first fault leaves at
+/// least two more to place. The children of a shallower task are
+/// single-fault subtrees of a few hundred branches at most, so it stays
+/// one task per first victim.
+bool divided(const SweepPlan::Task& task) {
+  return task.first.valid() && task.budgets.total() >= 3;
+}
+
+/// Replaces every divided task by one task per child of its root, in walk
+/// order: the root runs once here (begin, traced leaf, the explorer's own
+/// listing). A root with no child stays one task.
+void divide_tasks(SweepPlan& plan, const SweepEngine& engine,
+                  const CertifySpec& spec) {
+  const std::vector<LatencyProbe> no_probes;  // a root pass judges no leaf
+  Explorer explorer(engine, spec, no_probes);
+  std::vector<SweepPlan::Task> tasks;
+  for (const SweepPlan::Task& task : plan.tasks) {
+    if (!divided(task)) {
+      tasks.push_back(task);
+      continue;
+    }
+    CertifyTaskPartial root;
+    const std::vector<Child>& children = explorer.root_children(task, root);
+    if (children.empty()) {
+      tasks.push_back(task);
+      continue;
+    }
+    const std::size_t first_child = tasks.size();
+    for (const Child& child : children) {
+      tasks.push_back(task);
+      tasks.back().child = child;
+    }
+    // The begin root_children counted, plus the cursor copy of its walk.
+    tasks[first_child].charge = RootCharge{
+        root.forks + 1, root.instants_kept, root.instants_merged};
+  }
+  plan.tasks = std::move(tasks);
+}
 
 }  // namespace
 
@@ -567,55 +714,49 @@ OracleSpec oracle_spec(const CertifyReport& report) {
   return spec;
 }
 
+CertifyBudgets certify_budgets(const Schedule& schedule,
+                               const CertifySpec& spec) {
+  const ArchitectureGraph& arch = *schedule.problem().architecture;
+  const int max_failures = spec.max_failures < 0
+                               ? schedule.failures_tolerated()
+                               : spec.max_failures;
+  return CertifyBudgets{
+      std::clamp(max_failures, 0,
+                 static_cast<int>(arch.processor_count()) - 1),
+      std::clamp(spec.max_link_failures, 0,
+                 static_cast<int>(arch.link_count())),
+      std::max(spec.max_silences, 0)};
+}
+
 namespace {
 
-/// The fully resolved sweep: budgets clamped, subsets materialized, tasks
-/// enumerated in the canonical global order every shard agrees on. A pure
-/// function of (schedule, spec).
-struct SweepPlan {
-  int max_failures = 0;
-  int max_links = 0;
-  int max_silences = 0;
-  std::vector<std::vector<ProcessorId>> subsets;
-  std::vector<std::vector<LinkId>> link_subsets;
-  struct Task {
-    const std::vector<ProcessorId>* dead;
-    const std::vector<LinkId>* dead_links;
-    FaultKey first;  // invalid = leaf-only
-    Budgets budgets;
-  };
-  std::vector<Task> tasks;
-};
-
-SweepPlan build_sweep_plan(const Schedule& schedule, const CertifySpec& spec) {
+/// Builds the plan of one sweep. `engine` runs the roots of its divided
+/// tasks; a sweep with a divided task and no engine builds its own, and a
+/// sweep without one simulates nothing.
+SweepPlan build_sweep_plan(const Schedule& schedule, const CertifySpec& spec,
+                           const SweepEngine* engine) {
   const std::size_t procs =
       schedule.problem().architecture->processor_count();
   const std::size_t links = schedule.problem().architecture->link_count();
   SweepPlan plan;
-  int max_failures = spec.max_failures < 0 ? schedule.failures_tolerated()
-                                           : spec.max_failures;
-  plan.max_failures = std::clamp(max_failures, 0,
-                                 static_cast<int>(procs) - 1);
-  plan.max_links =
-      std::clamp(spec.max_link_failures, 0, static_cast<int>(links));
-  plan.max_silences = std::max(spec.max_silences, 0);
-
+  plan.budgets = certify_budgets(schedule, spec);
+  const CertifyBudgets& b = plan.budgets;
   plan.subsets = id_subsets<ProcessorId>(
-      procs, 0, static_cast<std::size_t>(plan.max_failures));
+      procs, 0, static_cast<std::size_t>(b.max_failures));
   plan.link_subsets = id_subsets<LinkId>(
-      links, 0, static_cast<std::size_t>(plan.max_links));
+      links, 0, static_cast<std::size_t>(b.max_link_failures));
 
   // Tasks: each (processor subset, link subset) pair's own leaf, plus —
   // when some mid-run budget remains — one subtree per first fault victim
   // in canonical class order, splitting the dominant small-subset
-  // subtrees across workers.
+  // subtrees across workers. divide_tasks then cuts the deep ones finer.
   FailureScenario root;
   for (const std::vector<ProcessorId>& dead : plan.subsets) {
     for (const std::vector<LinkId>& dead_links : plan.link_subsets) {
       const Budgets budgets{
-          {plan.max_failures - static_cast<int>(dead.size()),
-           plan.max_links - static_cast<int>(dead_links.size()),
-           plan.max_silences}};
+          {b.max_failures - static_cast<int>(dead.size()),
+           b.max_link_failures - static_cast<int>(dead_links.size()),
+           b.max_silences}};
       plan.tasks.push_back(
           SweepPlan::Task{&dead, &dead_links, FaultKey{}, budgets});
       root.failed_at_start = dead;
@@ -626,26 +767,25 @@ SweepPlan build_sweep_plan(const Schedule& schedule, const CertifySpec& spec) {
       });
     }
   }
+  if (std::none_of(plan.tasks.begin(), plan.tasks.end(), divided)) {
+    return plan;
+  }
+  std::optional<SweepEngine> own;
+  divide_tasks(plan, engine != nullptr ? *engine : own.emplace(schedule),
+               spec);
   return plan;
 }
 
 CertifySweep sweep_of(const SweepPlan& plan, const CertifySpec& spec) {
-  CertifySweep sweep;
-  sweep.max_failures = plan.max_failures;
-  sweep.max_link_failures = plan.max_links;
-  sweep.max_silences = plan.max_silences;
-  sweep.response_bound = spec.response_bound;
-  sweep.subsets = plan.subsets.size();
-  sweep.link_subsets = plan.link_subsets.size();
-  sweep.tasks = plan.tasks.size();
-  return sweep;
+  return CertifySweep{plan.budgets, spec.response_bound, plan.subsets.size(),
+                      plan.link_subsets.size(), plan.tasks.size()};
 }
 
 }  // namespace
 
 CertifySweep certify_sweep(const Schedule& schedule,
                            const CertifySpec& spec) {
-  return sweep_of(build_sweep_plan(schedule, spec), spec);
+  return sweep_of(build_sweep_plan(schedule, spec, nullptr), spec);
 }
 
 CertifyMerger::CertifyMerger(const CertifySweep& sweep,
@@ -718,18 +858,14 @@ CertifyReport CertifyMerger::finish() {
 
 namespace {
 
-/// Runs the shard's slice of an already built plan; certify() and
-/// certify_shard() both sweep through here, so each builds its plan once.
+/// Runs the shard's slice of a plan built on `engine`; certify() and
+/// certify_shard() both sweep through here.
 bool run_sweep(const Schedule& schedule, const CertifySpec& spec,
-               const SweepPlan& plan, const CertifyShardSpec& shard,
+               const SweepEngine& engine, const SweepPlan& plan,
+               const CertifyShardSpec& shard,
                const std::function<void(CertifyTaskPartial&&)>& emit,
                const std::function<bool()>& cancelled) {
   FTSCHED_SPAN("certify.shard");
-  const std::size_t procs =
-      schedule.problem().architecture->processor_count();
-  const std::size_t links = schedule.problem().architecture->link_count();
-  const Simulator simulator(schedule);
-  const std::vector<Time> deadlines = static_deadlines(schedule);
   // Validates the spec's chain constraints (throws std::invalid_argument
   // on a malformed one) and resolves them to op-index probes once for the
   // whole shard.
@@ -741,13 +877,18 @@ bool run_sweep(const Schedule& schedule, const CertifySpec& spec,
     if (shard.owns(t)) owned.push_back(t);
   }
 
-  auto run_task = [&](unsigned, std::size_t pos) {
-    const SweepPlan::Task& task = plan.tasks[owned[pos]];
+  // One explorer per ordered_for participant, indexed by its slot.
+  const std::size_t participants =
+      std::min<std::size_t>(resolve_threads(spec.threads), owned.size());
+  std::vector<Explorer> explorers;
+  explorers.reserve(participants);
+  for (std::size_t slot = 0; slot < participants; ++slot) {
+    explorers.emplace_back(engine, spec, probes);
+  }
+  auto run_task = [&](unsigned slot, std::size_t pos) {
     CertifyTaskPartial partial;
     partial.task_index = owned[pos];
-    Explorer explorer(simulator, spec, deadlines, procs, links, probes,
-                      partial);
-    explorer.run(*task.dead, *task.dead_links, task.first, task.budgets);
+    explorers[slot].run(plan.tasks[owned[pos]], partial);
     return partial;
   };
   return ordered_for(spec.threads, owned.size(), run_task, emit, cancelled);
@@ -762,17 +903,20 @@ bool certify_shard(const Schedule& schedule, const CertifySpec& spec,
   FTSCHED_REQUIRE(shard.shard_count >= 1 &&
                       shard.shard_index < shard.shard_count,
                   "certify_shard: shard_index must be < shard_count");
-  return run_sweep(schedule, spec, build_sweep_plan(schedule, spec), shard,
-                   emit, cancelled);
+  const SweepEngine engine(schedule);
+  return run_sweep(schedule, spec, engine,
+                   build_sweep_plan(schedule, spec, &engine), shard, emit,
+                   cancelled);
 }
 
 CertifyReport certify(const Schedule& schedule, const CertifySpec& spec) {
   FTSCHED_SPAN("certify.run");
   const auto wall_start = std::chrono::steady_clock::now();
 
-  const SweepPlan plan = build_sweep_plan(schedule, spec);
+  const SweepEngine engine(schedule);
+  const SweepPlan plan = build_sweep_plan(schedule, spec, &engine);
   CertifyMerger merger(sweep_of(plan, spec), spec);
-  run_sweep(schedule, spec, plan, CertifyShardSpec{},
+  run_sweep(schedule, spec, engine, plan, CertifyShardSpec{},
             [&](CertifyTaskPartial&& partial) {
               merger.add(std::move(partial));
             },

@@ -72,7 +72,16 @@
 // (dead subsets, first fault victim) — fan out through ordered_for
 // (campaign/work_pool.hpp), which hands them to the merger in task-index
 // order, making the report a pure function of (schedule, spec),
-// bit-identical for any thread count.
+// bit-identical for any thread count. A task whose first fault leaves at
+// least two more to place is cut one level deeper, into one task per
+// child of its root (a kept instant of the first victim, or one [from,
+// to) window of a silence victim), in the order the undivided walk visits
+// them: on Fig. 22 at K=1 + S=2 one silence-first subtree holds 43 % of
+// the sweep, one of its children under 1 %. The sweep plan runs each such
+// root once to list its children; a child task starts the root again and
+// advances one cursor straight to its instant. Every count, and so the
+// certificate, is the undivided tree's: the root's own forks and instant
+// counts are charged to its first child only.
 #pragma once
 
 #include <cstddef>
@@ -175,7 +184,10 @@ struct CertifyReport {
   /// Fault branches certified — leaves of the explored tree; with dedup
   /// off this is the full representative enumeration.
   std::size_t branches = 0;
-  /// Branch forks performed (the work the prefix sharing buys).
+  /// Branch forks of the undivided tree (the work the prefix sharing
+  /// buys): a divided root's child tasks each begin the root and copy its
+  /// cursor again, and those repeats are not counted, so the count does
+  /// not depend on how the sweep is cut into tasks.
   std::size_t forks = 0;
   /// Events dispatched by the certified leaves' own suffix runs — the
   /// marginal simulation work after prefix sharing
@@ -245,10 +257,12 @@ struct CertifyReport {
 // Sharded execution (certification as a service, src/service).
 //
 // The sweep's task fan-out — one task per (dead processor subset, dead link
-// subset, typed first victim) — is a deterministic, globally indexed list,
-// so N workers on N machines can split it by task index and a merge of
-// their per-task partials in ascending task order reproduces the
-// single-process certificate byte for byte.
+// subset, typed first victim), and one per child of that first victim's
+// root when it leaves at least two more faults to place — is a
+// deterministic, globally indexed list in exploration order, so N workers
+// on N machines can split it by task index and a merge of their per-task
+// partials in ascending task order reproduces the single-process
+// certificate byte for byte.
 
 /// Deterministic task-range assignment: shard i of n owns every task t
 /// with t % shard_count == shard_index.
@@ -261,13 +275,23 @@ struct CertifyShardSpec {
   }
 };
 
-/// The resolved shape of one sweep — identical on every shard because it is
-/// a pure function of (schedule, spec): budgets clamped, subsets counted,
-/// tasks enumerated.
-struct CertifySweep {
+/// The budgets a sweep certifies: spec's, with max_failures derived from
+/// the schedule when -1, then clamped to N - 1 processors, to the link
+/// count and to >= 0 silences.
+struct CertifyBudgets {
   int max_failures = 0;
   int max_link_failures = 0;
   int max_silences = 0;
+};
+
+/// spec's budgets as certify() resolves them. Simulates nothing.
+[[nodiscard]] CertifyBudgets certify_budgets(const Schedule& schedule,
+                                             const CertifySpec& spec);
+
+/// The resolved shape of one sweep — identical on every shard because it is
+/// a pure function of (schedule, spec): budgets clamped, subsets counted,
+/// tasks enumerated.
+struct CertifySweep : CertifyBudgets {
   Time response_bound = kInfinite;
   std::size_t subsets = 0;
   std::size_t link_subsets = 0;
@@ -275,6 +299,9 @@ struct CertifySweep {
   std::size_t tasks = 0;
 };
 
+/// The sweep's shape. Counting the tasks of a divided first victim runs
+/// its root once (a begin and one traced leaf run); a sweep whose budgets
+/// total at most 2 has none and simulates nothing here.
 [[nodiscard]] CertifySweep certify_sweep(const Schedule& schedule,
                                          const CertifySpec& spec);
 

@@ -9,6 +9,7 @@
 #include "arch/architecture_graph.hpp"
 #include "arch/routing.hpp"
 #include "campaign/oracle.hpp"
+#include "core/time.hpp"
 #include "graph/algorithm_graph.hpp"
 #include "obs/json_util.hpp"
 #include "obs/span.hpp"
@@ -532,12 +533,16 @@ RepairReport repair(const Problem& problem, HeuristicKind kind,
     moves_tried += moves.size();
     if (survivors.empty()) {
       // This round's tried candidates appear only in repair.moves_tried:
-      // no later round records them.
+      // no later round records them. A round that proposed nothing (a
+      // solution-2 response or chain violation has no passive comm to
+      // activate) says so rather than blaming candidates it never tried.
       rep.moves_exhausted = true;
       rep.certificate = cert;
       rep.failure =
-          "move set exhausted: no candidate fixes every banked "
-          "counterexample";
+          moves.empty()
+              ? "no move applies to the banked reproducer"
+              : "move set exhausted: no candidate fixes every banked "
+                "counterexample";
       break;
     }
     Candidate& chosen = survivors[preferred_candidate(survivor_makespans)];
@@ -628,7 +633,8 @@ std::string move_json(const RepairMove& move, const AlgorithmGraph& graph,
 
 /// One-line human-readable rendering of a reproducer for the repair log
 /// (io/scenario_format.hpp is a layer above campaign, so the log carries
-/// this summary instead of the serialized scenario).
+/// this summary instead of the serialized scenario). Fault times print as
+/// the .scenario writer prints them, so a shrunk window stays replayable.
 std::string plan_summary(const MissionPlan& plan,
                          const ArchitectureGraph& arch) {
   std::string out = "iterations " + std::to_string(plan.iterations);
@@ -640,18 +646,18 @@ std::string plan_summary(const MissionPlan& plan,
   }
   for (const MissionFailure& f : plan.failures) {
     out += "; crash " + arch.processor(f.event.processor).name + "@" +
-           time_to_string(f.event.time) + " it" +
+           time_exact(f.event.time) + " it" +
            std::to_string(f.iteration);
   }
   for (const MissionLinkFailure& f : plan.link_failures) {
     out += "; link-crash " + arch.link(f.event.link).name + "@" +
-           time_to_string(f.event.time) + " it" +
+           time_exact(f.event.time) + " it" +
            std::to_string(f.iteration);
   }
   for (const MissionSilence& s : plan.silences) {
     out += "; silence " + arch.processor(s.window.processor).name + " [" +
-           time_to_string(s.window.from) + ", " +
-           time_to_string(s.window.to) + ") it" +
+           time_exact(s.window.from) + ", " +
+           time_exact(s.window.to) + ") it" +
            std::to_string(s.iteration);
   }
   for (const ProcessorId p : plan.suspected_at_start) {

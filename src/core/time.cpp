@@ -1,5 +1,6 @@
 #include "core/time.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -22,6 +23,12 @@ std::string time_to_string(Time t) {
   while (!s.empty() && s.back() == '0') s.pop_back();
   if (!s.empty() && s.back() == '.') s.pop_back();
   return s;
+}
+
+std::string time_exact(Time t) {
+  char buffer[64];
+  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof buffer, t);
+  return ec == std::errc{} ? std::string(buffer, ptr) : std::string("0");
 }
 
 }  // namespace ftsched

@@ -75,4 +75,9 @@ struct Interval {
 /// Gantt charts, and benchmark tables.
 [[nodiscard]] std::string time_to_string(Time t);
 
+/// Renders a time in the shortest form that parses back to the same
+/// double ("4", "4.000007629394531", "inf"): how reproducers print fault
+/// times, so a printed fault replays exactly.
+[[nodiscard]] std::string time_exact(Time t);
+
 }  // namespace ftsched

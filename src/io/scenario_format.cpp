@@ -1,9 +1,9 @@
 #include "io/scenario_format.hpp"
 
-#include <charconv>
 #include <optional>
 #include <vector>
 
+#include "core/time.hpp"
 #include "io/cli_util.hpp"
 #include "io/lexer.hpp"
 
@@ -12,14 +12,6 @@ namespace ftsched::io {
 namespace {
 
 using Tokens = std::vector<std::string_view>;
-
-/// Shortest representation that round-trips bit-exactly.
-std::string time_exact(Time t) {
-  char buffer[64];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof buffer, t);
-  return ec == std::errc{} ? std::string(buffer, ptr) : std::string("0");
-}
 
 /// Parses an optional trailing "@N" iteration token.
 std::optional<Error> parse_at(const Tokens& tokens, std::size_t index,

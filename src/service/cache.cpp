@@ -40,18 +40,19 @@ std::uint64_t constraints_hash(
 
 std::string plan_key_string(const Schedule& schedule,
                             const campaign::CertifySpec& spec) {
-  const campaign::CertifySweep sweep = campaign::certify_sweep(schedule, spec);
+  const campaign::CertifyBudgets budgets =
+      campaign::certify_budgets(schedule, spec);
   char buf[200];
   char bound[40];
-  if (std::isfinite(sweep.response_bound)) {
-    std::snprintf(bound, sizeof bound, "%.17g", sweep.response_bound);
+  if (std::isfinite(spec.response_bound)) {
+    std::snprintf(bound, sizeof bound, "%.17g", spec.response_bound);
   } else {
     std::snprintf(bound, sizeof bound, "inf");
   }
   std::snprintf(buf, sizeof buf, "pk-%016llx-k%d-l%d-s%d-r%s-d%d-c%zu",
                 static_cast<unsigned long long>(schedule_hash(schedule)),
-                sweep.max_failures, sweep.max_link_failures,
-                sweep.max_silences, bound, spec.dedup ? 1 : 0,
+                budgets.max_failures, budgets.max_link_failures,
+                budgets.max_silences, bound, spec.dedup ? 1 : 0,
                 spec.max_counterexamples);
   std::string key = buf;
   if (!spec.latency_constraints.empty()) {

@@ -6,7 +6,7 @@
 // The key deliberately hashes the SCHEDULE, not the problem text: two
 // textually different problem files that produce the same schedule
 // (renamed operations, reordered declarations — isomorphic plans) share a
-// key and hit the cache. Budgets are resolved through certify_sweep before
+// key and hit the cache. Budgets are resolved through certify_budgets before
 // keying, so claim_k = -1 ("the schedule's own tolerance") and the
 // explicit equivalent K collide onto one entry.
 #pragma once

@@ -4,7 +4,7 @@
 // for any thread count; the final certificate is exactly what a fresh
 // certify() of the returned schedule proves; an already-certified schedule
 // repairs in zero moves; an impossible claim reports exhaustion instead of
-// looping.
+// looping, and a round with no move to try says so.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -152,6 +152,26 @@ TEST(Repair, ImpossibleClaimReportsExhaustionNotALoop) {
   EXPECT_FALSE(report.rounds.back().certified);
   // The final counterexample is carried in the last round.
   EXPECT_GT(report.rounds.back().counterexample.event_count(), 0u);
+}
+
+TEST(Repair, RoundWithNothingToTrySaysNoMoveApplies) {
+  // Fig. 22's solution-2 schedule under one silent window and a response
+  // bound of 10 (campaign_tool --example2 --solution2 --certify
+  // --certify-silences 1 --response-bound 10 --repair): the shrunk
+  // reproducer is late but loses no output, and a solution-2 schedule has
+  // no passive comm to activate, so round 0 proposes no move at all. The
+  // verdict says so instead of blaming candidates it never tried.
+  const OwnedProblem ex = workload::paper_example2();
+  RepairSpec spec;
+  spec.certify.max_silences = 1;
+  spec.certify.response_bound = 10;
+  const RepairReport report =
+      repair(ex.problem, HeuristicKind::kSolution2, spec);
+  EXPECT_FALSE(report.certified);
+  ASSERT_EQ(report.rounds.size(), 1u);
+  EXPECT_TRUE(report.moves_exhausted);
+  EXPECT_EQ(report.metrics.counters.at("repair.moves_tried"), 0u);
+  EXPECT_EQ(report.failure, "no move applies to the banked reproducer");
 }
 
 TEST(Repair, PreferredCandidatePicksLowestMakespanEarliestTie) {

@@ -11,6 +11,7 @@
 // reason in CHANGES.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
@@ -325,6 +326,47 @@ TEST(Cost, DedupSimulatesATenthOfTheNaiveBranches) {
   EXPECT_EQ(dedup.branches, 15'789u);
   EXPECT_EQ(naive.branches, 182'335u);
   EXPECT_GE(naive.branches, 10 * dedup.branches);
+}
+
+// The task cut. A task whose first fault leaves at least two more to
+// place is divided into one task per child of its root, so no task holds a
+// large share of a deep sweep: one per-first-victim task of Fig. 22's
+// K=2 + S=1 sweep held 89,891 of its branches (28 tasks), and one per
+// (first victim, first instant) would still hold 35,459. Shallower sweeps,
+// every certifyd request of the benchmark's serve mix among them, keep one
+// task per first victim, so their task lists, and with them certifyd's
+// `ack.tasks` and counterexample task indices, stay put.
+TEST(Cost, DeepTasksAreCutPerChildOfTheirRoot) {
+  const OwnedProblem ex1 = workload::paper_example1();
+  const OwnedProblem ex2 = workload::paper_example2();
+  const Schedule fig17 = schedule_solution1(ex1.problem).value();
+  const Schedule fig22 = schedule_solution2(ex2.problem).value();
+  const campaign::CertifySpec deep{
+      .max_failures = 2, .max_silences = 1, .threads = 1};
+  std::size_t tasks = 0;
+  std::size_t largest = 0;
+  std::size_t branches = 0;
+  std::size_t forks = 0;
+  EXPECT_TRUE(campaign::certify_shard(
+      fig22, deep, {}, [&](campaign::CertifyTaskPartial&& partial) {
+        ++tasks;
+        largest = std::max(largest, partial.branches);
+        branches += partial.branches;
+        forks += partial.forks;
+      }));
+  EXPECT_EQ(campaign::certify_sweep(fig22, deep).tasks, 353u);
+  EXPECT_EQ(tasks, 353u);
+  EXPECT_EQ(largest, 5'714u);
+  EXPECT_EQ(branches, 271'231u);
+  // The undivided tree's forks: a child task's repeated root start and
+  // cursor copy are not counted.
+  EXPECT_EQ(forks, 559'229u);
+
+  EXPECT_EQ(campaign::certify_sweep(
+                fig22, {.max_failures = 1, .max_silences = 1})
+                .tasks,
+            16u);
+  EXPECT_EQ(campaign::certify_sweep(fig17, {.max_failures = 1}).tasks, 7u);
 }
 
 TEST(Cost, DeepSweepsWithALinkOrSilenceBudget) {

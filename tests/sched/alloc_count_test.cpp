@@ -14,8 +14,8 @@
 // paper schedule may allocate: any per-sweep table sized for a deep
 // search, not for the sweep at hand, shows up there first. A deep sweep
 // pins the certifier's per-branch heap traffic: its forks copy into
-// branch states reused across the task, so a branch costs its events,
-// not a fresh state.
+// branch states reused across every task a participant runs, so a branch
+// costs its events, not a fresh state.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -132,9 +132,9 @@ TEST(AllocationCount, ScheduleHeapTrafficGrowsLinearly) {
 /// A 1-thread K=1 certification of the Fig. 17 solution-1 schedule (40
 /// branches) is a fixed-cost measurement: what it requests from operator
 /// new is the engine's per-sweep overhead, dominated by the simulator's
-/// plan and each task's branch states (one set per tree depth, reused by
-/// every node of the task). A per-sweep table sized for deep searches
-/// would dwarf that.
+/// plan and the participant's branch states (one set per tree depth,
+/// reused by every node of every task it runs). A per-sweep table sized
+/// for deep searches would dwarf that.
 TEST(AllocationCount, SmallCertifySweepStaysUnderOneMebibyte) {
 #ifdef FTSCHED_ALLOC_COUNT_UNAVAILABLE
   GTEST_SKIP() << "sanitizer runtime owns the global allocation operators";
@@ -158,13 +158,15 @@ TEST(AllocationCount, SmallCertifySweepStaysUnderOneMebibyte) {
 }
 
 /// A 1-thread K=2 + one silent window certification of the Fig. 22
-/// solution-2 schedule: 271,231 branches over 28 tasks. Each task copies
-/// its forks into branch states it allocates once, a leaf whose budgets
-/// are spent runs without a trace, and a branch that is neither kept as
-/// a counterexample nor collected builds no CertifyBranch. What remains
-/// is each candidate-deriving node's instant and victim tables: about 2.2
-/// allocations and 132 bytes per branch when this was written. A fresh
-/// state per fork costs about 42 allocations and 9 KB.
+/// solution-2 schedule: 271,231 branches over 353 tasks (its first
+/// victims are cut per child of their root). Each participant copies its
+/// forks into branch states it allocates once for all its tasks, a leaf
+/// whose budgets are spent runs without a trace, and a branch that is
+/// neither kept as a counterexample nor collected builds no CertifyBranch.
+/// What remains is each candidate-deriving node's instant and victim
+/// tables: about 2.2 allocations and 132 bytes per branch when this was
+/// written over 28 tasks. A fresh state per fork costs about 42
+/// allocations and 9 KB.
 TEST(AllocationCount, DeepCertifySweepAllocatesAFewTimesPerBranch) {
 #ifdef FTSCHED_ALLOC_COUNT_UNAVAILABLE
   GTEST_SKIP() << "sanitizer runtime owns the global allocation operators";

@@ -1,8 +1,9 @@
 // Shard/merge protocol: any 1..8-way shard partition of a certification
 // run merges to a certificate byte-identical to single-process certify(),
-// for a certified schedule and for a refuted one (counterexamples cross
-// the wire too); malformed streams — truncated, tampered, cancelled,
-// incomplete — are clean Errors, never UB.
+// for a certified schedule, for a refuted one (counterexamples cross the
+// wire too) and for a deep sweep whose tasks are cut per child of their
+// root; malformed streams — truncated, tampered, cancelled, incomplete —
+// are clean Errors, never UB.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -43,6 +44,18 @@ struct Fixture {
     return Fixture{std::move(ex), std::move(schedule), spec};
   }
 
+  static Fixture divided() {
+    // Fig. 22's solution-2 schedule at K=2 + S=1, which is refuted: each
+    // first victim leaves two more faults to place, so its subtree is cut
+    // into one task per child of its root (353 tasks).
+    auto ex = std::make_unique<OwnedProblem>(workload::paper_example2());
+    Schedule schedule = schedule_solution2(ex->problem).value();
+    campaign::CertifySpec spec;
+    spec.max_failures = 2;
+    spec.max_silences = 1;
+    return Fixture{std::move(ex), std::move(schedule), spec};
+  }
+
   [[nodiscard]] std::vector<std::string> shard_streams(
       std::size_t shards) const {
     std::vector<std::string> streams;
@@ -79,6 +92,10 @@ TEST(StreamMerge, AnyPartitionOfCertifiedRunMergesByteIdentical) {
 
 TEST(StreamMerge, AnyPartitionOfRefutedRunMergesByteIdentical) {
   expect_partitions_merge(Fixture::refuted());
+}
+
+TEST(StreamMerge, AnyPartitionOfDividedRunMergesByteIdentical) {
+  expect_partitions_merge(Fixture::divided());
 }
 
 TEST(StreamMerge, StreamOrderDoesNotMatter) {
